@@ -8,6 +8,8 @@ with the arg-max class, ties broken toward the lowest class id.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import struct
 from dataclasses import dataclass
@@ -98,13 +100,23 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
         raise DataError(f"{n} samples cannot cover {class_ids.size} classes")
 
     omega = rbf_kernel_matrix(X, X, hyper.gamma)
-    Y = one_hot(y, class_ids)
-    system = omega + np.eye(n) / hyper.c
-    alpha = _spd_solve(system, Y)
-    residual = np.max(np.abs(system @ alpha - Y))
-    if residual > RESIDUAL_TOL * (1.0 + np.max(np.abs(Y))):
-        raise NumericalError(f"kernel solve residual too large: {residual:.3e}")
+    alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
+
+
+def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
+    """alpha with ``(omega + I/c) alpha = targets``, for a precomputed kernel matrix.
+
+    ``omega`` is overwritten by the system matrix (1/c added to its
+    diagonal). Cholesky with one jitter retry; the solution is rejected when
+    its residual exceeds ``RESIDUAL_TOL``.
+    """
+    omega[np.diag_indices_from(omega)] += 1.0 / c
+    alpha = _spd_solve(omega, targets)
+    residual = np.max(np.abs(omega @ alpha - targets))
+    if residual > RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):
+        raise NumericalError(f"kernel solve residual too large: {residual:.3e}")
+    return alpha
 
 
 def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -117,6 +129,57 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return cho_solve(cho_factor(jittered, lower=True), rhs)
     except LinAlgError as e:
         raise NumericalError(f"kernel system not positive definite: {e}") from e
+
+
+# (set, get) thread-count symbols: numpy's ILP64 copy, scipy's copy, a plain build
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def openblas_thread_controls() -> list[tuple]:
+    """(set, get) thread-count functions of every OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6})
+    controls = []
+    for path in paths:
+        name = path.rsplit("/", 1)[-1]
+        if "openblas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the body with every loaded OpenBLAS on one thread, then restore each count.
+
+    The tuning search is many small dense solves, which run several times
+    faster on one thread, and a fixed thread count makes their results the
+    same whatever the environment sets. Without OpenBLAS this does nothing.
+    """
+    controls = openblas_thread_controls()
+    previous = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, previous):
+            set_threads(count)
 
 
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .ssa import check_swarm_config
 
 
 @dataclass(frozen=True)
@@ -27,20 +27,7 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64).ravel()
-        upper = np.asarray(self.upper, dtype=np.float64).ravel()
-        if lower.size == 0 or lower.shape != upper.shape:
-            raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
-        if np.any(lower > upper):
-            raise ConfigError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if self.pop_size < 2:
-            raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_swarm_config(self)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,28 @@ DEFAULT_LOG10_C_BOUNDS = (-2.0, 4.0)
 DEFAULT_LOG10_GAMMA_BOUNDS = (-3.0, 3.0)
 
 
+def check_swarm_config(cfg) -> None:
+    """Validate the fields every swarm config shares; store the bounds as flat float vectors.
+
+    ``cfg`` is a frozen dataclass with ``lower``, ``upper``, ``pop_size``,
+    ``max_iter`` and ``seed``.
+    """
+    lower = np.asarray(cfg.lower, dtype=np.float64).ravel()
+    upper = np.asarray(cfg.upper, dtype=np.float64).ravel()
+    if lower.size == 0 or lower.shape != upper.shape:
+        raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
+    if np.any(lower > upper):
+        raise ConfigError("lower bound exceeds upper bound")
+    object.__setattr__(cfg, "lower", lower)
+    object.__setattr__(cfg, "upper", upper)
+    if cfg.pop_size < 2:
+        raise ConfigError(f"pop_size must be >= 2, got {cfg.pop_size}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+
+
 @dataclass(frozen=True)
 class SsaConfig:
     lower: np.ndarray
@@ -51,26 +73,13 @@ class SsaConfig:
     paper_literal_v: bool = False
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64).ravel()
-        upper = np.asarray(self.upper, dtype=np.float64).ravel()
-        if lower.size == 0 or lower.shape != upper.shape:
-            raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
-        if np.any(lower > upper):
-            raise ConfigError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if self.pop_size < 2:
-            raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_swarm_config(self)
         if not 0.0 < self.producer_ratio < 1.0:
             raise ConfigError(f"producer_ratio must lie in (0,1), got {self.producer_ratio}")
         if not 0.0 < self.scout_ratio < 1.0:
             raise ConfigError(f"scout_ratio must lie in (0,1), got {self.scout_ratio}")
         if not 0.0 < self.safety_threshold < 1.0:
             raise ConfigError(f"safety_threshold must lie in (0,1), got {self.safety_threshold}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dim(self) -> int:
@@ -311,6 +320,47 @@ def stratified_fold_ids(labels, folds: int, seed: int) -> tuple[int, np.ndarray]
     return effective, fold_of
 
 
+def cv_objective(train_x, train_labels, folds: int, seed: int):
+    """Cross-validated squared error of a KELM at (log10 C, log10 gamma).
+
+    Returns ``(objective, folds_used)``. With ``folds_used`` >= 2 the
+    objective is the mean held-out error over seeded stratified folds; with
+    ``folds_used`` = 1 it is the training-set error of a model fit on
+    everything. Only C and gamma change between evaluations, so the
+    squared-distance matrix, the fold index arrays and the one-hot targets
+    are computed here once; an evaluation is one ``exp`` over that matrix and
+    one regularized solve per fold, with the same arithmetic as
+    ``kelm.train`` followed by ``kelm.predict``.
+    """
+    x = np.asarray(train_x, dtype=np.float64)
+    y = np.asarray(train_labels).ravel()
+    if x.shape[0] != y.size:
+        raise DataError(f"{x.shape[0]} samples but {y.size} labels")
+    effective, fold_of = stratified_fold_ids(y, folds, seed)
+    targets = kelm.one_hot(y, np.unique(y))
+    sq_dist = kelm.cdist(x, x, "sqeuclidean")
+    if effective == 1:
+        everything = np.arange(y.size)
+        splits = [(everything, everything)]
+    else:
+        splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+                  for f in range(effective)]
+    plan = [(train, held, targets[train], targets[held]) for train, held in splits]
+
+    def objective(z):
+        hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
+        kernel = np.exp(-hyper.gamma * sq_dist)
+        errors = []
+        for train, held, train_targets, held_targets in plan:
+            rows = kernel.take(train, axis=1)
+            alpha = kelm.solve_kernel_system(rows.take(train, axis=0), train_targets, hyper.c)
+            scores = rows.take(held, axis=0) @ alpha
+            errors.append(kelm.mse_fitness(scores, held_targets))
+        return float(np.mean(errors))
+
+    return objective, effective
+
+
 @dataclass(frozen=True)
 class TuneResult:
     hyper: kelm.KelmHyperparams
@@ -321,37 +371,17 @@ class TuneResult:
 
 
 def tune_kelm(train_x, train_labels, cfg: SsaConfig | None = None, folds: int = 5) -> TuneResult:
-    """Search (log10 C, log10 gamma) minimizing cross-validated squared error.
+    """Search (log10 C, log10 gamma) minimizing ``cv_objective``.
 
-    With ``folds`` >= 2 the objective is the mean held-out error over seeded
-    stratified folds; with ``folds`` = 1 it degenerates to the training-set
-    error of a model fit on everything.
+    The search runs with OpenBLAS pinned to one thread, so its results do not
+    depend on the BLAS thread setting of the environment.
     """
     cfg = cfg if cfg is not None else default_tuning_config()
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
-    x = np.asarray(train_x, dtype=np.float64)
-    y = np.asarray(train_labels).ravel()
-    if x.shape[0] != y.size:
-        raise DataError(f"{x.shape[0]} samples but {y.size} labels")
-    effective, fold_of = stratified_fold_ids(y, folds, cfg.seed)
-    class_ids = np.unique(y).astype(np.int64)
-
-    def objective(z):
-        hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
-        if effective == 1:
-            model = kelm.train(x, y, hyper)
-            scores, _ = kelm.predict(model, x)
-            return kelm.mse_fitness(scores, kelm.one_hot(y, class_ids))
-        errors = []
-        for f in range(effective):
-            held = fold_of == f
-            model = kelm.train(x[~held], y[~held], hyper)
-            scores, _ = kelm.predict(model, x[held])
-            errors.append(kelm.mse_fitness(scores, kelm.one_hot(y[held], class_ids)))
-        return float(np.mean(errors))
-
-    result = optimize(objective, cfg)
+    objective, effective = cv_objective(train_x, train_labels, folds, cfg.seed)
+    with kelm.single_threaded_blas():
+        result = optimize(objective, cfg)
     hyper = kelm.KelmHyperparams(c=10.0 ** result.best_pos[0], gamma=10.0 ** result.best_pos[1])
     return TuneResult(
         hyper=hyper,

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hsikelm
 from hsikelm import kelm
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.ssa import (
     SsaConfig,
     SsaState,
     begin_iteration,
+    cv_objective,
     default_tuning_config,
     optimize,
     stratified_fold_ids,
@@ -223,7 +230,8 @@ def _cv_objective(x, y, folds, seed):
         errors = []
         for f in range(effective):
             held = fold_of == f
-            model = kelm.train(x[~held], y[~held], hyper)
+            train = ~held if effective > 1 else held  # one fold: fit and score on everything
+            model = kelm.train(x[train], y[train], hyper)
             scores, _ = kelm.predict(model, x[held])
             errors.append(kelm.mse_fitness(scores, kelm.one_hot(y[held], class_ids)))
         return float(np.mean(errors))
@@ -242,6 +250,62 @@ def test_tune_kelm_separable_blobs():
             for lc in np.linspace(-2, 4, 7) for lg in np.linspace(-3, 3, 7)]
     assert min(grid) < 0.05
     assert result.best_fitness <= min(grid) + 0.05
+
+
+@pytest.mark.parametrize("folds", [1, 3])
+def test_cv_objective_equals_train_predict_oracle(folds):
+    rng = np.random.default_rng(11)
+    y = np.repeat([1, 2, 3], 12)
+    x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
+    objective, folds_used = cv_objective(x, y, folds, seed=4)
+    oracle = _cv_objective(x, y, folds, seed=4)
+    assert folds_used == folds
+    for lc in np.linspace(-2, 4, 5):
+        for lg in np.linspace(-3, 3, 5):
+            z = np.array([lc, lg])
+            assert objective(z) == oracle(z)
+
+
+def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch):
+    x, y = _blobs(n_per_class=8, seed=3)
+    cfg = SsaConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
+                    pop_size=4, max_iter=2, seed=0)
+    controls = kelm.openblas_thread_controls()
+    original = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(2)  # a count the search's pin to 1 thread must undo
+    try:
+        monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="residual"):
+            tune_kelm(x, y, cfg, folds=2)
+        assert [get() for _, get in controls] == [2] * len(controls)
+    finally:
+        for (set_threads, _), count in zip(controls, original):
+            set_threads(count)
+
+
+_TUNE_HEX = """
+import numpy as np
+from hsikelm.ssa import default_tuning_config, tune_kelm
+rng = np.random.default_rng(5)
+y = np.repeat([1, 2, 3], 100)
+x = rng.normal(size=(y.size, 8)) + 0.4 * y[:, None]
+r = tune_kelm(x, y, default_tuning_config(seed=0, pop_size=4, max_iter=2), folds=2)
+print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
+"""
+
+
+@pytest.mark.skipif(not kelm.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
+def test_tune_kelm_bits_independent_of_blas_threads():
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        run = subprocess.run([sys.executable, "-c", _TUNE_HEX], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        outputs.append(run.stdout)
+    assert outputs[0].strip() and outputs[0] == outputs[1]
 
 
 def test_tune_kelm_single_fold_is_training_mse():
