@@ -105,7 +105,11 @@ def _cmd_tune(args) -> int:
 
 
 def _resolve_hyper(args, config) -> kelm.KelmHyperparams:
-    if args.c is not None and args.gamma is not None:
+    if args.c is None and args.gamma is not None:
+        raise ConfigError("--gamma needs --c: pass both or neither")
+    if args.gamma is None and args.c is not None:
+        raise ConfigError("--c needs --gamma: pass both or neither")
+    if args.c is not None:
         return kelm.KelmHyperparams(c=args.c, gamma=args.gamma)
     if config.fixed_hyperparams is not None:
         return config.fixed_hyperparams

@@ -8,8 +8,6 @@ every pixel gets a code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datacube import HyperCube
@@ -17,25 +15,8 @@ from .errors import ConfigError
 
 # (row, col) offsets in bit order TL, T, TR, R, BR, B, BL, L
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
-
-
-@dataclass(frozen=True)
-class LbpConfig:
-    neighbors: int = 8
-    radius: int = 1
-    replicate_border: bool = True
-
-    def __post_init__(self):
-        if self.neighbors != 8:
-            raise ConfigError(f"only the 8-neighbor ring is supported, got {self.neighbors}")
-        if self.radius != 1:
-            raise ConfigError(f"only radius 1 is supported, got {self.radius}")
-        if not self.replicate_border:
-            raise ConfigError("only replicate border padding is supported")
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.neighbors) - 1
+# the largest code, 2^8 - 1, scales codes to [0, 1]
+MAX_CODE = 255
 
 
 def _band_codes(band: np.ndarray) -> np.ndarray:
@@ -48,7 +29,7 @@ def _band_codes(band: np.ndarray) -> np.ndarray:
     return codes
 
 
-def lbp_code(image: np.ndarray, row: int, col: int, cfg: LbpConfig = LbpConfig()) -> int:
+def lbp_code(image: np.ndarray, row: int, col: int) -> int:
     """Code of a single pixel; borders use replicate padding."""
     image = np.asarray(image)
     if not (0 <= row < image.shape[0] and 0 <= col < image.shape[1]):
@@ -63,11 +44,11 @@ def lbp_code(image: np.ndarray, row: int, col: int, cfg: LbpConfig = LbpConfig()
     return code
 
 
-def lbp_features(cube: HyperCube, cfg: LbpConfig = LbpConfig()) -> np.ndarray:
-    """Pixels-by-bands matrix of codes scaled to [0, 1] by 2^P - 1."""
+def lbp_features(cube: HyperCube) -> np.ndarray:
+    """Pixels-by-bands matrix of codes scaled to [0, 1] by MAX_CODE."""
     h, w, b = cube.values.shape
     out = np.empty((h * w, b), dtype=np.float64)
     for band in range(b):
         out[:, band] = _band_codes(cube.values[:, :, band]).ravel()
-    out /= cfg.max_code
+    out /= MAX_CODE
     return out

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +34,9 @@ from .datacube import (
     stratified_split,
 )
 from .errors import ConfigError, DataError, HsiKelmError
-from .lbp import LbpConfig, lbp_features
+from .lbp import lbp_features
 from .mstv import (
     MstvConfig,
-    RtvParams,
     group_and_average,
     kpca_reduce,
     multiscale_stack,
@@ -70,7 +71,6 @@ class PipelineConfig:
     output_dir: str = "out"
     lbp_source: str = "grouped"
     mstv: MstvConfig = field(default_factory=MstvConfig)
-    lbp: LbpConfig = field(default_factory=LbpConfig)
     ssa: ssa.SsaConfig = field(default_factory=ssa.default_tuning_config)
     fixed_hyperparams: kelm.KelmHyperparams | None = None
     canonical: bool = False
@@ -90,77 +90,83 @@ class PipelineConfig:
             raise ConfigError(f"lbp_source must be one of {LBP_SOURCES}, got {self.lbp_source!r}")
 
 
-def _take(section: dict, allowed: set[str], where: str) -> dict:
-    unknown = set(section) - allowed
+# JSON names of the (lower, upper) pair of each SsaConfig dimension, in order
+SSA_BOUNDS = {
+    "log10_c_bounds": ssa.DEFAULT_LOG10_C_BOUNDS,
+    "log10_gamma_bounds": ssa.DEFAULT_LOG10_GAMMA_BOUNDS,
+}
+
+
+def _convert(tp, value, path: str):
+    """Check a JSON value against the field type ``tp`` and return it as that type.
+
+    Handles int, float (an int is widened), str, bool, ``X | None``,
+    ``tuple[X, ...]`` and fixed-length tuples (from a JSON list), and nested
+    config dataclasses. A bool is never accepted as a number.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return None if value is None else _convert(args[0], value, path)
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        expected = "a list" if variadic else f"a list of {len(args)}"
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            item_types = args[:1] * len(value) if variadic else args
+            return tuple(_convert(t, v, f"{path}[{i}]")
+                         for i, (t, v) in enumerate(zip(item_types, value)))
+    else:
+        expected = tp.__name__
+        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+            return value
+    raise ConfigError(f"{path} must be {expected}, got {value!r}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _build(cls, raw, where: str, **given):
+    """Instantiate the config dataclass ``cls`` from the JSON object ``raw``.
+
+    Every field comes from ``raw`` (type-checked), else from ``given``, else
+    from its default; the fields in ``given`` are not keys of ``raw``.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = set(_object(raw, where)) - (set(hints) - set(given))
     if unknown:
-        raise ConfigError(f"unknown {where} config key(s): {sorted(unknown)}")
-    return section
+        raise ConfigError(f"unknown {where or 'top-level'} config key(s): {sorted(unknown)}")
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in raw:
+            given[f.name] = _convert(hints[f.name], raw[f.name], path)
+        elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required config key: {path}")
+    return cls(**given)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a validated config from a JSON-style dict; unknown keys fail."""
-    top = {
-        "cube_path", "label_path", "num_classes", "train_fraction", "folds", "seed",
-        "output_dir", "lbp_source", "mstv", "lbp", "ssa", "fixed_hyperparams", "canonical",
-    }
-    _take(raw, top, "top-level")
-    for key in ("cube_path", "label_path", "num_classes"):
-        if key not in raw:
-            raise ConfigError(f"missing required config key: {key}")
-    master_seed = int(raw.get("seed", 0))
+    """Build a validated config from a JSON-style dict; unknown keys and wrong types fail.
 
-    mstv_raw = dict(raw.get("mstv", {}))
-    _take(mstv_raw, {"k", "scales", "n_components", "kpca_gamma", "landmark_count", "seed"}, "mstv")
-    if "scales" in mstv_raw:
-        scales = []
-        for entry in mstv_raw["scales"]:
-            entry = dict(entry)
-            _take(entry, {"lam", "sigma", "iterations", "epsilon_s", "epsilon_l"}, "mstv scale")
-            scales.append(RtvParams(**entry))
-        mstv_raw["scales"] = tuple(scales)
-    mstv_raw.setdefault("seed", master_seed)
-    mstv_cfg = MstvConfig(**mstv_raw)
-
-    lbp_raw = dict(raw.get("lbp", {}))
-    _take(lbp_raw, {"neighbors", "radius", "replicate_border"}, "lbp")
-    lbp_cfg = LbpConfig(**lbp_raw)
-
-    ssa_raw = dict(raw.get("ssa", {}))
-    _take(
-        ssa_raw,
-        {"pop_size", "max_iter", "producer_ratio", "scout_ratio", "safety_threshold",
-         "seed", "paper_literal_v", "log10_c_bounds", "log10_gamma_bounds"},
-        "ssa",
-    )
-    c_bounds = tuple(ssa_raw.pop("log10_c_bounds", ssa.DEFAULT_LOG10_C_BOUNDS))
-    g_bounds = tuple(ssa_raw.pop("log10_gamma_bounds", ssa.DEFAULT_LOG10_GAMMA_BOUNDS))
-    ssa_raw.setdefault("seed", master_seed)
-    ssa_cfg = ssa.SsaConfig(
-        lower=np.array([c_bounds[0], g_bounds[0]], dtype=np.float64),
-        upper=np.array([c_bounds[1], g_bounds[1]], dtype=np.float64),
-        **ssa_raw,
-    )
-
-    fixed = raw.get("fixed_hyperparams")
-    if fixed is not None:
-        fixed = dict(fixed)
-        _take(fixed, {"c", "gamma"}, "fixed_hyperparams")
-        fixed = kelm.KelmHyperparams(**fixed)
-
-    return PipelineConfig(
-        cube_path=str(raw["cube_path"]),
-        label_path=str(raw["label_path"]),
-        num_classes=int(raw["num_classes"]),
-        train_fraction=float(raw.get("train_fraction", 0.1)),
-        folds=int(raw.get("folds", 5)),
-        seed=master_seed,
-        output_dir=str(raw.get("output_dir", "out")),
-        lbp_source=str(raw.get("lbp_source", "grouped")),
-        mstv=mstv_cfg,
-        lbp=lbp_cfg,
-        ssa=ssa_cfg,
-        fixed_hyperparams=fixed,
-        canonical=bool(raw.get("canonical", False)),
+    The sections ``mstv`` and ``ssa`` inherit the master ``seed`` unless they
+    set their own; ``ssa`` states its search box as ``SSA_BOUNDS`` pairs.
+    """
+    raw = dict(raw)
+    seed = _convert(int, raw.get("seed", 0), "seed")
+    mstv_raw = {"seed": seed, **_object(raw.pop("mstv", {}), "mstv")}
+    ssa_raw = {"seed": seed, **_object(raw.pop("ssa", {}), "ssa")}
+    bounds = [_convert(tuple[float, float], ssa_raw.pop(key, list(default)), f"ssa.{key}")
+              for key, default in SSA_BOUNDS.items()]
+    lower, upper = np.array(bounds, dtype=np.float64).T
+    return _build(
+        PipelineConfig, raw, "",
+        mstv=_build(MstvConfig, mstv_raw, "mstv"),
+        ssa=_build(ssa.SsaConfig, ssa_raw, "ssa", lower=lower, upper=upper),
     )
 
 
@@ -180,46 +186,22 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     return config_from_dict(raw)
 
 
+def _echo(value):
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    return value
+
+
 def config_echo_dict(config: PipelineConfig) -> dict:
-    """Semantic config as a plain dict; excludes the run-local output_dir."""
-    return {
-        "cube_path": config.cube_path,
-        "label_path": config.label_path,
-        "num_classes": config.num_classes,
-        "train_fraction": config.train_fraction,
-        "folds": config.folds,
-        "seed": config.seed,
-        "lbp_source": config.lbp_source,
-        "canonical": config.canonical,
-        "mstv": {
-            "k": config.mstv.k,
-            "scales": [
-                {"lam": s.lam, "sigma": s.sigma, "iterations": s.iterations,
-                 "epsilon_s": s.epsilon_s, "epsilon_l": s.epsilon_l}
-                for s in config.mstv.scales
-            ],
-            "n_components": config.mstv.n_components,
-            "kpca_gamma": config.mstv.kpca_gamma,
-            "landmark_count": config.mstv.landmark_count,
-            "seed": config.mstv.seed,
-        },
-        "lbp": {"neighbors": config.lbp.neighbors, "radius": config.lbp.radius},
-        "ssa": {
-            "pop_size": config.ssa.pop_size,
-            "max_iter": config.ssa.max_iter,
-            "producer_ratio": config.ssa.producer_ratio,
-            "scout_ratio": config.ssa.scout_ratio,
-            "safety_threshold": config.ssa.safety_threshold,
-            "seed": config.ssa.seed,
-            "paper_literal_v": config.ssa.paper_literal_v,
-            "log10_c_bounds": config.ssa.lower[0:1].tolist() + config.ssa.upper[0:1].tolist(),
-            "log10_gamma_bounds": config.ssa.lower[1:2].tolist() + config.ssa.upper[1:2].tolist(),
-        },
-        "fixed_hyperparams": (
-            None if config.fixed_hyperparams is None
-            else {"c": config.fixed_hyperparams.c, "gamma": config.fixed_hyperparams.gamma}
-        ),
-    }
+    """Semantic config as a plain dict in the shape ``config_from_dict`` reads;
+    excludes the run-local output_dir."""
+    echo = _echo(config)
+    del echo["output_dir"], echo["ssa"]["lower"], echo["ssa"]["upper"]
+    pairs = np.column_stack([config.ssa.lower, config.ssa.upper]).tolist()
+    echo["ssa"].update(zip(SSA_BOUNDS, pairs))
+    return echo
 
 
 @contextmanager
@@ -287,7 +269,7 @@ def build_features(config: PipelineConfig, timings: dict | None = None) -> Featu
             source = HyperCube(
                 spectral.reshape(cube.height, cube.width, spectral.shape[1]).astype(np.float32)
             )
-        spatial = lbp_features(source, config.lbp)
+        spatial = lbp_features(source)
     with _stage("fuse", timings):
         fused = fuse(normalize_features(spectral), spatial)
     return FeatureBundle(

@@ -125,7 +125,7 @@ def _clip(x, cfg: SsaConfig) -> np.ndarray:
 def init_state(obj, cfg: SsaConfig) -> SsaState:
     rng = _phase_rng(cfg.seed, 0, _INIT)
     pos = cfg.lower + (cfg.upper - cfg.lower) * rng.uniform(size=(cfg.pop_size, cfg.dim))
-    fit = np.array([_evaluate(obj, p) for p in pos])
+    fit = np.array([checked_fitness(obj, p) for p in pos])
     best = int(np.argmin(fit))
     worst = int(np.argmax(fit))
     return SsaState(
@@ -221,7 +221,8 @@ def greedy_replace(state: SsaState) -> None:
     state.iteration += 1
 
 
-def _evaluate(obj, pos: np.ndarray) -> float:
+def checked_fitness(obj, pos: np.ndarray) -> float:
+    """``obj(pos)`` as a float; a NaN fitness aborts the search."""
     value = float(obj(pos))
     if np.isnan(value):
         raise NumericalError(f"objective returned NaN at position {pos.tolist()}")
@@ -252,15 +253,15 @@ def optimize(obj, cfg: SsaConfig, on_iteration=None) -> SsaResult:
 
         update_producers(state, cfg, _phase_rng(cfg.seed, t, _PRODUCERS))
         for i in producers:
-            state.cand_fitness[i] = _evaluate(obj, state.candidates[i])
+            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
 
         update_joiners(state, cfg, _phase_rng(cfg.seed, t, _JOINERS))
         for i in joiners:
-            state.cand_fitness[i] = _evaluate(obj, state.candidates[i])
+            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
 
         update_scouts(state, cfg, _phase_rng(cfg.seed, t, _SCOUTS))
         for i in state.scout_rows:
-            state.cand_fitness[i] = _evaluate(obj, state.candidates[i])
+            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
 
         greedy_replace(state)
         trace_best.append(state.best_fit)

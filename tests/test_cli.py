@@ -79,6 +79,37 @@ def test_train_without_hyperparams_is_config_error(scene_config, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--c", "--gamma"])
+def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_scene, capsys):
+    # the config's fixed_hyperparams must not silently fill in the missing flag
+    raw = fast_config_dict(small_scene, tmp_path / "o", fixed_hyperparams={"c": 1.0, "gamma": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["train", "--config", str(path), flag, "2.0", "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    missing = "--gamma" if flag == "--c" else "--c"
+    assert f"needs {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"num_classes": "x"}, "num_classes must be int, got 'x'"),
+    ({"num_classes": 2.5}, "num_classes must be int, got 2.5"),
+    ({"seed": True}, "seed must be int, got True"),
+    ({"mstv": [1]}, "mstv must be an object"),
+    ({"mstv": {"scales": [{"lam": "x"}]}}, "mstv.scales[0].lam must be float, got 'x'"),
+    ({"fixed_hyperparams": {"c": "1", "gamma": 1.0}}, "fixed_hyperparams.c must be float"),
+    ({"fixed_hyperparams": {"c": 1.0}}, "missing required config key: fixed_hyperparams.gamma"),
+    ({"ssa": {"log10_c_bounds": [1]}}, "ssa.log10_c_bounds must be a list of 2, got [1]"),
+    ({"ssa": {"lower": [1]}}, "unknown ssa config key(s): ['lower']"),
+])
+def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
+    raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path, small_scene):
     raw = fast_config_dict(small_scene, tmp_path / "o")
     raw["not_a_key"] = True

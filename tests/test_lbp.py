@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from hsikelm.datacube import HyperCube
 from hsikelm.errors import ConfigError
-from hsikelm.lbp import LbpConfig, lbp_code, lbp_features
+from hsikelm.lbp import lbp_code, lbp_features
 
 # independent oracle: explicit neighbor walk with clamped (replicate) indexing
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1)]
@@ -64,15 +64,6 @@ def test_reduced_scene_shape():
 def test_out_of_image_pixel_rejected():
     with pytest.raises(ConfigError):
         lbp_code(np.zeros((3, 3)), 3, 0)
-
-
-def test_config_pins_v1_shape():
-    with pytest.raises(ConfigError):
-        LbpConfig(neighbors=16)
-    with pytest.raises(ConfigError):
-        LbpConfig(radius=2)
-    with pytest.raises(ConfigError):
-        LbpConfig(replicate_border=False)
 
 
 def test_matches_oracle_on_random_images():

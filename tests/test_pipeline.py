@@ -12,6 +12,7 @@ from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
 from hsikelm.pipeline import (
     PALETTE,
+    config_echo_dict,
     config_from_dict,
     fuse,
     load_config,
@@ -135,6 +136,32 @@ def test_config_master_seed_flows_to_sections():
     explicit = config_from_dict({"cube_path": "a", "label_path": "b", "num_classes": 2,
                                  "seed": 11, "mstv": {"seed": 3}})
     assert explicit.mstv.seed == 3
+
+
+_EVERY_KEY = {
+    "cube_path": "cube.f32", "label_path": "labels.u16", "num_classes": 4,
+    "train_fraction": 0.25, "folds": 3, "seed": 7, "lbp_source": "spectral", "canonical": True,
+    "mstv": {
+        "k": 6, "n_components": 9, "kpca_gamma": 0.5, "landmark_count": 300, "seed": 2,
+        "scales": [
+            {"lam": 0.01, "sigma": 1.5, "iterations": 2, "epsilon_s": 0.02, "epsilon_l": 0.002},
+            {"lam": 0.02, "sigma": 2.5, "iterations": 3, "epsilon_s": 0.03, "epsilon_l": 0.004},
+        ],
+    },
+    "ssa": {
+        "pop_size": 12, "max_iter": 4, "producer_ratio": 0.3, "scout_ratio": 0.2,
+        "safety_threshold": 0.7, "seed": 5, "paper_literal_v": True,
+        "log10_c_bounds": [-1.0, 3.0], "log10_gamma_bounds": [-2.0, 2.0],
+    },
+    "fixed_hyperparams": {"c": 10.0, "gamma": 0.25},
+}
+
+
+def test_config_echo_round_trips():
+    # a config that sets every key echoes itself, so it round-trips as well
+    assert config_echo_dict(config_from_dict({**_EVERY_KEY, "output_dir": "out"})) == _EVERY_KEY
+    echo = config_echo_dict(config_from_dict({"cube_path": "a", "label_path": "b", "num_classes": 2}))
+    assert config_echo_dict(config_from_dict({**echo, "output_dir": "elsewhere"})) == echo
 
 
 def test_config_fraction_bounds():

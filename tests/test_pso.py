@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsikelm.errors import ConfigError
+from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.pso import PsoConfig, pso_minimize
 
 
@@ -35,3 +35,9 @@ def test_positions_respect_bounds():
 def test_config_validation():
     with pytest.raises(ConfigError):
         PsoConfig(lower=np.array([1.0]), upper=np.array([0.0]))
+
+
+def test_nan_objective_aborts():
+    cfg = PsoConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=4, max_iter=2, seed=0)
+    with pytest.raises(NumericalError, match="NaN"):
+        pso_minimize(lambda x: float("nan"), cfg)
