@@ -168,8 +168,10 @@ def single_threaded_blas():
     """Run the body with every loaded OpenBLAS on one thread, then restore each count.
 
     The tuning search is many small dense solves, which run several times
-    faster on one thread, and a fixed thread count makes their results the
-    same whatever the environment sets. Without OpenBLAS this does nothing.
+    faster on one thread; the feature stage gets its parallelism from
+    smoothing bands side by side instead. A fixed thread count also makes
+    results the same whatever the environment sets. Without OpenBLAS this
+    does nothing.
     """
     controls = openblas_thread_controls()
     previous = [get() for _, get in controls]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsikelm import datacube, pipeline
+from hsikelm import datacube, kelm, pipeline
 
 
 class ScriptedRng:
@@ -37,6 +37,19 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every loaded OpenBLAS set to 2 threads, a count a pin to 1 thread must
+    undo; yields their (set, get) controls and restores the counts after."""
+    controls = kelm.openblas_thread_controls()
+    original = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(2)
+    yield controls
+    for (set_threads, _), count in zip(controls, original):
+        set_threads(count)
 
 
 @pytest.fixture

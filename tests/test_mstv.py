@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import identity
+from scipy.sparse.linalg import spsolve
 
+from hsikelm import kelm, mstv
 from hsikelm.datacube import HyperCube
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.mstv import (
@@ -142,6 +145,17 @@ def test_smoothing_deterministic():
     assert np.array_equal(rtv_smooth(img, params), rtv_smooth(img, params))
 
 
+def test_one_round_matches_default_ordering_oracle():
+    rng = np.random.default_rng(6)
+    img = np.where(np.arange(56)[None, :] < 23, 1.0, 0.2) + 0.1 * rng.normal(size=(40, 56))
+    params = RtvParams(lam=0.01, sigma=2.0, iterations=1)
+    wx, wy = mstv._texture_weights(img, params.sigma, params.epsilon_s, params.epsilon_l)
+    system = identity(img.size, format="csr") + mstv._weighted_laplacian(wx, wy, params.lam)
+    expected = spsolve(system, img.ravel()).reshape(img.shape)  # scipy's default ordering
+    out = rtv_smooth(img, params)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(img)))
+
+
 def test_rtv_rejects_non_finite():
     img = np.zeros((4, 4))
     img[1, 1] = np.nan
@@ -184,6 +198,35 @@ def test_stack_k20_l3_gives_60_bands():
     cube = HyperCube(np.random.default_rng(5).normal(size=(4, 4, 20)).astype(np.float32))
     scales = [RtvParams(lam=0.0, sigma=s) for s in (1.0, 2.0, 3.0)]
     assert multiscale_stack(cube, scales).bands == 60
+
+
+def test_stack_pool_matches_serial_loop():
+    rng = np.random.default_rng(7)
+    cube = HyperCube(rng.uniform(size=(40, 56, 3)).astype(np.float32))
+    scales = [RtvParams(lam=0.01, sigma=1.0, iterations=2), RtvParams(lam=0.005, sigma=2.0)]
+    out = multiscale_stack(cube, scales)
+    with kelm.single_threaded_blas():
+        serial = [rtv_smooth(cube.values[:, :, b], p) for p in scales for b in range(3)]
+    assert np.array_equal(out.values, np.stack(serial, axis=2).astype(np.float32))
+
+
+def test_stack_residual_gate_fails_fast_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
+    cube = HyperCube(np.random.default_rng(8).uniform(size=(24, 24, 10)).astype(np.float32))
+    scales = [RtvParams(sigma=1.0), RtvParams(sigma=2.0)]
+    controls = openblas_at_two_threads
+    calls = []  # BLAS thread counts seen by each call
+
+    def counted(image, params):
+        calls.append([get() for _, get in controls])
+        return rtv_smooth(image, params)
+
+    monkeypatch.setattr(mstv, "_SOLVE_TOL", 0.0)
+    monkeypatch.setattr(mstv, "rtv_smooth", counted)
+    with pytest.raises(NumericalError, match="residual"):
+        multiscale_stack(cube, scales)
+    assert len(calls) < cube.bands * len(scales)
+    assert calls[0] == [1] * len(controls)
+    assert [get() for _, get in controls] == [2] * len(controls)
 
 
 # -- kernel PCA ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from hsikelm.ssa import (
     update_scouts,
     write_trace_csv,
 )
+
+from conftest import fast_config_dict
 
 
 def make_state(positions, fitness):
@@ -266,22 +269,14 @@ def test_cv_objective_equals_train_predict_oracle(folds):
             assert objective(z) == oracle(z)
 
 
-def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch):
+def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
     x, y = _blobs(n_per_class=8, seed=3)
     cfg = SsaConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
                     pop_size=4, max_iter=2, seed=0)
-    controls = kelm.openblas_thread_controls()
-    original = [get() for _, get in controls]
-    for set_threads, _ in controls:
-        set_threads(2)  # a count the search's pin to 1 thread must undo
-    try:
-        monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(NumericalError, match="residual"):
-            tune_kelm(x, y, cfg, folds=2)
-        assert [get() for _, get in controls] == [2] * len(controls)
-    finally:
-        for (set_threads, _), count in zip(controls, original):
-            set_threads(count)
+    monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalError, match="residual"):
+        tune_kelm(x, y, cfg, folds=2)
+    assert [get() for _, get in openblas_at_two_threads] == [2] * len(openblas_at_two_threads)
 
 
 _TUNE_HEX = """
@@ -306,6 +301,30 @@ def test_tune_kelm_bits_independent_of_blas_threads():
                              text=True, check=True, timeout=120)
         outputs.append(run.stdout)
     assert outputs[0].strip() and outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not kelm.openblas_thread_controls() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a loaded OpenBLAS and at least 2 CPUs")
+def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_path):
+    raw = fast_config_dict(small_scene, tmp_path / "unused",
+                           mstv={"k": 5, "n_components": 5, "landmark_count": 1000})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    artifacts = []
+    for threads, cpus in (("1", one_cpu), ("2", None)):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
+             "--out", str(out), "--canonical"],
+            env=env, capture_output=True, check=True, timeout=120,
+            preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
+        )
+        artifacts.append([(out / name).read_bytes() for name in ("ssa_trace.csv", "run_report.json")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_tune_kelm_single_fold_is_training_mse():
