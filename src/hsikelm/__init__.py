@@ -21,7 +21,6 @@ from .mstv import (
     RtvParams,
     group_and_average,
     kpca_reduce,
-    mstv_features,
     multiscale_stack,
     rtv_smooth,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "lbp_code", "lbp_features",
     "ConfusionMatrix", "aa", "confusion", "kappa", "oa",
     "BandGrouping", "MstvConfig", "RtvParams", "group_and_average", "kpca_reduce",
-    "mstv_features", "multiscale_stack", "rtv_smooth",
+    "multiscale_stack", "rtv_smooth",
     "PipelineConfig", "RunReport", "fuse", "make_synthetic_cube",
     "normalize_features", "render_map", "run_full",
     "PsoConfig", "pso_minimize",

@@ -16,22 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from . import kelm, metrics, ssa
-from .datacube import (
-    HyperCube,
-    LabelRaster,
-    save_cube,
-    save_labels,
-    load_labels,
-    stratified_split,
-)
+from .datacube import HyperCube, LabelRaster, save_cube, save_labels, load_labels
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
+    CONFUSION_NAME,
+    MAP_NAME,
+    REPORT_NAME,
+    TRACE_NAME,
     build_features,
     load_config,
     make_synthetic_cube,
+    predict_raster,
     render_map,
     run_full,
+    score_test_split,
+    split_labels,
+    training_set,
 )
+
+PRED_NAME = "predicted_labels.u16"
 
 
 def _config_from_args(args, out_is_output_dir: bool = False):
@@ -65,7 +68,7 @@ def _cmd_run(args) -> int:
         f"chosen c={report.chosen_hyperparams.c:.6g} "
         f"gamma={report.chosen_hyperparams.gamma:.6g}"
     )
-    print(f"report: {Path(config.output_dir) / 'run_report.json'}")
+    print(f"report: {Path(config.output_dir) / REPORT_NAME}")
     return 0
 
 
@@ -80,25 +83,17 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _train_split(config):
-    bundle = build_features(config)
-    split = stratified_split(bundle.labels, config.train_fraction, config.seed)
-    labels_flat = bundle.labels.labels.ravel().astype(np.int64)
-    return bundle, split, labels_flat
-
-
 def _cmd_tune(args) -> int:
     config = _config_from_args(args)
-    bundle, split, labels_flat = _train_split(config)
-    result = ssa.tune_kelm(
-        bundle.fused[split.train_idx], labels_flat[split.train_idx], config.ssa, folds=config.folds
-    )
+    bundle = build_features(config)
+    train_x, train_y = training_set(bundle, split_labels(bundle.labels, config))
+    result = ssa.tune_kelm(train_x, train_y, config.ssa, folds=config.folds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "chosen_hyperparams.json").write_text(
         json.dumps({"c": result.hyper.c, "gamma": result.hyper.gamma}, sort_keys=True) + "\n"
     )
-    ssa.write_trace_csv(out_dir / "ssa_trace.csv", result.trace_best, result.trace_mean)
+    ssa.write_trace_csv(out_dir / TRACE_NAME, result.trace_best, result.trace_mean)
     print(f"chosen c={result.hyper.c:.6g} gamma={result.hyper.gamma:.6g} "
           f"fitness={result.best_fitness:.6g} folds={result.folds_used}")
     return 0
@@ -119,11 +114,9 @@ def _resolve_hyper(args, config) -> kelm.KelmHyperparams:
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     hyper = _resolve_hyper(args, config)
-    bundle, split, labels_flat = _train_split(config)
-    model = kelm.train(
-        bundle.fused[split.train_idx], labels_flat[split.train_idx], hyper,
-        num_classes=config.num_classes,
-    )
+    bundle = build_features(config)
+    train_x, train_y = training_set(bundle, split_labels(bundle.labels, config))
+    model = kelm.train(train_x, train_y, hyper, num_classes=config.num_classes)
     kelm.save_model(model, args.out)
     print(f"wrote {args.out}: {model.train_x.shape[0]} samples, "
           f"{model.class_ids.size} classes, c={hyper.c:.6g} gamma={hyper.gamma:.6g}")
@@ -133,18 +126,12 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _config_from_args(args)
     model = kelm.load_model(args.model)
-    bundle = build_features(config)
-    labeled = bundle.labels.labeled_indices()
-    _, pred = kelm.predict(model, bundle.fused[labeled])
-    raster = np.zeros(bundle.labels.labels.size, dtype=np.int64)
-    raster[labeled] = pred
-    raster = raster.reshape(bundle.labels.labels.shape)
+    raster = predict_raster(model, build_features(config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pred_raster = LabelRaster(raster.astype(np.uint16), config.num_classes)
-    save_labels(pred_raster, out_dir / "predicted_labels.u16")
-    render_map(raster, out_dir / "classification_map.ppm")
-    print(f"wrote {out_dir / 'predicted_labels.u16'} and {out_dir / 'classification_map.ppm'}")
+    save_labels(LabelRaster(raster.astype(np.uint16), config.num_classes), out_dir / PRED_NAME)
+    render_map(raster, out_dir / MAP_NAME)
+    print(f"wrote {out_dir / PRED_NAME} and {out_dir / MAP_NAME}")
     return 0
 
 
@@ -157,18 +144,16 @@ def _cmd_evaluate(args) -> int:
             f"prediction raster {pred.height}x{pred.width} does not match "
             f"ground truth {truth.height}x{truth.width}"
         )
-    split = stratified_split(truth, config.train_fraction, config.seed)
-    t = truth.labels.ravel()[split.test_idx].astype(np.int64)
-    p = pred.labels.ravel()[split.test_idx].astype(np.int64)
-    cm = metrics.confusion(t, p, config.num_classes)
-    oa_v, aa_v, kappa_v = metrics.oa(cm), metrics.aa(cm), metrics.kappa(cm)
+    split = split_labels(truth, config)
+    cm, oa_v, aa_v, kappa_v = score_test_split(truth, pred.labels, split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_confusion_csv(cm, out_dir / "confusion.csv")
+    metrics.write_confusion_csv(cm, out_dir / CONFUSION_NAME)
     (out_dir / "metrics.json").write_text(
         json.dumps({"oa": oa_v, "aa": aa_v, "kappa": kappa_v}, sort_keys=True) + "\n"
     )
-    print(f"oa={oa_v:.4f} aa={aa_v:.4f} kappa={kappa_v:.4f} (test split of {t.size} pixels)")
+    print(f"oa={oa_v:.4f} aa={aa_v:.4f} kappa={kappa_v:.4f} "
+          f"(test split of {split.test_idx.size} pixels)")
     return 0
 
 

@@ -63,7 +63,11 @@ class HyperCube:
 
 @dataclass(frozen=True)
 class LabelRaster:
-    """Per-pixel class ids; 0 means unlabeled, labeled ids run 1..num_classes."""
+    """Per-pixel class ids; 0 means unlabeled, labeled ids run 1..num_classes.
+
+    A class may be absent, as in a prediction raster; ``stratified_split``
+    rejects a ground truth that lacks one.
+    """
 
     labels: np.ndarray
     num_classes: int
@@ -85,12 +89,6 @@ class LabelRaster:
         top = int(lab.max())
         if top > self.num_classes:
             raise DataError(f"label {top} exceeds num_classes={self.num_classes}")
-        present = set(np.unique(lab).tolist())
-        missing = [c for c in range(1, self.num_classes + 1) if c not in present]
-        if missing:
-            raise DataError(
-                "class(es) absent from raster: " + ", ".join(str(c) for c in missing)
-            )
         object.__setattr__(self, "labels", lab.astype(np.uint16))
 
     @property
@@ -190,7 +188,7 @@ def save_cube(cube: HyperCube, path) -> None:
 
 
 def load_labels(path, num_classes: int) -> LabelRaster:
-    """Read a label raster (canonical u16 or .npy) and validate class coverage."""
+    """Read a label raster (canonical u16 or .npy); ids must lie in 0..num_classes."""
     path = Path(path)
     if path.suffix == ".npy":
         if not path.exists():
@@ -242,7 +240,7 @@ def stratified_split(labels: LabelRaster, fraction: float, seed: int) -> SampleS
 
     Each class contributes ``train_count`` pixels drawn uniformly without
     replacement; the remainder goes to the test side. Deterministic for a
-    fixed seed.
+    fixed seed. A class without labeled pixels is a DataError.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")

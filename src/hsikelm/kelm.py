@@ -47,19 +47,14 @@ class KelmModel:
     class_ids: np.ndarray  # (c,) int64, ascending
 
 
-def rbf_kernel(a, b, gamma: float) -> float:
-    """exp(-gamma * ||a - b||^2) for two feature vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    return float(np.exp(-gamma * np.sum((a - b) ** 2)))
+def rbf_kernel(sq_dist: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * d) elementwise, for an array d of precomputed squared distances.
 
-
-def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * cdist(a, b, "sqeuclidean"))
+    The exp runs in place, so a call holds two arrays of d's size at most:
+    d itself and the kernel.
+    """
+    kernel = -gamma * sq_dist
+    return np.exp(kernel, out=kernel)
 
 
 def one_hot(labels, class_ids) -> np.ndarray:
@@ -99,7 +94,7 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
     if n < class_ids.size:
         raise DataError(f"{n} samples cannot cover {class_ids.size} classes")
 
-    omega = rbf_kernel_matrix(X, X, hyper.gamma)
+    omega = rbf_kernel(cdist(X, X, "sqeuclidean"), hyper.gamma)
     alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
@@ -196,7 +191,7 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
     scores = np.empty((m, model.class_ids.size), dtype=np.float64)
     for start in range(0, m, _PREDICT_CHUNK):
         stop = min(start + _PREDICT_CHUNK, m)
-        k = rbf_kernel_matrix(X[start:stop], model.train_x, model.hyper.gamma)
+        k = rbf_kernel(cdist(X[start:stop], model.train_x, "sqeuclidean"), model.hyper.gamma)
         scores[start:stop] = k @ model.alpha
     if m == 0:
         return scores, np.empty(0, dtype=np.int64)

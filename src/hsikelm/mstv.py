@@ -233,7 +233,7 @@ class KpcaModel:
 def _kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     if gamma == 0.0:
         return a @ b.T
-    return np.exp(-gamma * cdist(a, b, "sqeuclidean"))
+    return kelm.rbf_kernel(cdist(a, b, "sqeuclidean"), gamma)
 
 
 def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int, seed: int) -> KpcaModel:
@@ -301,10 +301,3 @@ def kpca_reduce(stacked: HyperCube, cfg: MstvConfig) -> np.ndarray:
         model = kpca_fit(x, cfg.n_components, gamma, cfg.landmark_count, cfg.seed)
         return kpca_transform(model, x)
 
-
-def mstv_features(cube: HyperCube, cfg: MstvConfig) -> np.ndarray:
-    """Full spectral path: group/average, unit-scale, smooth per scale, fuse."""
-    reduced = group_and_average(cube, cfg.k)
-    scaled = scale_bands_unit(reduced)
-    stacked = multiscale_stack(scaled, cfg.scales)
-    return kpca_reduce(stacked, cfg)

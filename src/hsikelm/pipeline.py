@@ -19,7 +19,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from . import kelm, metrics, ssa
 from .datacube import (
     HyperCube,
     LabelRaster,
+    SampleSplit,
     check_companion,
     load_cube,
     load_labels,
@@ -281,6 +282,39 @@ def build_features(config: PipelineConfig, timings: dict | None = None) -> Featu
     )
 
 
+def split_labels(labels: LabelRaster, config: PipelineConfig) -> SampleSplit:
+    """The run's seeded train/test split of the labeled pixels; every class
+    must have a labeled pixel and the test side must not be empty."""
+    split = stratified_split(labels, config.train_fraction, config.seed)
+    if split.test_idx.size == 0:
+        raise DataError("empty test split")
+    return split
+
+
+def training_set(bundle: FeatureBundle, split: SampleSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Features and class ids of the split's training pixels."""
+    labels = bundle.labels.labels.ravel()[split.train_idx].astype(np.int64)
+    return bundle.fused[split.train_idx], labels
+
+
+def predict_raster(model: kelm.KelmModel, bundle: FeatureBundle) -> np.ndarray:
+    """Predicted class id of every labeled pixel, 0 elsewhere, in the label
+    raster's shape."""
+    labeled = bundle.labels.labeled_indices()
+    _, pred_labeled = kelm.predict(model, bundle.fused[labeled])
+    raster = np.zeros(bundle.labels.labels.size, dtype=np.int64)
+    raster[labeled] = pred_labeled
+    return raster.reshape(bundle.labels.labels.shape)
+
+
+def score_test_split(truth: LabelRaster, pred: np.ndarray, split: SampleSplit):
+    """Confusion matrix, OA, AA and kappa of a prediction raster on the test pixels."""
+    t = truth.labels.ravel()[split.test_idx].astype(np.int64)
+    p = np.asarray(pred).ravel()[split.test_idx].astype(np.int64)
+    cm = metrics.confusion(t, p, truth.num_classes)
+    return cm, metrics.oa(cm), metrics.aa(cm), metrics.kappa(cm)
+
+
 def make_synthetic_cube(
     height: int, width: int, bands: int, num_classes: int, noise_sigma: float, seed: int
 ) -> tuple[HyperCube, LabelRaster]:
@@ -342,26 +376,10 @@ class RunReport:
     config_echo: dict
 
     def to_json(self, canonical: bool = False) -> str:
-        stages = dict(self.per_stage_times_s)
+        doc = asdict(self)
         if canonical:
-            stages = {k: 0.0 for k in stages}
-        doc = {
-            "oa": self.oa,
-            "aa": self.aa,
-            "kappa": self.kappa,
-            "train_time_s": 0.0 if canonical else self.train_time_s,
-            "total_time_s": 0.0 if canonical else self.total_time_s,
-            "per_stage_times_s": stages,
-            "chosen_hyperparams": {
-                "c": self.chosen_hyperparams.c,
-                "gamma": self.chosen_hyperparams.gamma,
-            },
-            "ssa_trace_path": self.ssa_trace_path,
-            "confusion_path": self.confusion_path,
-            "map_path": self.map_path,
-            "seed": self.seed,
-            "config_echo": self.config_echo,
-        }
+            doc.update(train_time_s=0.0, total_time_s=0.0,
+                       per_stage_times_s=dict.fromkeys(self.per_stage_times_s, 0.0))
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -373,14 +391,10 @@ def run_full(config: PipelineConfig) -> RunReport:
     t0 = time.perf_counter()
 
     bundle = build_features(config, timings)
-    labels_flat = bundle.labels.labels.ravel().astype(np.int64)
 
     with _stage("split", timings):
-        split = stratified_split(bundle.labels, config.train_fraction, config.seed)
-        if split.test_idx.size == 0:
-            raise DataError("empty test split")
-    train_x = bundle.fused[split.train_idx]
-    train_y = labels_flat[split.train_idx]
+        split = split_labels(bundle.labels, config)
+    train_x, train_y = training_set(bundle, split)
 
     tune_result = None
     if config.fixed_hyperparams is not None:
@@ -394,19 +408,14 @@ def run_full(config: PipelineConfig) -> RunReport:
         model = kelm.train(train_x, train_y, chosen, num_classes=config.num_classes)
 
     with _stage("predict", timings):
-        labeled = bundle.labels.labeled_indices()
-        _, pred_labeled = kelm.predict(model, bundle.fused[labeled])
-        pred_map = np.zeros(labels_flat.size, dtype=np.int64)
-        pred_map[labeled] = pred_labeled
-        pred_test = pred_map[split.test_idx]
+        pred_map = predict_raster(model, bundle)
 
     with _stage("evaluate", timings):
-        cm = metrics.confusion(labels_flat[split.test_idx], pred_test, config.num_classes)
-        oa_v, aa_v, kappa_v = metrics.oa(cm), metrics.aa(cm), metrics.kappa(cm)
+        cm, oa_v, aa_v, kappa_v = score_test_split(bundle.labels, pred_map, split)
 
     with _stage("emit", timings):
         metrics.write_confusion_csv(cm, out_dir / CONFUSION_NAME)
-        render_map(pred_map.reshape(bundle.labels.labels.shape), out_dir / MAP_NAME)
+        render_map(pred_map, out_dir / MAP_NAME)
         trace_path = None
         if tune_result is not None:
             ssa.write_trace_csv(out_dir / TRACE_NAME, tune_result.trace_best, tune_result.trace_mean)

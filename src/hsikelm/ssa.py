@@ -329,9 +329,9 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     ``folds_used`` = 1 it is the training-set error of a model fit on
     everything. Only C and gamma change between evaluations, so the
     squared-distance matrix, the fold index arrays and the one-hot targets
-    are computed here once; an evaluation is one ``exp`` over that matrix and
-    one regularized solve per fold, with the same arithmetic as
-    ``kelm.train`` followed by ``kelm.predict``.
+    are computed here once; an evaluation is one ``kelm.rbf_kernel`` over
+    that matrix and one regularized solve per fold, with the same arithmetic
+    as ``kelm.train`` followed by ``kelm.predict``.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -350,7 +350,7 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
-        kernel = np.exp(-hyper.gamma * sq_dist)
+        kernel = kelm.rbf_kernel(sq_dist, hyper.gamma)
         errors = []
         for train, held, train_targets, held_targets in plan:
             rows = kernel.take(train, axis=1)

@@ -41,18 +41,33 @@ def test_run_subcommand(scene_config):
     assert doc["total_time_s"] == 0.0  # canonical mode zeroes timings
 
 
-def test_feature_tune_train_predict_evaluate_chain(scene_config, tmp_path):
-    cfg = str(scene_config["config"])
+@pytest.mark.parametrize("fixed", [None, {"c": 1e-6, "gamma": 1e-6}], ids=["tuned", "fixed"])
+def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene):
+    # the stage subcommands share run's split, prediction raster and scoring,
+    # so their chain reproduces run's artifacts byte for byte; at the fixed
+    # (C, gamma) no pixel is predicted as class 3
+    extra = {} if fixed is None else {"fixed_hyperparams": fixed}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "out", **extra)))
+    cfg = str(cfg_path)
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(run_dir), "--canonical"]) == 0
+    report = json.loads((run_dir / "run_report.json").read_text())
+
     features_path = tmp_path / "features.f32"
     assert main(["features", "--config", cfg, "--out", str(features_path)]) == 0
     feats = load_cube(features_path)
     assert feats.bands == 10  # 5 spectral + 5 spatial for the fast config
 
-    tune_dir = tmp_path / "tuned"
-    assert main(["tune", "--config", cfg, "--out", str(tune_dir)]) == 0
-    chosen = json.loads((tune_dir / "chosen_hyperparams.json").read_text())
-    assert chosen["c"] > 0 and chosen["gamma"] > 0
-    assert (tune_dir / "ssa_trace.csv").exists()
+    if fixed is None:
+        tune_dir = tmp_path / "tuned"
+        assert main(["tune", "--config", cfg, "--out", str(tune_dir)]) == 0
+        chosen = json.loads((tune_dir / "chosen_hyperparams.json").read_text())
+        assert (tune_dir / "ssa_trace.csv").read_bytes() == (run_dir / "ssa_trace.csv").read_bytes()
+    else:
+        chosen = fixed
+        assert not (run_dir / "ssa_trace.csv").exists()
+    assert chosen == report["chosen_hyperparams"]
 
     model_path = tmp_path / "model.bin"
     assert main([
@@ -65,12 +80,19 @@ def test_feature_tune_train_predict_evaluate_chain(scene_config, tmp_path):
                  "--out", str(pred_dir)]) == 0
     pred = load_labels(pred_dir / "predicted_labels.u16", 3)
     assert pred.labels.shape == (32, 32)
+    assert ((pred_dir / "classification_map.ppm").read_bytes()
+            == (run_dir / "classification_map.ppm").read_bytes())
 
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", "--config", cfg, "--pred", str(pred_dir / "predicted_labels.u16"),
                  "--out", str(eval_dir)]) == 0
+    assert (eval_dir / "confusion.csv").read_bytes() == (run_dir / "confusion.csv").read_bytes()
     scored = json.loads((eval_dir / "metrics.json").read_text())
-    assert scored["oa"] > 0.9
+    assert scored == {key: report[key] for key in ("oa", "aa", "kappa")}
+    if fixed is None:
+        assert scored["oa"] > 0.9
+    else:
+        assert 3 not in pred.labels
 
 
 def test_train_without_hyperparams_is_config_error(scene_config, tmp_path):

@@ -105,8 +105,11 @@ def test_labels_npy_reader(tmp_path):
 
 
 def test_all_zero_raster_rejected():
-    with pytest.raises(DataError, match="absent"):
-        LabelRaster(np.zeros((4, 4), dtype=np.uint16), num_classes=3)
+    # a raster may lack classes (a prediction raster can); the split rejects
+    # such a ground truth before anything is trained on it
+    raster = LabelRaster(np.zeros((4, 4), dtype=np.uint16), num_classes=3)
+    with pytest.raises(DataError, match="class 1 has zero labeled pixels"):
+        stratified_split(raster, 0.5, seed=0)
 
 
 def test_label_exceeding_num_classes():
