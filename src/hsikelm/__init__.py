@@ -13,7 +13,7 @@ from .datacube import (
 )
 from .errors import ConfigError, DataError, HsiKelmError, NumericalError
 from .kelm import KelmHyperparams, KelmModel, mse_fitness, predict, rbf_kernel, train
-from .lbp import lbp_code, lbp_features
+from .lbp import lbp_features
 from .metrics import ConfusionMatrix, aa, confusion, kappa, oa
 from .mstv import (
     BandGrouping,
@@ -43,7 +43,7 @@ __all__ = [
     "save_cube", "save_labels", "stratified_split",
     "ConfigError", "DataError", "HsiKelmError", "NumericalError",
     "KelmHyperparams", "KelmModel", "mse_fitness", "predict", "rbf_kernel", "train",
-    "lbp_code", "lbp_features",
+    "lbp_features",
     "ConfusionMatrix", "aa", "confusion", "kappa", "oa",
     "BandGrouping", "MstvConfig", "RtvParams", "group_and_average", "kpca_reduce",
     "multiscale_stack", "rtv_smooth",

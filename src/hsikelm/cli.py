@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
 def _cmd_features(args) -> int:
     config = _config_from_args(args)
     bundle = build_features(config)
-    h, w = bundle.cube.height, bundle.cube.width
+    h, w = bundle.labels.height, bundle.labels.width
     feature_cube = HyperCube(bundle.fused.reshape(h, w, -1).astype(np.float32))
     save_cube(feature_cube, args.out)
     print(f"wrote {args.out}: {feature_cube.bands} features "

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 CUBE_ORDER = "row-major-band-sequential"
+# header dtype name -> little-endian payload dtype
+_DTYPES = {"f32": np.dtype("<f4"), "u16": np.dtype("<u2")}
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,6 @@ class SampleSplit:
 
     train_idx: np.ndarray
     test_idx: np.ndarray
-    fraction: float
-    seed: int
 
 
 def _header_path(path: Path) -> Path:
@@ -126,6 +126,8 @@ def _read_header(path: Path, expect_dtype: str) -> dict:
         header = json.loads(hpath.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"malformed header {hpath}: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"header {hpath} must hold a JSON object")
     required = {"height", "width", "bands", "dtype", "order", "byteorder"}
     missing = required - set(header)
     if missing:
@@ -137,88 +139,70 @@ def _read_header(path: Path, expect_dtype: str) -> dict:
     if header["byteorder"] != "little":
         raise DataError(f"unsupported byteorder {header['byteorder']!r}")
     for key in ("height", "width", "bands"):
-        if not isinstance(header[key], int) or header[key] < 1:
+        if type(header[key]) is not int or header[key] < 1:
             raise DataError(f"header field {key} must be a positive integer")
     return header
 
 
-def _read_payload(path: Path, count: int, dtype: str) -> np.ndarray:
+def _load_raster(path, dtype: str, ndim: int) -> np.ndarray:
+    """(H, W, B) array (``ndim`` 3) or one-band (H, W) array (``ndim`` 2) read
+    from a .npy file or from the header + band-sequential payload pair."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing file: {path}")
+    if path.suffix == ".npy":
+        try:
+            arr = np.load(path)
+        except (ValueError, EOFError) as e:  # pickled, object or corrupt data
+            raise DataError(f"unreadable .npy file {path}: {e}") from e
+        if arr.ndim != ndim:
+            raise DataError(f"expected {ndim}-D array in {path}, got shape {arr.shape}")
+        if arr.dtype.kind not in "biuf":
+            raise DataError(f"{path} holds {arr.dtype} values, not numbers")
+        return arr
+    header = _read_header(path, expect_dtype=dtype)
+    h, w, b = header["height"], header["width"], header["bands"]
+    if ndim == 2 and b != 1:
+        raise DataError(f"label raster must have bands=1, got {b}")
     raw = path.read_bytes()
-    expected = count * np.dtype(dtype).itemsize
+    expected = h * w * b * _DTYPES[dtype].itemsize
     if len(raw) != expected:
         raise DataError(
             f"payload length mismatch for {path}: expected {expected} bytes, got {len(raw)}"
         )
-    return np.frombuffer(raw, dtype=dtype)
+    values = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(b, h, w).transpose(1, 2, 0)
+    values = np.ascontiguousarray(values)
+    return values if ndim == 3 else values[:, :, 0]
+
+
+def _save_raster(values_hwb: np.ndarray, path, dtype: str) -> None:
+    """Write an (H, W, B) array as the header + band-sequential payload pair."""
+    path = Path(path)
+    h, w, b = values_hwb.shape
+    header = {"height": h, "width": w, "bands": b, "dtype": dtype,
+              "order": CUBE_ORDER, "byteorder": "little"}
+    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
+    payload = np.ascontiguousarray(values_hwb.transpose(2, 0, 1), dtype=_DTYPES[dtype])
+    path.write_bytes(payload.tobytes())
 
 
 def load_cube(path) -> HyperCube:
     """Read a cube from the canonical format or from a (H, W, B) .npy file."""
-    path = Path(path)
-    if path.suffix == ".npy":
-        if not path.exists():
-            raise DataError(f"missing file: {path}")
-        arr = np.load(path)
-        if arr.ndim != 3:
-            raise DataError(f"expected 3-D array in {path}, got shape {arr.shape}")
-        return HyperCube(arr)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    header = _read_header(path, expect_dtype="f32")
-    h, w, b = header["height"], header["width"], header["bands"]
-    flat = _read_payload(path, h * w * b, "<f4")
-    values = flat.reshape(b, h, w).transpose(1, 2, 0)
-    return HyperCube(np.ascontiguousarray(values))
+    return HyperCube(_load_raster(path, "f32", ndim=3))
 
 
 def save_cube(cube: HyperCube, path) -> None:
     """Write the canonical header + band-sequential payload pair."""
-    path = Path(path)
-    header = {
-        "height": cube.height,
-        "width": cube.width,
-        "bands": cube.bands,
-        "dtype": "f32",
-        "order": CUBE_ORDER,
-        "byteorder": "little",
-    }
-    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
-    payload = np.ascontiguousarray(cube.values.transpose(2, 0, 1), dtype="<f4")
-    path.write_bytes(payload.tobytes())
+    _save_raster(cube.values, path, "f32")
 
 
 def load_labels(path, num_classes: int) -> LabelRaster:
     """Read a label raster (canonical u16 or .npy); ids must lie in 0..num_classes."""
-    path = Path(path)
-    if path.suffix == ".npy":
-        if not path.exists():
-            raise DataError(f"missing file: {path}")
-        arr = np.load(path)
-        if arr.ndim != 2:
-            raise DataError(f"expected 2-D array in {path}, got shape {arr.shape}")
-        return LabelRaster(arr, num_classes)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    header = _read_header(path, expect_dtype="u16")
-    if header["bands"] != 1:
-        raise DataError(f"label raster must have bands=1, got {header['bands']}")
-    h, w = header["height"], header["width"]
-    flat = _read_payload(path, h * w, "<u2")
-    return LabelRaster(flat.reshape(h, w).copy(), num_classes)
+    return LabelRaster(_load_raster(path, "u16", ndim=2), num_classes)
 
 
 def save_labels(raster: LabelRaster, path) -> None:
-    path = Path(path)
-    header = {
-        "height": raster.height,
-        "width": raster.width,
-        "bands": 1,
-        "dtype": "u16",
-        "order": CUBE_ORDER,
-        "byteorder": "little",
-    }
-    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
-    path.write_bytes(np.ascontiguousarray(raster.labels, dtype="<u2").tobytes())
+    _save_raster(raster.labels[:, :, None], path, "u16")
 
 
 def check_companion(cube: HyperCube, labels: LabelRaster) -> None:
@@ -259,4 +243,4 @@ def stratified_split(labels: LabelRaster, fraction: float, seed: int) -> SampleS
         test_parts.append(idx[~mask])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    return SampleSplit(train_idx=train, test_idx=test, fraction=float(fraction), seed=int(seed))
+    return SampleSplit(train_idx=train, test_idx=test)

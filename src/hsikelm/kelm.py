@@ -234,23 +234,23 @@ def load_model(path) -> KelmModel:
     raw = path.read_bytes()
     if raw[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
         raise DataError(f"{path} is not a model file")
-    offset = len(_MODEL_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    header = json.loads(raw[offset : offset + hlen].decode())
+    offset = len(_MODEL_MAGIC) + 8
+    try:
+        (hlen,) = struct.unpack_from("<Q", raw, len(_MODEL_MAGIC))
+        header = json.loads(raw[offset : offset + hlen])
+        n, d = header["train_shape"]
+        n2, c = header["alpha_shape"]
+        hyper = KelmHyperparams(**header["hyperparams"])
+        class_ids = np.asarray(header["class_ids"], dtype=np.int64)
+    except (struct.error, ValueError, KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"malformed header in model file {path}: {e!r}") from e
+    if not all(type(v) is int and v >= 0 for v in (n, d, n2, c)) or class_ids.shape != (c,):
+        raise DataError(f"malformed shapes in model file {path}")
     offset += hlen
-    n, d = header["train_shape"]
-    n2, c = header["alpha_shape"]
     expected = offset + (n * d + n2 * c) * 8
     if n != n2 or len(raw) != expected:
         raise DataError(f"payload length mismatch in model file {path}")
     train_x = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
     offset += n * d * 8
     alpha = np.frombuffer(raw, dtype="<f8", count=n * c, offset=offset).reshape(n, c)
-    hyper = KelmHyperparams(**header["hyperparams"])
-    return KelmModel(
-        train_x=train_x.copy(),
-        alpha=alpha.copy(),
-        hyper=hyper,
-        class_ids=np.asarray(header["class_ids"], dtype=np.int64),
-    )
+    return KelmModel(train_x=train_x.copy(), alpha=alpha.copy(), hyper=hyper, class_ids=class_ids)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .datacube import HyperCube
-from .errors import ConfigError
 
 # (row, col) offsets in bit order TL, T, TR, R, BR, B, BL, L
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
@@ -27,21 +26,6 @@ def _band_codes(band: np.ndarray) -> np.ndarray:
         neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
         codes |= (neighbor >= band).astype(np.uint8) << bit
     return codes
-
-
-def lbp_code(image: np.ndarray, row: int, col: int) -> int:
-    """Code of a single pixel; borders use replicate padding."""
-    image = np.asarray(image)
-    if not (0 <= row < image.shape[0] and 0 <= col < image.shape[1]):
-        raise ConfigError(f"pixel ({row}, {col}) outside image of shape {image.shape}")
-    center = image[row, col]
-    code = 0
-    for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        r = min(max(row + dr, 0), image.shape[0] - 1)
-        c = min(max(col + dc, 0), image.shape[1] - 1)
-        if image[r, c] >= center:
-            code |= 1 << bit
-    return code
 
 
 def lbp_features(cube: HyperCube) -> np.ndarray:

@@ -91,16 +91,3 @@ def write_confusion_csv(cm: ConfusionMatrix, path) -> None:
     for row in cm.counts:
         lines.append(",".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_confusion_csv(path) -> ConfusionMatrix:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise DataError(f"empty confusion CSV: {path}")
-    header = [int(v) for v in text[0].split(",")]
-    if header != list(range(1, len(header) + 1)):
-        raise DataError(f"unexpected confusion CSV header in {path}")
-    rows = [[int(v) for v in line.split(",")] for line in text[1:]]
-    if len(rows) != len(header) or any(len(r) != len(header) for r in rows):
-        raise DataError(f"confusion CSV shape mismatch in {path}")
-    return ConfusionMatrix(np.array(rows, dtype=np.int64))

@@ -120,15 +120,18 @@ def group_and_average(cube: HyperCube, k: int) -> HyperCube:
     return HyperCube(out.astype(np.float32))
 
 
+def min_max_scale(values: np.ndarray, axis) -> np.ndarray:
+    """Min-max scale to [0, 1] over ``axis`` in float64; constant slices map to 0."""
+    vals = np.asarray(values, dtype=np.float64)
+    lo = vals.min(axis=axis, keepdims=True)
+    span = vals.max(axis=axis, keepdims=True) - lo
+    span[span == 0] = 1.0
+    return (vals - lo) / span
+
+
 def scale_bands_unit(cube: HyperCube) -> HyperCube:
     """Min-max scale each band to [0, 1]; constant bands map to 0."""
-    vals = cube.values.astype(np.float64)
-    lo = vals.min(axis=(0, 1), keepdims=True)
-    hi = vals.max(axis=(0, 1), keepdims=True)
-    span = hi - lo
-    span[span == 0] = 1.0
-    out = (vals - lo) / span
-    return HyperCube(out.astype(np.float32))
+    return HyperCube(min_max_scale(cube.values, axis=(0, 1)).astype(np.float32))
 
 
 def _texture_weights(s, sigma, eps_s, eps_l):

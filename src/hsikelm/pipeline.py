@@ -40,11 +40,10 @@ from .mstv import (
     MstvConfig,
     group_and_average,
     kpca_reduce,
+    min_max_scale,
     multiscale_stack,
     scale_bands_unit,
 )
-
-LBP_SOURCES = ("grouped", "spectral")
 
 # one fixed color per class id (1-based); class 0 renders black
 PALETTE = (
@@ -70,7 +69,6 @@ class PipelineConfig:
     folds: int = 5
     seed: int = 0
     output_dir: str = "out"
-    lbp_source: str = "grouped"
     mstv: MstvConfig = field(default_factory=MstvConfig)
     ssa: ssa.SsaConfig = field(default_factory=ssa.default_tuning_config)
     fixed_hyperparams: kelm.KelmHyperparams | None = None
@@ -87,8 +85,6 @@ class PipelineConfig:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.lbp_source not in LBP_SOURCES:
-            raise ConfigError(f"lbp_source must be one of {LBP_SOURCES}, got {self.lbp_source!r}")
 
 
 # JSON names of the (lower, upper) pair of each SsaConfig dimension, in order
@@ -225,10 +221,7 @@ def normalize_features(features: np.ndarray) -> np.ndarray:
         raise DataError(f"feature matrix must be 2-D, got shape {f.shape}")
     if f.size and not np.all(np.isfinite(f)):
         raise DataError("non-finite value in feature matrix")
-    lo = f.min(axis=0)
-    span = f.max(axis=0) - lo
-    span[span == 0] = 1.0
-    return (f - lo) / span
+    return min_max_scale(f, axis=0)
 
 
 def fuse(spectral: np.ndarray, spatial: np.ndarray) -> np.ndarray:
@@ -244,7 +237,6 @@ def fuse(spectral: np.ndarray, spatial: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FeatureBundle:
-    cube: HyperCube
     labels: LabelRaster
     fused: np.ndarray
     spectral_dim: int
@@ -264,17 +256,10 @@ def build_features(config: PipelineConfig, timings: dict | None = None) -> Featu
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
         spectral = kpca_reduce(stacked, config.mstv)
     with _stage("lbp", timings):
-        if config.lbp_source == "grouped":
-            source = reduced
-        else:
-            source = HyperCube(
-                spectral.reshape(cube.height, cube.width, spectral.shape[1]).astype(np.float32)
-            )
-        spatial = lbp_features(source)
+        spatial = lbp_features(reduced)
     with _stage("fuse", timings):
         fused = fuse(normalize_features(spectral), spatial)
     return FeatureBundle(
-        cube=cube,
         labels=labels,
         fused=fused,
         spectral_dim=spectral.shape[1],

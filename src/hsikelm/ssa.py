@@ -106,7 +106,6 @@ class SsaState:
     best_fit: float
     worst_pos: np.ndarray
     worst_fit: float
-    iteration: int = 0
     scout_rows: np.ndarray | None = field(default=None)
 
 
@@ -218,7 +217,6 @@ def greedy_replace(state: SsaState) -> None:
     w = int(np.argmax(state.fitness))
     state.worst_fit = float(state.fitness[w])
     state.worst_pos = state.positions[w].copy()
-    state.iteration += 1
 
 
 def checked_fitness(obj, pos: np.ndarray) -> float:

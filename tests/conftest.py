@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hsikelm import datacube, kelm, pipeline
+from hsikelm import datacube, kelm, metrics, pipeline
 
 
 class ScriptedRng:
@@ -78,3 +80,11 @@ def fast_config_dict(scene, out_dir, **extra):
     }
     base.update(extra)
     return base
+
+
+def read_confusion_csv(path) -> metrics.ConfusionMatrix:
+    """Parse ``metrics.write_confusion_csv`` output: a header row of class ids
+    1..c, then one row of c counts per reference class."""
+    header, *rows = Path(path).read_text().splitlines()
+    assert header.split(",") == [str(c) for c in range(1, len(rows) + 1)]
+    return metrics.ConfusionMatrix(np.array([[int(v) for v in row.split(",")] for row in rows]))

@@ -81,6 +81,43 @@ def test_band_sequential_layout(tmp_path):
     assert np.array_equal(flat[4:], values[:, :, 1].ravel())
 
 
+def _save_with_header(path, edit):
+    """A 1x2 raster (a cube for .f32, labels for .u16) whose header becomes edit(header)."""
+    if path.suffix == ".f32":
+        save_cube(HyperCube(np.zeros((1, 2, 1), dtype=np.float32)), path)
+    else:
+        save_labels(LabelRaster(np.ones((1, 2), dtype=np.uint16), num_classes=1), path)
+    hpath = path.parent / (path.name + ".json")
+    hpath.write_text(json.dumps(edit(json.loads(hpath.read_text()))))
+
+
+def _truncated_npy(path):
+    np.save(path, np.zeros((2, 2, 2), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+_MALFORMED = {
+    "object.npy": lambda p: np.save(p, np.full((1, 1, 1), None), allow_pickle=True),
+    "corrupt.npy": lambda p: p.write_bytes(b"not an array"),
+    "truncated.npy": _truncated_npy,
+    "text.npy": lambda p: np.save(p, np.full((1, 1, 1), "x")),
+    "bool_height.f32": lambda p: _save_with_header(p, lambda h: {**h, "height": True}),
+    "bool_bands.u16": lambda p: _save_with_header(p, lambda h: {**h, "bands": True}),
+    "number_header.f32": lambda p: _save_with_header(p, lambda h: 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_raster_is_data_error(tmp_path, name):
+    path = tmp_path / name
+    _MALFORMED[name](path)
+    with pytest.raises(DataError):
+        if path.suffix == ".u16":
+            load_labels(path, num_classes=1)
+        else:
+            load_cube(path)
+
+
 def test_npy_reader(tmp_path):
     arr = np.zeros((145, 145, 200), dtype=np.float32)
     path = tmp_path / "scene.npy"

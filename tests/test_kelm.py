@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -186,8 +189,25 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.class_ids, model.class_ids)
 
 
-def test_load_model_rejects_garbage(tmp_path):
+def _model_bytes(header_blob: bytes) -> bytes:
+    return b"HSIKELM1" + struct.pack("<Q", len(header_blob)) + header_blob
+
+
+_GOOD_HEADER = {"dtype": "f64", "byteorder": "little", "hyperparams": {"c": 1.0, "gamma": 1.0},
+                "train_shape": [1, 1], "alpha_shape": [1, 1], "class_ids": [1]}
+
+
+@pytest.mark.parametrize("content", [
+    b"not a model",
+    b"HSIKELM1" + b"\x01\x02",  # truncated inside the header length
+    _model_bytes(b"{not json"),
+    _model_bytes(json.dumps({k: v for k, v in _GOOD_HEADER.items() if k != "train_shape"}).encode()),
+    _model_bytes(json.dumps({**_GOOD_HEADER, "train_shape": [1, 1.0]}).encode()) + bytes(16),
+    _model_bytes(json.dumps({**_GOOD_HEADER, "hyperparams": {"c": -1.0, "gamma": 1.0}}).encode())
+    + bytes(16),
+], ids=["not-a-model", "truncated", "bad-json", "no-train-shape", "float-shape", "negative-c"])
+def test_load_model_rejects_garbage(tmp_path, content):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a model")
+    path.write_bytes(content)
     with pytest.raises(DataError):
         load_model(path)

@@ -6,40 +6,49 @@ from hypothesis.extra import numpy as hnp
 
 from hsikelm.datacube import HyperCube
 from hsikelm.errors import ConfigError
-from hsikelm.lbp import lbp_code, lbp_features
+from hsikelm.lbp import lbp_features
 
 # independent oracle: explicit neighbor walk with clamped (replicate) indexing
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1)]
 
 
-def oracle_codes(img):
+def lbp_code(img, r, c):
     h, w = img.shape
-    out = np.zeros((h, w), dtype=int)
-    for r in range(h):
-        for c in range(w):
-            code = 0
-            for bit, (dr, dc) in enumerate(_OFFSETS):
-                rr = min(max(r + dr, 0), h - 1)
-                cc = min(max(c + dc, 0), w - 1)
-                if img[rr, cc] >= img[r, c]:
-                    code |= 1 << bit
-            out[r, c] = code
-    return out
+    if not (0 <= r < h and 0 <= c < w):
+        raise ConfigError(f"pixel ({r}, {c}) outside image of shape {img.shape}")
+    code = 0
+    for bit, (dr, dc) in enumerate(_OFFSETS):
+        rr = min(max(r + dr, 0), h - 1)
+        cc = min(max(c + dc, 0), w - 1)
+        if img[rr, cc] >= img[r, c]:
+            code |= 1 << bit
+    return code
+
+
+def oracle_codes(img):
+    return np.array([[lbp_code(img, r, c) for c in range(img.shape[1])]
+                     for r in range(img.shape[0])])
+
+
+def feature_code(img, r, c):
+    """The library's code of one pixel, read back from ``lbp_features``."""
+    scaled = lbp_features(HyperCube(img[:, :, None]))[r * img.shape[1] + c, 0]
+    return int(round(scaled * 255))
 
 
 def test_uniform_patch_gives_255():
     img = np.full((3, 3), 9.0)
-    assert lbp_code(img, 1, 1) == 255
+    assert lbp_code(img, 1, 1) == feature_code(img, 1, 1) == 255
 
 
 def test_strict_center_maximum_gives_0():
     img = np.array([[1, 2, 3], [4, 9, 5], [6, 7, 8]], dtype=float)
-    assert lbp_code(img, 1, 1) == 0
+    assert lbp_code(img, 1, 1) == feature_code(img, 1, 1) == 0
 
 
 def test_hand_patch_code_66():
     img = np.array([[5, 9, 1], [4, 7, 2], [8, 3, 6]], dtype=float)
-    assert lbp_code(img, 1, 1) == 66
+    assert lbp_code(img, 1, 1) == feature_code(img, 1, 1) == 66
 
 
 def test_single_pixel_replicates_to_255():

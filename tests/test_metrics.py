@@ -11,9 +11,9 @@ from hsikelm.metrics import (
     confusion,
     kappa,
     oa,
-    read_confusion_csv,
     write_confusion_csv,
 )
+from conftest import read_confusion_csv
 
 
 def test_confusion_basic():

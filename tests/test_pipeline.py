@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hsikelm
 from hsikelm import metrics
-from hsikelm.datacube import save_cube
+from hsikelm.datacube import save_cube, save_labels
 from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
 from hsikelm.pipeline import (
@@ -21,7 +22,7 @@ from hsikelm.pipeline import (
     render_map,
     run_full,
 )
-from conftest import fast_config_dict
+from conftest import fast_config_dict, read_confusion_csv
 
 
 # -- normalization and fusion -------------------------------------------------
@@ -140,7 +141,7 @@ def test_config_master_seed_flows_to_sections():
 
 _EVERY_KEY = {
     "cube_path": "cube.f32", "label_path": "labels.u16", "num_classes": 4,
-    "train_fraction": 0.25, "folds": 3, "seed": 7, "lbp_source": "spectral", "canonical": True,
+    "train_fraction": 0.25, "folds": 3, "seed": 7, "canonical": True,
     "mstv": {
         "k": 6, "n_components": 9, "kpca_gamma": 0.5, "landmark_count": 300, "seed": 2,
         "scales": [
@@ -188,8 +189,6 @@ def small_run(tmp_path_factory):
     cube, labels = pl.make_synthetic_cube(32, 32, 20, 3, 0.1, seed=0)
     cube_path, label_path = tmp / "cube.f32", tmp / "labels.u16"
     save_cube(cube, cube_path)
-    from hsikelm.datacube import save_labels
-
     save_labels(labels, label_path)
     scene = {"cube": cube, "labels": labels, "cube_path": cube_path, "label_path": label_path}
     out = tmp / "out"
@@ -208,7 +207,7 @@ def test_run_report_metrics(small_run):
 
 def test_run_metrics_match_emitted_csv(small_run):
     report = small_run["report"]
-    cm = metrics.read_confusion_csv(small_run["out"] / report.confusion_path)
+    cm = read_confusion_csv(small_run["out"] / report.confusion_path)
     assert report.oa == metrics.oa(cm)
     assert report.aa == metrics.aa(cm)
     assert report.kappa == metrics.kappa(cm)
@@ -250,11 +249,22 @@ def test_run_missing_cube_is_stage_tagged(small_run, tmp_path):
         run_full(config_from_dict(raw))
 
 
-def test_run_lbp_on_spectral_features(small_run, tmp_path):
-    scene = small_run["scene"]
-    config = config_from_dict(
-        fast_config_dict(scene, tmp_path / "spec_out", lbp_source="spectral",
-                         fixed_hyperparams={"c": 100.0, "gamma": 1.0})
-    )
-    report = run_full(config)
-    assert 0.0 <= report.oa <= 1.0
+def test_harder_synthetic_quality_floor(tmp_path):
+    # 12 noisy classes and 5% training pixels keep OA well below 1.0, so a
+    # quality regression shows; measured OA 0.8549, AA 0.8549, kappa 0.8417
+    cube, labels = make_synthetic_cube(48, 48, 30, 12, 0.4, seed=0)
+    scene = {"cube_path": tmp_path / "cube.f32", "label_path": tmp_path / "labels.u16",
+             "labels": labels}
+    save_cube(cube, scene["cube_path"])
+    save_labels(labels, scene["label_path"])
+    report = run_full(config_from_dict(fast_config_dict(
+        scene, tmp_path / "out", train_fraction=0.05, folds=3,
+        mstv={"k": 10, "n_components": 10, "landmark_count": 300,
+              "scales": [{"sigma": 1.0}, {"sigma": 2.0}]},
+        ssa={"pop_size": 10, "max_iter": 3},
+    )))
+    assert report.oa >= 0.84 and report.aa >= 0.84 and report.kappa >= 0.82
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(hsikelm, name) for name in hsikelm.__all__)
