@@ -81,9 +81,10 @@ class LabelRaster:
         if any(s < 1 for s in lab.shape):
             raise DataError(f"label raster dimensions must be >= 1, got {lab.shape}")
         if not np.issubdtype(lab.dtype, np.integer):
+            if not np.all(np.isfinite(lab)):
+                raise DataError("label raster contains non-finite values")
             if not np.all(lab == np.round(lab)):
                 raise DataError("label raster contains non-integer values")
-            lab = lab.astype(np.uint16)
         if self.num_classes < 1:
             raise DataError(f"num_classes must be >= 1, got {self.num_classes}")
         if lab.min() < 0:

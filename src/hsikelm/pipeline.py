@@ -327,20 +327,19 @@ def make_synthetic_cube(
     return HyperCube(values.astype(np.float32)), LabelRaster(labels.copy(), num_classes)
 
 
-def render_map(pred_labels: np.ndarray, path, palette=None) -> None:
+def render_map(pred_labels: np.ndarray, path) -> None:
     """Write a binary P6 PPM: one palette color per class, black for 0."""
     arr = np.asarray(pred_labels)
     if arr.ndim != 2:
         raise DataError(f"prediction raster must be 2-D, got shape {arr.shape}")
     if arr.size and arr.min() < 0:
         raise DataError("prediction raster contains negative labels")
-    colors = tuple(palette) if palette is not None else PALETTE
     h, w = arr.shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
     for v in np.unique(arr):
         if v == 0:
             continue
-        img[arr == v] = colors[(int(v) - 1) % len(colors)]
+        img[arr == v] = PALETTE[(int(v) - 1) % len(PALETTE)]
     header = f"P6\n{w} {h}\n255\n".encode()
     Path(path).write_bytes(header + img.tobytes())
 

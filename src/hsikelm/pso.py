@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ssa import check_swarm_config, checked_fitness
+from .ssa import batch_fitness, check_swarm_config
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def pso_minimize(obj, cfg: PsoConfig) -> PsoResult:
     span = cfg.upper - cfg.lower
     pos = cfg.lower + span * rng.uniform(size=(n, d))
     vel = np.zeros((n, d))
-    fit = np.array([checked_fitness(obj, p) for p in pos])
+    fit = batch_fitness(obj, pos)
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = int(np.argmin(fit))
@@ -57,7 +57,7 @@ def pso_minimize(obj, cfg: PsoConfig) -> PsoResult:
         vel = w * vel + cfg.cognitive * r1 * (pbest - pos) + cfg.social * r2 * (gbest - pos)
         vel = np.clip(vel, -span, span)
         pos = np.clip(pos + vel, cfg.lower, cfg.upper)
-        fit = np.array([checked_fitness(obj, p) for p in pos])
+        fit = batch_fitness(obj, pos)
         better = fit < pbest_fit
         pbest[better] = pos[better]
         pbest_fit[better] = fit[better]

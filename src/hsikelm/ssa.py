@@ -6,6 +6,12 @@ swapped for its candidate only when the candidate's fitness is strictly
 better. The retained set therefore only improves, so the best-so-far
 trace is non-increasing.
 
+Evaluation order per iteration: the producers' candidates are scored
+first, since the joiners gather at the best of them; the joiners and the
+scouts then both move, and their rows are scored together in one pass. A
+joiner row that a scout takes over is scored once, with the scout's
+candidate; the joiner candidate it replaced is never evaluated.
+
 Randomness contract: a master seed plus a (iteration, role) counter
 scheme select an independent substream per role per iteration; inside a
 role, draws happen in fitness-rank order before any objective evaluation
@@ -23,7 +29,7 @@ is dispatched. Draw order per role:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +76,6 @@ class SsaConfig:
     scout_ratio: float = 0.1
     safety_threshold: float = 0.8
     seed: int = 0
-    paper_literal_v: bool = False
 
     def __post_init__(self):
         check_swarm_config(self)
@@ -106,7 +111,6 @@ class SsaState:
     best_fit: float
     worst_pos: np.ndarray
     worst_fit: float
-    scout_rows: np.ndarray | None = field(default=None)
 
 
 def _phase_rng(seed: int, iteration: int, phase: int) -> np.random.Generator:
@@ -124,7 +128,7 @@ def _clip(x, cfg: SsaConfig) -> np.ndarray:
 def init_state(obj, cfg: SsaConfig) -> SsaState:
     rng = _phase_rng(cfg.seed, 0, _INIT)
     pos = cfg.lower + (cfg.upper - cfg.lower) * rng.uniform(size=(cfg.pop_size, cfg.dim))
-    fit = np.array([checked_fitness(obj, p) for p in pos])
+    fit = batch_fitness(obj, pos)
     best = int(np.argmin(fit))
     worst = int(np.argmax(fit))
     return SsaState(
@@ -139,18 +143,13 @@ def init_state(obj, cfg: SsaConfig) -> SsaState:
     )
 
 
-def begin_iteration(state: SsaState) -> None:
-    state.candidates[:] = state.positions
-    state.cand_fitness[:] = state.fitness
-    state.scout_rows = None
-
-
-def update_producers(state: SsaState, cfg: SsaConfig, rng) -> SsaState:
+def update_producers(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
     """Move the best-ranked fraction: contract multiplicatively while safe,
-    otherwise take a shared normal step in every dimension."""
-    order = _ranks(state)
+    otherwise take a shared normal step in every dimension. Returns the
+    moved rows."""
+    producers = _ranks(state)[: cfg.producer_count]
     r2 = rng.uniform()
-    for rank0, i in enumerate(order[: cfg.producer_count]):
+    for rank0, i in enumerate(producers):
         c = rank0 + 1
         if r2 < cfg.safety_threshold:
             a = rng.uniform()
@@ -159,18 +158,19 @@ def update_producers(state: SsaState, cfg: SsaConfig, rng) -> SsaState:
         else:
             cand = state.positions[i] + rng.standard_normal()
         state.candidates[i] = _clip(cand, cfg)
-    return state
+    return producers
 
 
-def update_joiners(state: SsaState, cfg: SsaConfig, rng) -> SsaState:
+def update_joiners(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
     """Move the remaining ranks: the worse half scatters relative to the
-    worst position, the better half gathers at the best producer candidate."""
+    worst position, the better half gathers at the best producer candidate,
+    whose fitness must already be in ``cand_fitness``. Returns the moved rows."""
     order = _ranks(state)
     n, d = state.positions.shape
-    producers = order[: cfg.producer_count]
+    producers, joiners = order[: cfg.producer_count], order[cfg.producer_count :]
     best_producer = producers[int(np.argmin(state.cand_fitness[producers]))]
     d_f = state.candidates[best_producer]
-    for rank0, i in enumerate(order[cfg.producer_count :], start=cfg.producer_count):
+    for rank0, i in enumerate(joiners, start=cfg.producer_count):
         c = rank0 + 1
         if c > n / 2:
             q = rng.standard_normal()
@@ -180,28 +180,25 @@ def update_joiners(state: SsaState, cfg: SsaConfig, rng) -> SsaState:
             step = float(np.abs(state.positions[i] - d_f) @ signs) / d
             cand = d_f + step
         state.candidates[i] = _clip(cand, cfg)
-    return state
+    return joiners
 
 
-def update_scouts(state: SsaState, cfg: SsaConfig, rng) -> SsaState:
+def update_scouts(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
     """Move a random subset: anyone worse than the global best jumps toward
-    it; the global best itself takes a fitness-scaled step."""
+    it; the global best itself takes a fitness-scaled step. Returns the
+    moved rows."""
     n, d = state.positions.shape
     rows = rng.permutation(n)[: cfg.scout_count]
     for i in rows:
         if state.fitness[i] > state.best_fit:
-            if cfg.paper_literal_v:
-                v = rng.integers(0, 2, size=d).astype(np.float64)
-            else:
-                v = rng.standard_normal(d)
+            v = rng.standard_normal(d)
             cand = state.best_pos + v * np.abs(state.positions[i] - state.best_pos)
         else:
             o = rng.uniform(-1.0, 1.0)
             gap = np.abs(state.positions[i] - state.worst_pos)
             cand = state.positions[i] + o * (gap / ((state.fitness[i] - state.worst_fit) + DELTA))
         state.candidates[i] = _clip(cand, cfg)
-    state.scout_rows = np.asarray(rows)
-    return state
+    return rows
 
 
 def greedy_replace(state: SsaState) -> None:
@@ -219,12 +216,21 @@ def greedy_replace(state: SsaState) -> None:
     state.worst_pos = state.positions[w].copy()
 
 
-def checked_fitness(obj, pos: np.ndarray) -> float:
-    """``obj(pos)`` as a float; a NaN fitness aborts the search."""
-    value = float(obj(pos))
-    if np.isnan(value):
-        raise NumericalError(f"objective returned NaN at position {pos.tolist()}")
-    return value
+def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
+    """Fitness of each row of the (m, d) ``positions``, as a float64 vector.
+
+    ``obj`` takes one position and is called once per row, in row order; the
+    first NaN raises ``NumericalError`` and ends the search. Only positions
+    that are passed here are checked: in ``optimize`` a joiner candidate that
+    a scout replaces is never evaluated, so a NaN (or a ``NumericalError``
+    raised by ``obj``) that only that candidate would give does not end the run.
+    """
+    fit = np.empty(len(positions))
+    for k, pos in enumerate(positions):
+        fit[k] = float(obj(pos))
+        if np.isnan(fit[k]):
+            raise NumericalError(f"objective returned NaN at position {pos.tolist()}")
+    return fit
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ class SsaResult:
 
 
 def optimize(obj, cfg: SsaConfig, on_iteration=None) -> SsaResult:
-    """Run the full loop: init, rank, role updates, greedy replacement.
+    """Run the full loop: init, role updates, greedy replacement.
 
     ``on_iteration(state)`` is invoked after every iteration (useful for
     instrumentation). Deterministic for a fixed config seed.
@@ -244,23 +250,13 @@ def optimize(obj, cfg: SsaConfig, on_iteration=None) -> SsaResult:
     state = init_state(obj, cfg)
     trace_best, trace_mean = [], []
     for t in range(1, cfg.max_iter + 1):
-        begin_iteration(state)
-        order = _ranks(state)
-        producers = order[: cfg.producer_count]
-        joiners = order[cfg.producer_count :]
-
-        update_producers(state, cfg, _phase_rng(cfg.seed, t, _PRODUCERS))
-        for i in producers:
-            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
-
-        update_joiners(state, cfg, _phase_rng(cfg.seed, t, _JOINERS))
-        for i in joiners:
-            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
-
-        update_scouts(state, cfg, _phase_rng(cfg.seed, t, _SCOUTS))
-        for i in state.scout_rows:
-            state.cand_fitness[i] = checked_fitness(obj, state.candidates[i])
-
+        producers = update_producers(state, cfg, _phase_rng(cfg.seed, t, _PRODUCERS))
+        state.cand_fitness[producers] = batch_fitness(obj, state.candidates[producers])
+        joiners = update_joiners(state, cfg, _phase_rng(cfg.seed, t, _JOINERS))
+        # a scout may take over a joiner's row, so score both only once both moved
+        scouts = update_scouts(state, cfg, _phase_rng(cfg.seed, t, _SCOUTS))
+        moved = np.union1d(joiners, scouts)
+        state.cand_fitness[moved] = batch_fitness(obj, state.candidates[moved])
         greedy_replace(state)
         trace_best.append(state.best_fit)
         trace_mean.append(float(state.fitness.mean()))

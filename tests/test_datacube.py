@@ -154,6 +154,18 @@ def test_label_exceeding_num_classes():
         LabelRaster(np.array([[1, 5]], dtype=np.uint16), num_classes=2)
 
 
+# cast to uint16 before these checks, 65537 loaded as 1, inf as 0 (unlabeled), and -1
+# was reported as label 65535
+@pytest.mark.parametrize("value, message", [
+    (65537.0, "label 65537 exceeds"),
+    (np.inf, "non-finite"),
+    (-1.0, "negative"),
+])
+def test_float_label_range_checked_before_uint16_cast(value, message):
+    with pytest.raises(DataError, match=message):
+        LabelRaster(np.array([[1.0, value]]), num_classes=2)
+
+
 def test_single_pixel_single_class_valid():
     raster = LabelRaster(np.array([[1]], dtype=np.uint16), num_classes=1)
     assert raster.labeled_indices().tolist() == [0]

@@ -151,7 +151,7 @@ _EVERY_KEY = {
     },
     "ssa": {
         "pop_size": 12, "max_iter": 4, "producer_ratio": 0.3, "scout_ratio": 0.2,
-        "safety_threshold": 0.7, "seed": 5, "paper_literal_v": True,
+        "safety_threshold": 0.7, "seed": 5,
         "log10_c_bounds": [-1.0, 3.0], "log10_gamma_bounds": [-2.0, 2.0],
     },
     "fixed_hyperparams": {"c": 10.0, "gamma": 0.25},

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import hsikelm
-from hsikelm import kelm
+from hsikelm import kelm, ssa
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.ssa import (
     SsaConfig,
     SsaState,
-    begin_iteration,
+    batch_fitness,
     cv_objective,
     default_tuning_config,
+    init_state,
     optimize,
     stratified_fold_ids,
     tune_kelm,
@@ -32,7 +33,7 @@ def make_state(positions, fitness):
     pos = np.asarray(positions, dtype=float)
     fit = np.asarray(fitness, dtype=float)
     b, w = int(np.argmin(fit)), int(np.argmax(fit))
-    state = SsaState(
+    return SsaState(
         positions=pos,
         fitness=fit,
         candidates=pos.copy(),
@@ -42,8 +43,6 @@ def make_state(positions, fitness):
         worst_pos=pos[w].copy(),
         worst_fit=float(fit[w]),
     )
-    begin_iteration(state)
-    return state
 
 
 def wide_cfg(d=1, **kw):
@@ -108,9 +107,9 @@ def test_joiner_pseudo_inverse_displacement(scripted_rng):
 def test_scout_jumps_to_best(scripted_rng):
     state = make_state([[1.0], [7.0]], [1.0, 2.0])
     rng = scripted_rng(perm=[1, 0], normals=[np.array([0.0])])
-    update_scouts(state, wide_cfg(), rng)
+    rows = update_scouts(state, wide_cfg(), rng)
     assert state.candidates[1, 0] == 1.0  # V = 0 lands exactly on the best
-    assert state.scout_rows.tolist() == [1]
+    assert rows.tolist() == [1]
 
 
 def test_scout_best_zero_step_unchanged(scripted_rng):
@@ -126,13 +125,6 @@ def test_scout_best_fitness_scaled_step(scripted_rng):
     rng = scripted_rng(perm=[0, 1], uniforms=[1.0])
     update_scouts(state, wide_cfg(), rng)
     assert state.candidates[0, 0] == pytest.approx(2.5, abs=1e-12)
-
-
-def test_scout_paper_literal_v(scripted_rng):
-    state = make_state([[1.0], [7.0]], [1.0, 2.0])
-    rng = scripted_rng(perm=[1, 0], int_rows=[[1]])
-    update_scouts(state, wide_cfg(paper_literal_v=True), rng)
-    assert state.candidates[1, 0] == pytest.approx(1.0 + 1.0 * abs(7.0 - 1.0))
 
 
 # -- config and loop ----------------------------------------------------------
@@ -195,6 +187,82 @@ def test_nan_objective_aborts():
     cfg = SsaConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=4, max_iter=2, seed=0)
     with pytest.raises(NumericalError, match="NaN"):
         optimize(lambda x: float("nan"), cfg)
+
+
+def test_batch_fitness_scores_rows_in_order_and_stops_at_nan():
+    seen = []
+
+    def obj(x):
+        seen.append(x.tolist())
+        return np.float32(x[0] * 2.0)
+
+    fit = batch_fitness(obj, np.array([[1.0, 0.0], [3.0, 0.0]]))
+    assert fit.dtype == np.float64 and fit.tolist() == [2.0, 6.0]
+    assert seen == [[1.0, 0.0], [3.0, 0.0]]
+    assert batch_fitness(obj, np.empty((0, 2))).shape == (0,)
+
+    def nan_at_two(x):
+        seen.append(x.tolist())
+        return np.nan if x[0] == 2.0 else 0.0
+
+    seen.clear()
+    with pytest.raises(NumericalError, match=r"NaN at position \[2.0\]"):
+        batch_fitness(nan_at_two, np.array([[1.0], [2.0], [3.0]]))
+    assert seen == [[1.0], [2.0]]
+
+
+def _three_loop_optimize(obj, cfg):
+    """Reference loop that scores each role's rows right after the role moves:
+    every joiner candidate, also those a scout then replaces. Returns the
+    result and the number of joiner rows that became scouts."""
+    state = init_state(obj, cfg)
+    trace_best, trace_mean, replaced = [], [], 0
+    for t in range(1, cfg.max_iter + 1):
+        state.candidates[:] = state.positions
+        state.cand_fitness[:] = state.fitness
+        order = np.argsort(state.fitness, kind="stable")
+        producers, joiners = order[: cfg.producer_count], order[cfg.producer_count :]
+        update_producers(state, cfg, ssa._phase_rng(cfg.seed, t, ssa._PRODUCERS))
+        for i in producers:
+            state.cand_fitness[i] = float(obj(state.candidates[i]))
+        update_joiners(state, cfg, ssa._phase_rng(cfg.seed, t, ssa._JOINERS))
+        for i in joiners:
+            state.cand_fitness[i] = float(obj(state.candidates[i]))
+        scouts = update_scouts(state, cfg, ssa._phase_rng(cfg.seed, t, ssa._SCOUTS))
+        for i in scouts:
+            state.cand_fitness[i] = float(obj(state.candidates[i]))
+        replaced += np.intersect1d(joiners, scouts).size
+        ssa.greedy_replace(state)
+        trace_best.append(state.best_fit)
+        trace_mean.append(float(state.fitness.mean()))
+    return ssa.SsaResult(state.best_pos.copy(), state.best_fit, trace_best, trace_mean), replaced
+
+
+def _clipped_rastrigin(x):
+    return min(float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x))), 20.0)
+
+
+@pytest.mark.parametrize("obj", [lambda x: float(np.sum(x**2)), _clipped_rastrigin, lambda x: 7.0],
+                         ids=["sphere", "clipped_rastrigin", "constant"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_optimize_matches_three_loop_oracle(obj, seed):
+    cfg = SsaConfig(lower=np.full(3, -3.0), upper=np.full(3, 3.0), pop_size=12,
+                    max_iter=10, scout_ratio=0.3, seed=seed)
+    calls = {"new": 0, "oracle": 0}
+
+    def counted(key):
+        def f(x):
+            calls[key] += 1
+            return obj(x)
+        return f
+
+    got = optimize(counted("new"), cfg)
+    want, replaced = _three_loop_optimize(counted("oracle"), cfg)
+    assert got.trace_best == want.trace_best
+    assert got.trace_mean == want.trace_mean
+    assert np.array_equal(got.best_pos, want.best_pos) and got.best_fit == want.best_fit
+    assert replaced > 0
+    assert calls["new"] == calls["oracle"] - replaced
 
 
 def test_degenerate_bounds_return_the_point():
