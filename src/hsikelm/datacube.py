@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 CUBE_ORDER = "row-major-band-sequential"
+# label rasters are stored as uint16, so class ids stop at its largest value
+MAX_CLASSES = np.iinfo(np.uint16).max
 # header dtype name -> little-endian payload dtype
 _DTYPES = {"f32": np.dtype("<f4"), "u16": np.dtype("<u2")}
 
@@ -85,8 +87,8 @@ class LabelRaster:
                 raise DataError("label raster contains non-finite values")
             if not np.all(lab == np.round(lab)):
                 raise DataError("label raster contains non-integer values")
-        if self.num_classes < 1:
-            raise DataError(f"num_classes must be >= 1, got {self.num_classes}")
+        if not 1 <= self.num_classes <= MAX_CLASSES:
+            raise DataError(f"num_classes must lie in 1..{MAX_CLASSES}, got {self.num_classes}")
         if lab.min() < 0:
             raise DataError("label raster contains negative values")
         top = int(lab.max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cython_lapack
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError, NumericalError
@@ -47,13 +47,13 @@ class KelmModel:
     class_ids: np.ndarray  # (c,) int64, ascending
 
 
-def rbf_kernel(sq_dist: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-gamma * d) elementwise, for an array d of precomputed squared distances.
 
-    The exp runs in place, so a call holds two arrays of d's size at most:
-    d itself and the kernel.
+    The kernel is written into ``out`` when given, else into a new array; the
+    exp runs in place, so a call allocates at most one array of d's size.
     """
-    kernel = -gamma * sq_dist
+    kernel = np.multiply(sq_dist, -gamma, out=out)
     return np.exp(kernel, out=kernel)
 
 
@@ -99,31 +99,76 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
 
-def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
+def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float,
+                        factor: np.ndarray | None = None) -> np.ndarray:
     """alpha with ``(omega + I/c) alpha = targets``, for a precomputed kernel matrix.
 
     ``omega`` is overwritten by the system matrix (1/c added to its
     diagonal). Cholesky with one jitter retry; the solution is rejected when
-    its residual exceeds ``RESIDUAL_TOL``.
+    its residual exceeds ``RESIDUAL_TOL``. ``factor`` is an optional F-order
+    array of omega's shape that receives the Cholesky factor.
     """
     omega[np.diag_indices_from(omega)] += 1.0 / c
-    alpha = _spd_solve(omega, targets)
+    alpha = _spd_solve(omega, targets, factor)
     residual = np.max(np.abs(omega @ alpha - targets))
     if residual > RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):
         raise NumericalError(f"kernel solve residual too large: {residual:.3e}")
     return alpha
 
 
-def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return cho_solve(cho_factor(system, lower=True), rhs)
-    except LinAlgError:
-        pass
-    jittered = system + _JITTER * np.eye(system.shape[0])
-    try:
-        return cho_solve(cho_factor(jittered, lower=True), rhs)
-    except LinAlgError as e:
-        raise NumericalError(f"kernel system not positive definite: {e}") from e
+def _lapack_routine(name: str, *argtypes):
+    """scipy's LAPACK routine ``name`` as a ctypes function, which releases the GIL
+    while it runs (scipy's own wrappers hold it)."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# (uplo, n, a, lda, info) and (uplo, n, nrhs, a, lda, b, ldb, info); arrays by address
+_DPOTRF = _lapack_routine("dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
+_DPOTRS = _lapack_routine("dpotrs", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT,
+                          ctypes.c_void_p, _INT, _INT)
+
+
+def _spd_solve(system: np.ndarray, rhs: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    """x with ``system @ x = rhs`` for a symmetric positive-definite ``system``.
+
+    Runs LAPACK's lower Cholesky ``dpotrf``/``dpotrs``, the routines behind
+    ``scipy.linalg.cho_factor``/``cho_solve`` with the same bits, but with
+    the GIL released, so solves in several threads run side by side. The
+    F-order ``factor`` (allocated when not given) receives ``system.T``,
+    which is ``system`` because it is symmetric, so the copy is a plain one.
+    A failed factorization is retried once with jitter on the diagonal.
+    x is F-order, as ``cho_solve`` returns it.
+    """
+    x = np.array(rhs, dtype=np.float64, order="F")
+    if factor is None:
+        factor = np.empty(system.shape, order="F")
+    # LAPACK gets bare pointers: the shapes and the layout must be right here
+    if not (system.ndim == 2 and system.shape[0] == system.shape[1] == x.shape[0]
+            and x.ndim <= 2 and factor.shape == system.shape and factor.dtype == np.float64
+            and factor.flags.f_contiguous):
+        raise ValueError(f"bad solve shapes: system {system.shape}, rhs {x.shape}, "
+                         f"factor {factor.shape} {factor.dtype}")
+    n = ctypes.c_int(system.shape[0])
+    info = ctypes.c_int()
+    for jitter in (0.0, _JITTER):
+        np.copyto(factor, system.T)
+        if jitter:
+            factor[np.diag_indices_from(factor)] += jitter
+        _DPOTRF(b"L", n, factor.ctypes.data, n, info)
+        if info.value == 0:
+            break
+    else:
+        raise NumericalError(f"kernel system not positive definite: {info.value}-th leading minor "
+                             "of the array is not positive definite")
+    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
+    _DPOTRS(b"L", n, nrhs, factor.ctypes.data, n, x.ctypes.data, n, info)
+    return x
 
 
 # (set, get) thread-count symbols: numpy's ILP64 copy, scipy's copy, a plain build

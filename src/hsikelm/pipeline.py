@@ -26,6 +26,7 @@ import numpy as np
 
 from . import kelm, metrics, ssa
 from .datacube import (
+    MAX_CLASSES,
     HyperCube,
     LabelRaster,
     SampleSplit,
@@ -79,8 +80,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"train_fraction must lie in (0, 1); {self.train_fraction} leaves an empty test split"
             )
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        if not 1 <= self.num_classes <= MAX_CLASSES:
+            raise ConfigError(f"num_classes must lie in 1..{MAX_CLASSES}, got {self.num_classes}")
         if self.folds < 1:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if self.seed < 0:

@@ -10,7 +10,10 @@ Evaluation order per iteration: the producers' candidates are scored
 first, since the joiners gather at the best of them; the joiners and the
 scouts then both move, and their rows are scored together in one pass. A
 joiner row that a scout takes over is scored once, with the scout's
-candidate; the joiner candidate it replaced is never evaluated.
+candidate; the joiner candidate it replaced is never evaluated. Inside a
+pass the rows are scored side by side, one thread per CPU
+(``batch_fitness``); the fitness values, and which failing row ends the
+search, are read in row order, so neither depends on the thread count.
 
 Randomness contract: a master seed plus a (iteration, role) counter
 scheme select an independent substream per role per iteration; inside a
@@ -28,7 +31,13 @@ is dispatched. Draw order per role:
 
 from __future__ import annotations
 
+import functools
+import mmap
+import os
+import queue
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,20 +225,71 @@ def greedy_replace(state: SsaState) -> None:
     state.worst_pos = state.positions[w].copy()
 
 
+@functools.cache
+def _helper_pool() -> ThreadPoolExecutor:
+    """Threads that help ``batch_fitness`` callers score rows; idle between batches.
+
+    They live as long as the process: starting threads for each batch costs
+    a thread handshake per helper, more than a row of a cheap objective.
+    """
+    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="batch_fitness")
+
+
 def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
     """Fitness of each row of the (m, d) ``positions``, as a float64 vector.
 
-    ``obj`` takes one position and is called once per row, in row order; the
-    first NaN raises ``NumericalError`` and ends the search. Only positions
-    that are passed here are checked: in ``optimize`` a joiner candidate that
-    a scout replaces is never evaluated, so a NaN (or a ``NumericalError``
-    raised by ``obj``) that only that candidate would give does not end the run.
+    ``obj`` takes one position and is called at most once per row. The rows
+    run side by side, one worker thread per CPU (at most one per row): the
+    calling thread and helpers from a shared pool. So ``obj`` must be safe
+    to call from several threads. Each worker takes the next unstarted row,
+    in row order, until none is left or a row has failed, i.e. raised or
+    returned NaN. All rows before a failed one have then started, and they
+    are waited for; the failure of the first failed row in row order is
+    raised (NaN as ``NumericalError``), and no later row's result is used.
+    Only positions that are passed here are checked: in ``optimize`` a
+    joiner candidate that a scout replaces is never evaluated, so a NaN (or
+    a ``NumericalError`` raised by ``obj``) that only that candidate would
+    give does not end the run.
     """
-    fit = np.empty(len(positions))
-    for k, pos in enumerate(positions):
-        fit[k] = float(obj(pos))
-        if np.isnan(fit[k]):
-            raise NumericalError(f"objective returned NaN at position {pos.tolist()}")
+    rows = len(positions)
+    fit = np.empty(rows)
+    failures = {}  # row -> exception
+    started = running = 0
+    changed = threading.Condition()
+
+    def score_rows():
+        nonlocal started, running
+        while True:
+            with changed:
+                if failures or started == rows:
+                    return
+                k = started
+                started += 1
+                running += 1
+            error = None
+            try:
+                fit[k] = float(obj(positions[k]))
+                if np.isnan(fit[k]):
+                    raise NumericalError(f"objective returned NaN at position {positions[k].tolist()}")
+            except BaseException as e:  # re-raised by the caller
+                error = e
+            with changed:
+                if error is not None:
+                    failures[k] = error
+                running -= 1
+                changed.notify_all()
+
+    # A helper that starts after the caller has taken every row finds none
+    # left; the caller waits only for rows that have started, never for a
+    # helper to start, so a busy pool cannot hold a batch up. score_rows
+    # keeps every row's exception, so the helpers' futures hold none to read.
+    for _ in range(min(len(os.sched_getaffinity(0)), rows) - 1):
+        _helper_pool().submit(score_rows)
+    score_rows()
+    with changed:
+        changed.wait_for(lambda: running == 0)
+    if failures:
+        raise failures[min(failures)]
     return fit
 
 
@@ -315,6 +375,29 @@ def stratified_fold_ids(labels, folds: int, seed: int) -> tuple[int, np.ndarray]
     return effective, fold_of
 
 
+def _workspace(n: int, splits) -> tuple[np.ndarray, list[tuple]]:
+    """Scratch arrays for one evaluation of ``cv_objective``'s objective.
+
+    Returns the n x n kernel and, per (train, held) split with t training and
+    m held-out samples, the n x t kernel columns, the t x t system, its
+    F-order t x t Cholesky factor and the m x t held-out rows. All lie in one
+    anonymous memory map, which goes back to the system once the arrays are
+    freed; heap arrays allocated in pool threads would stay in glibc's
+    per-thread arenas and raise the peak memory of the later stages.
+    """
+    t_max = max(train.size for train, _ in splits)
+    m_max = max(held.size for _, held in splits)
+    sizes = np.array([n * n, n * t_max, t_max * t_max, t_max * t_max, m_max * t_max])
+    flat = np.frombuffer(mmap.mmap(-1, 8 * int(sizes.sum())), dtype=np.float64)
+    kernel, rows, system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
+    folds = []
+    for train, held in splits:
+        t, m = train.size, held.size
+        folds.append((rows[: n * t].reshape(n, t), system[: t * t].reshape(t, t),
+                      factor[: t * t].reshape(t, t).T, held_rows[: m * t].reshape(m, t)))
+    return kernel.reshape(n, n), folds
+
+
 def cv_objective(train_x, train_labels, folds: int, seed: int):
     """Cross-validated squared error of a KELM at (log10 C, log10 gamma).
 
@@ -326,6 +409,12 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     are computed here once; an evaluation is one ``kelm.rbf_kernel`` over
     that matrix and one regularized solve per fold, with the same arithmetic
     as ``kelm.train`` followed by ``kelm.predict``.
+
+    The objective may be called from several threads at once, as
+    ``batch_fitness`` does. Each call borrows one of the scratch workspaces
+    (see ``_workspace``) allocated here, one per CPU, and writes all of its
+    large arrays there; the most recently returned workspace is lent first,
+    so a workspace that no call needs is never touched.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -341,16 +430,26 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
         splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
                   for f in range(effective)]
     plan = [(train, held, targets[train], targets[held]) for train, held in splits]
+    workspaces = queue.LifoQueue()
+    for _ in range(len(os.sched_getaffinity(0))):
+        workspaces.put(_workspace(y.size, splits))
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
-        kernel = kelm.rbf_kernel(sq_dist, hyper.gamma)
-        errors = []
-        for train, held, train_targets, held_targets in plan:
-            rows = kernel.take(train, axis=1)
-            alpha = kelm.solve_kernel_system(rows.take(train, axis=0), train_targets, hyper.c)
-            scores = rows.take(held, axis=0) @ alpha
-            errors.append(kelm.mse_fitness(scores, held_targets))
+        kernel, scratch = workspace = workspaces.get()
+        try:
+            kelm.rbf_kernel(sq_dist, hyper.gamma, out=kernel)
+            errors = []
+            for (train, held, train_targets, held_targets), (rows, system, factor, held_rows) \
+                    in zip(plan, scratch):
+                # mode="raise" would buffer each take through a new array
+                np.take(kernel, train, axis=1, out=rows, mode="clip")
+                np.take(rows, train, axis=0, out=system, mode="clip")
+                alpha = kelm.solve_kernel_system(system, train_targets, hyper.c, factor)
+                np.take(rows, held, axis=0, out=held_rows, mode="clip")
+                errors.append(kelm.mse_fitness(held_rows @ alpha, held_targets))
+        finally:
+            workspaces.put(workspace)
         return float(np.mean(errors))
 
     return objective, effective

@@ -124,6 +124,7 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"ssa": {"log10_c_bounds": [1]}}, "ssa.log10_c_bounds must be a list of 2, got [1]"),
     ({"ssa": {"lower": [1]}}, "unknown ssa config key(s): ['lower']"),
     ({"ssa": {"paper_literal_v": False}}, "unknown ssa config key(s): ['paper_literal_v']"),
+    ({"num_classes": 70000}, "num_classes must lie in 1..65535, got 70000"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}

@@ -154,6 +154,13 @@ def test_label_exceeding_num_classes():
         LabelRaster(np.array([[1, 5]], dtype=np.uint16), num_classes=2)
 
 
+def test_num_classes_beyond_uint16_rejected():
+    # the uint16 cast wrapped 65537 to 1 when num_classes let it through
+    with pytest.raises(DataError, match=r"num_classes must lie in 1\.\.65535, got 70000"):
+        LabelRaster(np.array([[1, 65537]], dtype=np.int64), num_classes=70000)
+    assert LabelRaster(np.array([[1, 65535]], dtype=np.int64), num_classes=65535).labels.max() == 65535
+
+
 # cast to uint16 before these checks, 65537 loaded as 1, inf as 0 (unlabeled), and -1
 # was reported as label 65535
 @pytest.mark.parametrize("value, message", [

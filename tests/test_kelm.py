@@ -3,8 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
-from hsikelm.errors import ConfigError, DataError
+from hsikelm import kelm
+from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.kelm import (
     KelmHyperparams,
     load_model,
@@ -73,6 +76,46 @@ def test_residual_invariant():
     system = omega + np.eye(30) / hyper.c
     residual = np.max(np.abs(system @ model.alpha - one_hot(y, model.class_ids)))
     assert residual <= 1e-8 * 2
+
+
+def _kernel_system(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 5))
+    system = rbf_kernel(cdist(x, x, "sqeuclidean"), 0.3)
+    system[np.diag_indices(n)] += 0.01
+    return system, rng
+
+
+@pytest.mark.parametrize("n", [1, 7, 330])
+@pytest.mark.parametrize("k", [1, 16])
+def test_spd_solve_bit_equal_to_scipy_cholesky(n, k):
+    system, rng = _kernel_system(n, seed=n)
+    rhs = rng.normal(size=(n, k))
+    want = cho_solve(cho_factor(system, lower=True), rhs)
+    factor = np.empty((n, n), order="F")
+    for got in (kelm._spd_solve(system, rhs), kelm._spd_solve(system, rhs, factor)):
+        assert got.flags.f_contiguous and np.array_equal(got, want)
+    assert np.array_equal(np.tril(factor), np.tril(cho_factor(system, lower=True)[0]))
+
+
+def test_spd_solve_jitter_retry_and_indefinite():
+    singular = np.ones((3, 3))  # PSD, rank 1
+    rhs = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(LinAlgError):
+        cho_factor(singular, lower=True)
+    jittered = singular + kelm._JITTER * np.eye(3)
+    want = cho_solve(cho_factor(jittered, lower=True), rhs)
+    assert np.array_equal(kelm._spd_solve(singular, rhs), want)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        kelm._spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), rhs[:2])
+
+
+def test_spd_solve_rejects_shapes_lapack_cannot_take():
+    system, rng = _kernel_system(4, seed=0)
+    with pytest.raises(ValueError, match="bad solve shapes"):
+        kelm._spd_solve(system, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="bad solve shapes"):
+        kelm._spd_solve(system, np.ones((4, 2)), factor=np.empty((4, 4)))  # C-order
 
 
 def test_identity_kernel_limit():

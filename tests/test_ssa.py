@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -198,17 +201,62 @@ def test_batch_fitness_scores_rows_in_order_and_stops_at_nan():
 
     fit = batch_fitness(obj, np.array([[1.0, 0.0], [3.0, 0.0]]))
     assert fit.dtype == np.float64 and fit.tolist() == [2.0, 6.0]
-    assert seen == [[1.0, 0.0], [3.0, 0.0]]
+    assert sorted(seen) == [[1.0, 0.0], [3.0, 0.0]]
     assert batch_fitness(obj, np.empty((0, 2))).shape == (0,)
 
-    def nan_at_two(x):
-        seen.append(x.tolist())
-        return np.nan if x[0] == 2.0 else 0.0
+    # rows run side by side, so a later row may fail first; the first
+    # failure in row order is the one raised
+    def failing(nan_row, error_row, error):
+        def f(x):
+            row = int(x[0])
+            if row == min(nan_row, error_row):
+                time.sleep(0.2)  # let the later failure finish first
+            if row == nan_row:
+                return np.nan
+            if row == error_row:
+                raise error
+            return 0.0
+        return f
 
-    seen.clear()
-    with pytest.raises(NumericalError, match=r"NaN at position \[2.0\]"):
-        batch_fitness(nan_at_two, np.array([[1.0], [2.0], [3.0]]))
-    assert seen == [[1.0], [2.0]]
+    rows = np.arange(5.0)[:, None]
+    with pytest.raises(NumericalError, match=r"NaN at position \[1.0\]"):
+        batch_fitness(failing(1, 3, NumericalError("row 3 failed")), rows)
+    with pytest.raises(ValueError, match="row 1 failed"):
+        batch_fitness(failing(3, 1, ValueError("row 1 failed")), rows)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_batch_fitness_runs_rows_concurrently():
+    barrier = threading.Barrier(2, timeout=10)
+
+    def obj(x):
+        barrier.wait()  # raises BrokenBarrierError unless two rows run at once
+        return float(x[0])
+
+    assert batch_fitness(obj, np.array([[1.0], [2.0]])).tolist() == [1.0, 2.0]
+
+
+def test_batch_fitness_stress_more_workers_than_cores(monkeypatch):
+    # eight workers on however many cores, switching threads as often as the
+    # interpreter allows: every row must run exactly once and land in its slot
+    monkeypatch.setattr(ssa.os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls = np.zeros(2000, dtype=np.int64)
+
+    def obj(x):
+        k = int(x[0])
+        calls[k] += 1
+        time.sleep(0)  # give up the interpreter lock mid-row
+        return float(k * calls[k])  # differs between batches, so a stale slot shows
+
+    rows = np.arange(calls.size, dtype=np.float64)[:, None]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for batch in range(1, 9):
+            assert np.array_equal(batch_fitness(obj, rows), batch * rows[:, 0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(calls == 8)
 
 
 def _three_loop_optimize(obj, cfg):
@@ -335,6 +383,20 @@ def test_cv_objective_equals_train_predict_oracle(folds):
         for lg in np.linspace(-3, 3, 5):
             z = np.array([lc, lg])
             assert objective(z) == oracle(z)
+
+
+def test_cv_objective_pooled_equals_serial():
+    rng = np.random.default_rng(2)
+    y = np.repeat([1, 2, 3], [11, 12, 14])
+    x = rng.normal(size=(y.size, 6)) + 0.5 * y[:, None]
+    _, fold_of = stratified_fold_ids(y, 3, seed=1)
+    assert len(set(np.bincount(fold_of).tolist())) > 1  # folds of unequal size
+    objective, _ = cv_objective(x, y, 3, seed=1)
+    grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
+    serial = [objective(z) for z in grid]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(objective, grid[::-1]))[::-1]
+    assert [v.hex() for v in pooled] == [v.hex() for v in serial]
 
 
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
