@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
+import mmap
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from .errors import ConfigError, DataError, NumericalError
 
 RESIDUAL_TOL = 1e-8
 _JITTER = 1e-10
-_PREDICT_CHUNK = 4096
+BLOCK_ROWS = 2048
 _MODEL_MAGIC = b"HSIKELM1"
 
 
@@ -208,8 +213,8 @@ def single_threaded_blas():
     """Run the body with every loaded OpenBLAS on one thread, then restore each count.
 
     The tuning search is many small dense solves, which run several times
-    faster on one thread; the feature stage gets its parallelism from
-    smoothing bands side by side instead. A fixed thread count also makes
+    faster on one thread; the other pooled stages get their parallelism
+    from ``run_jobs`` instead. A fixed thread count also makes
     results the same whatever the environment sets. Without OpenBLAS this
     does nothing.
     """
@@ -224,8 +229,107 @@ def single_threaded_blas():
             set_threads(count)
 
 
+def mapped_array(shape) -> np.ndarray:
+    """A float64 array of ``shape`` in its own anonymous memory map.
+
+    The pages go back to the system once the array is freed. Heap arrays
+    allocated in pool threads would stay in glibc's per-thread arenas and
+    raise the peak memory of the later stages.
+    """
+    size = int(np.prod(shape))
+    buffer = mmap.mmap(-1, 8 * max(size, 1))  # a map cannot be empty
+    return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
+
+
+@functools.cache
+def _helper_pool() -> ThreadPoolExecutor:
+    """Threads that help ``run_jobs`` callers; idle between calls.
+
+    They live as long as the process: starting threads for each call costs
+    a thread handshake per helper, more than a cheap job.
+    """
+    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="run_jobs")
+
+
+def run_jobs(job, count: int, scratch_shape=None) -> None:
+    """Call ``job(k, scratch)`` once for each k in ``range(count)``, side by side.
+
+    The jobs run on one worker per CPU in the process's affinity mask (at
+    most one per job): the calling thread and helpers from a shared pool.
+    So ``job`` must be safe to call from several threads. With
+    ``scratch_shape``, each worker owns one float64 ``scratch`` array of that
+    shape, all of them in one ``mapped_array``; otherwise ``scratch`` is
+    None. Each worker takes the next unstarted job, in job order, until none
+    is left or a job has raised. All jobs before a failed one have then
+    started, and they are waited for; the exception of the first failed job
+    in job order is raised.
+    """
+    workers = min(len(os.sched_getaffinity(0)), count)
+    scratch = [None] * workers
+    if scratch_shape is not None:
+        scratch = mapped_array((workers, *scratch_shape))
+    failures = {}  # job -> exception
+    started = running = 0
+    changed = threading.Condition()
+
+    def work(worker):
+        nonlocal started, running
+        while True:
+            with changed:
+                if failures or started == count:
+                    return
+                k = started
+                started += 1
+                running += 1
+            error = None
+            try:
+                job(k, scratch[worker])
+            except BaseException as e:  # re-raised by the caller
+                error = e
+            with changed:
+                if error is not None:
+                    failures[k] = error
+                running -= 1
+                changed.notify_all()
+
+    # A helper that starts after the caller has taken every job finds none
+    # left; the caller waits only for jobs that have started, never for a
+    # helper to start, so a busy pool cannot hold a call up. work keeps
+    # every job's exception, so the helpers' futures hold none to read.
+    for worker in range(1, workers):
+        _helper_pool().submit(work, worker)
+    work(0)
+    with changed:
+        changed.wait_for(lambda: running == 0)
+    if failures:
+        raise failures[min(failures)]
+
+
+def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
+    """Call ``job(start, stop, scratch)`` for the ``BLOCK_ROWS``-row blocks of ``rows``.
+
+    The blocks run side by side on ``run_jobs`` with BLAS on one thread.
+    ``scratch`` is the calling worker's (stop - start) x ``scratch_cols``
+    float64 array, C-contiguous and left as the worker's previous block
+    wrote it. The blocks do not depend on the CPU count, so neither do the
+    bits of a job that writes only its own rows.
+    """
+    def block(k, scratch):
+        start = k * BLOCK_ROWS
+        stop = min(start + BLOCK_ROWS, rows)
+        job(start, stop, scratch[: stop - start])
+
+    with single_threaded_blas():
+        run_jobs(block, -(-rows // BLOCK_ROWS), (min(BLOCK_ROWS, rows), scratch_cols))
+
+
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Scores (m x c) and arg-max labels for a feature matrix."""
+    """Scores (m x c) and arg-max labels for a feature matrix.
+
+    The rows are scored in blocks of ``BLOCK_ROWS`` side by side
+    (``run_row_blocks``), so the bits depend on neither the CPU count nor
+    the BLAS thread setting.
+    """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
         raise DataError(f"features must be 2-D, got shape {X.shape}")
@@ -234,10 +338,13 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"feature dimension {X.shape[1]} does not match model's {d}")
     m = X.shape[0]
     scores = np.empty((m, model.class_ids.size), dtype=np.float64)
-    for start in range(0, m, _PREDICT_CHUNK):
-        stop = min(start + _PREDICT_CHUNK, m)
-        k = rbf_kernel(cdist(X[start:stop], model.train_x, "sqeuclidean"), model.hyper.gamma)
-        scores[start:stop] = k @ model.alpha
+
+    def score_block(start, stop, kernel):
+        cdist(X[start:stop], model.train_x, "sqeuclidean", out=kernel)
+        rbf_kernel(kernel, model.hyper.gamma, out=kernel)
+        np.matmul(kernel, model.alpha, out=scores[start:stop])
+
+    run_row_blocks(score_block, m, model.train_x.shape[0])
     if m == 0:
         return scores, np.empty(0, dtype=np.int64)
     labels = model.class_ids[np.argmax(scores, axis=1)]

@@ -14,8 +14,6 @@ the standard solver for this objective.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +29,6 @@ from .errors import ConfigError, DataError, NumericalError
 
 _SOLVE_TOL = 1e-6
 _EIG_RTOL = 1e-10
-_TRANSFORM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,11 @@ def band_grouping(num_bands: int, k: int) -> BandGrouping:
 def group_and_average(cube: HyperCube, k: int) -> HyperCube:
     """Reduce to k bands, each the mean of its contiguous source group."""
     grouping = band_grouping(cube.bands, k)
-    vals = cube.values.astype(np.float64)
-    out = np.empty((cube.height, cube.width, k), dtype=np.float64)
+    out = np.empty((cube.height, cube.width, k), dtype=np.float32)
     for g, members in enumerate(grouping.groups):
-        out[:, :, g] = vals[:, :, list(members)].mean(axis=2)
-    return HyperCube(out.astype(np.float32))
+        # a float64 mean of the float32 slice, without a float64 copy of the cube
+        out[:, :, g] = cube.values[:, :, members[0] : members[-1] + 1].mean(axis=2, dtype=np.float64)
+    return HyperCube(out)
 
 
 def min_max_scale(values: np.ndarray, axis) -> np.ndarray:
@@ -192,11 +189,11 @@ def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
 def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     """Smooth every band at every scale; output band l*K + k is (scale l, band k).
 
-    The (scale, band) pairs are independent and run side by side, one thread
-    per CPU in the process's affinity mask (the sparse solver releases the
-    GIL), with BLAS on one thread. Each pair writes only its own output band,
-    so the result does not depend on the thread count. The first failure
-    cancels the pairs not yet started and is raised.
+    The (scale, band) pairs are independent and run side by side on
+    ``kelm.run_jobs`` (the sparse solver releases the GIL), with BLAS on one
+    thread. Each pair writes only its own output band, so the result does
+    not depend on the thread count. After a failure no further pair starts,
+    and the first failure in pair order is raised.
     """
     scales = tuple(scales)
     if not scales:
@@ -204,20 +201,11 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     k = cube.bands
     out = np.empty((cube.height, cube.width, k * len(scales)), dtype=np.float32)
 
-    def smooth(j: int) -> None:
+    def smooth(j: int, _) -> None:
         out[:, :, j] = rtv_smooth(cube.values[:, :, j % k], scales[j // k])
 
-    workers = min(len(os.sched_getaffinity(0)), out.shape[2])
     with kelm.single_threaded_blas():
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(smooth, j) for j in range(out.shape[2])]
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in futures:  # raises the first failure in pair order
-                if future in done:
-                    future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        kelm.run_jobs(smooth, out.shape[2])
     return HyperCube(out)
 
 
@@ -233,10 +221,12 @@ class KpcaModel:
     total_mean: float
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+def _kernel(a: np.ndarray, b: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix between the rows of a and b, written into ``out`` when given."""
     if gamma == 0.0:
-        return a @ b.T
-    return kelm.rbf_kernel(cdist(a, b, "sqeuclidean"), gamma)
+        return np.matmul(a, b.T, out=out)
+    sq_dist = cdist(a, b, "sqeuclidean", out=out)
+    return kelm.rbf_kernel(sq_dist, gamma, out=sq_dist)
 
 
 def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int, seed: int) -> KpcaModel:
@@ -278,13 +268,23 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
 
 
 def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
+    """Project the rows of x onto the model's components.
+
+    The rows are projected in blocks side by side (``kelm.run_row_blocks``),
+    each block's kernel centered in place in the worker's scratch, so the
+    bits depend on neither the CPU count nor the BLAS thread setting.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], model.coeffs.shape[1]), dtype=np.float64)
-    for start in range(0, x.shape[0], _TRANSFORM_CHUNK):
-        stop = min(start + _TRANSFORM_CHUNK, x.shape[0])
-        k = _kernel(x[start:stop], model.landmarks, model.gamma)
-        k_centered = k - k.mean(axis=1, keepdims=True) - model.col_mean[None, :] + model.total_mean
-        out[start:stop] = k_centered @ model.coeffs
+
+    def project_block(start, stop, kernel):
+        _kernel(x[start:stop], model.landmarks, model.gamma, out=kernel)
+        kernel -= kernel.mean(axis=1, keepdims=True)
+        kernel -= model.col_mean
+        kernel += model.total_mean
+        np.matmul(kernel, model.coeffs, out=out[start:stop])
+
+    kelm.run_row_blocks(project_block, x.shape[0], model.landmarks.shape[0])
     return out
 
 

@@ -31,13 +31,9 @@ is dispatched. Draw order per role:
 
 from __future__ import annotations
 
-import functools
-import mmap
 import os
 import queue
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,71 +221,27 @@ def greedy_replace(state: SsaState) -> None:
     state.worst_pos = state.positions[w].copy()
 
 
-@functools.cache
-def _helper_pool() -> ThreadPoolExecutor:
-    """Threads that help ``batch_fitness`` callers score rows; idle between batches.
-
-    They live as long as the process: starting threads for each batch costs
-    a thread handshake per helper, more than a row of a cheap objective.
-    """
-    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="batch_fitness")
-
-
 def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
     """Fitness of each row of the (m, d) ``positions``, as a float64 vector.
 
     ``obj`` takes one position and is called at most once per row. The rows
-    run side by side, one worker thread per CPU (at most one per row): the
-    calling thread and helpers from a shared pool. So ``obj`` must be safe
-    to call from several threads. Each worker takes the next unstarted row,
-    in row order, until none is left or a row has failed, i.e. raised or
-    returned NaN. All rows before a failed one have then started, and they
-    are waited for; the failure of the first failed row in row order is
-    raised (NaN as ``NumericalError``), and no later row's result is used.
-    Only positions that are passed here are checked: in ``optimize`` a
-    joiner candidate that a scout replaces is never evaluated, so a NaN (or
-    a ``NumericalError`` raised by ``obj``) that only that candidate would
-    give does not end the run.
+    run side by side on ``kelm.run_jobs``, so ``obj`` must be safe to call
+    from several threads. A row fails when ``obj`` raises or returns NaN;
+    no row starts after a failure, and the failure of the first failed row
+    in row order is raised (NaN as ``NumericalError``), so no later row's
+    result is used. Only positions that are passed here are checked: in
+    ``optimize`` a joiner candidate that a scout replaces is never
+    evaluated, so a NaN (or a ``NumericalError`` raised by ``obj``) that
+    only that candidate would give does not end the run.
     """
-    rows = len(positions)
-    fit = np.empty(rows)
-    failures = {}  # row -> exception
-    started = running = 0
-    changed = threading.Condition()
+    fit = np.empty(len(positions))
 
-    def score_rows():
-        nonlocal started, running
-        while True:
-            with changed:
-                if failures or started == rows:
-                    return
-                k = started
-                started += 1
-                running += 1
-            error = None
-            try:
-                fit[k] = float(obj(positions[k]))
-                if np.isnan(fit[k]):
-                    raise NumericalError(f"objective returned NaN at position {positions[k].tolist()}")
-            except BaseException as e:  # re-raised by the caller
-                error = e
-            with changed:
-                if error is not None:
-                    failures[k] = error
-                running -= 1
-                changed.notify_all()
+    def score(k, _):
+        fit[k] = float(obj(positions[k]))
+        if np.isnan(fit[k]):
+            raise NumericalError(f"objective returned NaN at position {positions[k].tolist()}")
 
-    # A helper that starts after the caller has taken every row finds none
-    # left; the caller waits only for rows that have started, never for a
-    # helper to start, so a busy pool cannot hold a batch up. score_rows
-    # keeps every row's exception, so the helpers' futures hold none to read.
-    for _ in range(min(len(os.sched_getaffinity(0)), rows) - 1):
-        _helper_pool().submit(score_rows)
-    score_rows()
-    with changed:
-        changed.wait_for(lambda: running == 0)
-    if failures:
-        raise failures[min(failures)]
+    kelm.run_jobs(score, len(positions))
     return fit
 
 
@@ -388,7 +340,7 @@ def _workspace(n: int, splits) -> tuple[np.ndarray, list[tuple]]:
     t_max = max(train.size for train, _ in splits)
     m_max = max(held.size for _, held in splits)
     sizes = np.array([n * n, n * t_max, t_max * t_max, t_max * t_max, m_max * t_max])
-    flat = np.frombuffer(mmap.mmap(-1, 8 * int(sizes.sum())), dtype=np.float64)
+    flat = kelm.mapped_array(int(sizes.sum()))
     kernel, rows, system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
     folds = []
     for train, held in splits:

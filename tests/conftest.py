@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,17 @@ def openblas_at_two_threads():
     yield controls
     for (set_threads, _), count in zip(controls, original):
         set_threads(count)
+
+
+# row counts around the block size of kelm.run_row_blocks, none included
+BLOCK_SIZES = [0, 1, kelm.BLOCK_ROWS - 1, kelm.BLOCK_ROWS, kelm.BLOCK_ROWS + 1, 3 * kelm.BLOCK_ROWS + 5]
+
+
+@pytest.fixture(params=[1, 8], ids=["1cpu", "8cpus"])
+def cpus(request, monkeypatch):
+    """The affinity mask's CPU count, as the job runner sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
 
 
 @pytest.fixture

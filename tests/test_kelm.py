@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hsikelm.kelm import (
     save_model,
     train,
 )
+
+from conftest import BLOCK_SIZES
 
 
 def oracle_scores(train_x, labels, c, gamma, query_x):
@@ -254,3 +260,109 @@ def test_load_model_rejects_garbage(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataError):
         load_model(path)
+
+
+# -- side-by-side jobs and row blocks -----------------------------------------
+
+def test_run_jobs_pool_runs_each_job_once_in_its_own_scratch(cpus):
+    # switching threads as often as the interpreter allows: a job that another
+    # worker's job overwrote, or a job run twice or never, shows
+    calls = np.zeros(2000, dtype=np.int64)
+    owners = {}
+
+    def job(k, scratch):
+        calls[k] += 1
+        owners.setdefault(scratch.ctypes.data, scratch)
+        scratch[:] = k
+        time.sleep(0)  # let another worker run mid-job
+        assert np.all(scratch == k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        kelm.run_jobs(job, calls.size, (3, 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(calls == 1)
+    assert 1 <= len(owners) <= cpus
+    assert all(s.shape == (3, 2) and s.flags.c_contiguous for s in owners.values())
+    kelm.run_jobs(job, 0, (3, 2))  # no job, no worker, no scratch
+    kelm.run_jobs(lambda k, scratch: owners.setdefault("none", scratch), 2)
+    assert owners["none"] is None
+
+
+def test_run_jobs_pool_raises_first_failure_in_job_order_and_stops(cpus):
+    started = []
+
+    def job(k, _):
+        started.append(k)
+        if k == 1:
+            time.sleep(0.2)  # let the later failure finish first
+            raise ValueError("job 1 failed")
+        if k == 3:
+            raise NumericalError("job 3 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(ValueError, match="job 1 failed"):
+        kelm.run_jobs(job, 100)
+    # no job starts once a failure is recorded: without the stop, all 100
+    # would have started while job 1 sleeps
+    assert sorted(started) == list(range(len(started))) and len(started) < 3 + 2 * cpus
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_run_jobs_pool_runs_jobs_concurrently():
+    barrier = threading.Barrier(2, timeout=10)
+    kelm.run_jobs(lambda k, _: barrier.wait(), 2)  # BrokenBarrierError unless both run at once
+
+
+def _blocks_model(seed=0, n=40, d=5, classes=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    labels = np.arange(n) % classes + 1
+    return train(x, labels, KelmHyperparams(c=10.0, gamma=0.3))
+
+
+def _serial_block_scores(model, x):
+    """The parent formula on the same row blocks, one after the other."""
+    scores = np.empty((x.shape[0], model.class_ids.size))
+    with kelm.single_threaded_blas():
+        for start in range(0, x.shape[0], kelm.BLOCK_ROWS):
+            stop = start + kelm.BLOCK_ROWS
+            k = rbf_kernel(cdist(x[start:stop], model.train_x, "sqeuclidean"), model.hyper.gamma)
+            scores[start:stop] = k @ model.alpha
+    return scores
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+def test_predict_blocks_bit_equal_to_serial_blocks(cpus, m):
+    model = _blocks_model()
+    x = np.random.default_rng(m).normal(size=(m, 5))
+    scores, labels = predict(model, x)
+    want = _serial_block_scores(model, x)
+    assert scores.shape == (m, 3) and np.array_equal(scores, want)
+    assert np.array_equal(labels, model.class_ids[np.argmax(want, axis=1)] if m else np.empty(0))
+
+
+def test_predict_block_failure_order_and_blas_threads(monkeypatch, cpus, openblas_at_two_threads):
+    model = _blocks_model()
+    x = np.random.default_rng(1).normal(size=(5 * kelm.BLOCK_ROWS, 5))
+    controls = openblas_at_two_threads
+    seen = []  # BLAS thread counts inside the blocks
+    cdist_before = kelm.cdist
+
+    def failing(a, b, metric, out):
+        seen.append([get() for _, get in controls])
+        start = int(np.flatnonzero((x == a[0]).all(axis=1))[0])
+        if start == kelm.BLOCK_ROWS:
+            time.sleep(0.2)  # let the later failure finish first
+            raise DataError("block 1 failed")
+        if start == 3 * kelm.BLOCK_ROWS:
+            raise NumericalError("block 3 failed")
+        return cdist_before(a, b, metric, out=out)
+
+    monkeypatch.setattr(kelm, "cdist", failing)
+    with pytest.raises(DataError, match="block 1 failed"):
+        predict(model, x)
+    assert seen and all(counts == [1] * len(controls) for counts in seen)
+    assert [get() for _, get in controls] == [2] * len(controls)

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import identity
 from scipy.sparse.linalg import spsolve
+from scipy.spatial.distance import cdist
 
 from hsikelm import kelm, mstv
 from hsikelm.datacube import HyperCube
@@ -21,6 +25,8 @@ from hsikelm.mstv import (
     rtv_smooth,
     scale_bands_unit,
 )
+
+from conftest import BLOCK_SIZES
 
 
 def tv_oracle(img):
@@ -103,6 +109,26 @@ def test_group_average_within_group_bounds(cube_vals, k):
         src = cube.values[:, :, list(members)]
         assert np.all(out.values[:, :, g] >= src.min(axis=2) - 1e-6)
         assert np.all(out.values[:, :, g] <= src.max(axis=2) + 1e-6)
+
+
+@pytest.mark.parametrize("shape, k", [((7, 9, 103), 20), ((5, 6, 200), 2), ((4, 3, 7), 3)])
+def test_group_average_bit_equal_to_float64_copy(shape, k):
+    cube = HyperCube(np.random.default_rng(shape[2]).normal(size=shape).astype(np.float32))
+    vals = cube.values.astype(np.float64)
+    want = np.stack([vals[:, :, list(members)].mean(axis=2)
+                     for members in band_grouping(shape[2], k).groups], axis=2)
+    assert np.array_equal(group_and_average(cube, k).values, want.astype(np.float32))
+
+
+def test_group_average_makes_no_float64_copy_of_the_cube():
+    cube = HyperCube(np.random.default_rng(0).normal(size=(64, 64, 200)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        group_and_average(cube, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.values.nbytes // 4  # a float64 copy would be twice the cube
 
 
 def test_scale_bands_unit():
@@ -287,3 +313,67 @@ def test_mstv_config_validated():
         MstvConfig(k=2, scales=(RtvParams(),), n_components=3)
     with pytest.raises(ConfigError):
         MstvConfig(n_components=10, landmark_count=5)
+
+
+# -- KPCA transform in row blocks ---------------------------------------------
+
+def _serial_block_transform(model, x):
+    """The parent formula on the same row blocks, one after the other."""
+    out = np.empty((x.shape[0], model.coeffs.shape[1]))
+    with kelm.single_threaded_blas():
+        for start in range(0, x.shape[0], kelm.BLOCK_ROWS):
+            block = x[start : start + kelm.BLOCK_ROWS]
+            if model.gamma == 0.0:
+                k = block @ model.landmarks.T
+            else:
+                k = kelm.rbf_kernel(cdist(block, model.landmarks, "sqeuclidean"), model.gamma)
+            centered = k - k.mean(axis=1, keepdims=True) - model.col_mean[None, :] + model.total_mean
+            out[start : start + kelm.BLOCK_ROWS] = centered @ model.coeffs
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.0], ids=["rbf", "linear"])
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+def test_kpca_transform_blocks_bit_equal_to_serial_blocks(cpus, gamma, m):
+    rng = np.random.default_rng(m)
+    model = kpca_fit(rng.normal(size=(300, 6)), n_components=4, gamma=gamma, landmark_count=50, seed=0)
+    x = rng.normal(size=(m, 6))
+    got = kpca_transform(model, x)
+    assert got.shape == (m, 4) and np.array_equal(got, _serial_block_transform(model, x))
+
+
+def test_kpca_transform_linear_blocks_match_one_product():
+    # the linear kernel of a block is a matrix product whose bits BLAS may
+    # let depend on the block's row count; the blocked features stay within
+    # 1e-12 of the projection done as one product
+    rng = np.random.default_rng(2)
+    x = rng.uniform(size=(3 * kelm.BLOCK_ROWS + 5, 60))
+    model = kpca_fit(x, n_components=20, gamma=0.0, landmark_count=500, seed=0)
+    k = x @ model.landmarks.T
+    whole = (k - k.mean(axis=1, keepdims=True) - model.col_mean + model.total_mean) @ model.coeffs
+    got = kpca_transform(model, x)
+    assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def test_kpca_transform_block_failure_order_and_blas_threads(monkeypatch, cpus, openblas_at_two_threads):
+    rng = np.random.default_rng(3)
+    model = kpca_fit(rng.normal(size=(300, 6)), n_components=4, gamma=0.5, landmark_count=50, seed=0)
+    x = rng.normal(size=(5 * kelm.BLOCK_ROWS, 6))
+    controls = openblas_at_two_threads
+    seen = []  # BLAS thread counts inside the blocks
+
+    def failing(a, b, metric, out):
+        seen.append([get() for _, get in controls])
+        start = int(np.flatnonzero((x == a[0]).all(axis=1))[0])
+        if start == kelm.BLOCK_ROWS:
+            time.sleep(0.2)  # let the later failure finish first
+            raise ConfigError("block 1 failed")
+        if start == 3 * kelm.BLOCK_ROWS:
+            raise NumericalError("block 3 failed")
+        return cdist(a, b, metric, out=out)
+
+    monkeypatch.setattr(mstv, "cdist", failing)
+    with pytest.raises(ConfigError, match="block 1 failed"):
+        kpca_transform(model, x)
+    assert seen and all(counts == [1] * len(controls) for counts in seen)
+    assert [get() for _, get in controls] == [2] * len(controls)
