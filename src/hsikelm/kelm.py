@@ -80,6 +80,7 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
 
     When ``num_classes`` is given, every class 1..num_classes must appear in
     ``labels``; otherwise the class list is the sorted set of observed ids.
+    The solve runs with BLAS on one thread, whatever the environment sets.
     """
     X = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels).ravel()
@@ -100,7 +101,8 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
         raise DataError(f"{n} samples cannot cover {class_ids.size} classes")
 
     omega = rbf_kernel(cdist(X, X, "sqeuclidean"), hyper.gamma)
-    alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
+    with single_threaded_blas():
+        alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
 
@@ -184,13 +186,14 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def openblas_thread_controls() -> list[tuple]:
-    """(set, get) thread-count functions of every OpenBLAS loaded in this process."""
+@functools.cache
+def openblas_thread_controls() -> tuple[tuple, ...]:
+    """(set, get) thread-count functions of every OpenBLAS loaded when this is first called."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return []
+        return ()
     paths = sorted({f[5].strip() for f in fields if len(f) == 6})
     controls = []
     for path in paths:
@@ -205,18 +208,19 @@ def openblas_thread_controls() -> list[tuple]:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 controls.append((setter, getter))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager
 def single_threaded_blas():
     """Run the body with every loaded OpenBLAS on one thread, then restore each count.
 
-    The tuning search is many small dense solves, which run several times
-    faster on one thread; the other pooled stages get their parallelism
-    from ``run_jobs`` instead. A fixed thread count also makes
-    results the same whatever the environment sets. Without OpenBLAS this
-    does nothing.
+    hsikelm's one BLAS policy, so that results are the same whatever the
+    environment sets: ``run_jobs`` enters it around its jobs, which get their
+    parallelism from one worker per CPU instead, and the serial BLAS stages
+    (``train``'s solve, ``mstv.kpca_fit``) enter it themselves. The count is
+    process-wide: no two independent threads may enter it at once. Without
+    OpenBLAS this does nothing.
     """
     controls = openblas_thread_controls()
     previous = [get() for _, get in controls]
@@ -251,6 +255,7 @@ def _helper_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="run_jobs")
 
 
+@single_threaded_blas()
 def run_jobs(job, count: int, scratch_shape=None) -> None:
     """Call ``job(k, scratch)`` once for each k in ``range(count)``, side by side.
 
@@ -262,7 +267,7 @@ def run_jobs(job, count: int, scratch_shape=None) -> None:
     None. Each worker takes the next unstarted job, in job order, until none
     is left or a job has raised. All jobs before a failed one have then
     started, and they are waited for; the exception of the first failed job
-    in job order is raised.
+    in job order is raised. The whole call runs with BLAS on one thread.
     """
     workers = min(len(os.sched_getaffinity(0)), count)
     scratch = [None] * workers
@@ -308,7 +313,7 @@ def run_jobs(job, count: int, scratch_shape=None) -> None:
 def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
     """Call ``job(start, stop, scratch)`` for the ``BLOCK_ROWS``-row blocks of ``rows``.
 
-    The blocks run side by side on ``run_jobs`` with BLAS on one thread.
+    The blocks run side by side on ``run_jobs``, so with BLAS on one thread.
     ``scratch`` is the calling worker's (stop - start) x ``scratch_cols``
     float64 array, C-contiguous and left as the worker's previous block
     wrote it. The blocks do not depend on the CPU count, so neither do the
@@ -319,8 +324,7 @@ def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
         stop = min(start + BLOCK_ROWS, rows)
         job(start, stop, scratch[: stop - start])
 
-    with single_threaded_blas():
-        run_jobs(block, -(-rows // BLOCK_ROWS), (min(BLOCK_ROWS, rows), scratch_cols))
+    run_jobs(block, -(-rows // BLOCK_ROWS), (min(BLOCK_ROWS, rows), scratch_cols))
 
 
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 from scipy.ndimage import gaussian_filter
-from scipy.sparse import coo_matrix, identity
+from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
@@ -145,19 +145,22 @@ def _texture_weights(s, sigma, eps_s, eps_l):
     return wx, wy
 
 
-def _weighted_laplacian(wx, wy, lam):
+def _rtv_system(wx, wy, lam):
+    """``I + lam * L_w`` in CSR, for the 4-neighbour Laplacian L_w whose edges
+    (p, p+1) and (p, p+w) weigh ``wx[p]`` and ``wy[p]`` (a zero weight leaves no
+    entry). A diagonal entry adds the pixel's weights right, left, down, up, then 1."""
     h, w = wx.shape
-    n = h * w
-    idx = np.arange(n).reshape(h, w)
-    # horizontal edges (p, p+1) and vertical edges (p, p+w)
-    hp = idx[:, :-1].ravel()
-    hw = lam * wx[:, :-1].ravel()
-    vp = idx[:-1, :].ravel()
-    vw = lam * wy[:-1, :].ravel()
-    rows = np.concatenate([hp, hp + 1, hp, hp + 1, vp, vp + w, vp, vp + w])
-    cols = np.concatenate([hp, hp + 1, hp + 1, hp, vp, vp + w, vp + w, vp])
-    data = np.concatenate([hw, hw, -hw, -hw, vw, vw, -vw, -vw])
-    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    right, down = lam * wx.ravel(), lam * wy.ravel()
+    diagonal = right.copy()
+    diagonal[1:] += right[:-1]  # left: right is 0 in the last column
+    diagonal += down
+    diagonal[w:] += down[:-w]  # up
+    diagonal += 1.0
+    bands, offsets = [diagonal, -down[:-w], -down[:-w]], [0, w, -w]
+    if w > 1:  # at width 1 the offsets 1 and w coincide, and right is all 0
+        bands += [-right[:-1]] * 2
+        offsets += [1, -1]
+    return diags(bands, offsets, shape=(h * w, h * w), format="csr")
 
 
 def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
@@ -174,7 +177,7 @@ def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
     sigma = params.sigma
     for _ in range(params.iterations):
         wx, wy = _texture_weights(out, sigma, params.epsilon_s, params.epsilon_l)
-        system = identity(g.size, format="csr") + _weighted_laplacian(wx, wy, params.lam)
+        system = _rtv_system(wx, wy, params.lam)
         # symmetric minimum-degree ordering: the system is symmetric, and this
         # roughly halves the fill of the LU factors against the default COLAMD
         sol = spsolve(system, g, permc_spec="MMD_AT_PLUS_A")
@@ -204,8 +207,7 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     def smooth(j: int, _) -> None:
         out[:, :, j] = rtv_smooth(cube.values[:, :, j % k], scales[j // k])
 
-    with kelm.single_threaded_blas():
-        kelm.run_jobs(smooth, out.shape[2])
+    kelm.run_jobs(smooth, out.shape[2])
     return HyperCube(out)
 
 
@@ -242,11 +244,13 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
         raise ConfigError(f"landmark count {m} < n_components {n_components}")
     rng = np.random.default_rng(seed)
     landmarks = x[rng.choice(n, size=m, replace=False)]
-    k_mm = _kernel(landmarks, landmarks, gamma)
-    col_mean = k_mm.mean(axis=0)
-    total_mean = float(k_mm.mean())
-    centered = k_mm - col_mean[None, :] - col_mean[:, None] + total_mean
-    eigenvalues, eigenvectors = eigh(centered)
+    # on more BLAS threads, eigh may return a component with the opposite sign
+    with kelm.single_threaded_blas():
+        k_mm = _kernel(landmarks, landmarks, gamma)
+        col_mean = k_mm.mean(axis=0)
+        total_mean = float(k_mm.mean())
+        centered = k_mm - col_mean[None, :] - col_mean[:, None] + total_mean
+        eigenvalues, eigenvectors = eigh(centered)
     eigenvalues = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
     tol = max(eigenvalues[0], 0.0) * _EIG_RTOL
@@ -298,9 +302,6 @@ def kpca_reduce(stacked: HyperCube, cfg: MstvConfig) -> np.ndarray:
     """Project every pixel of the stacked cube onto the top components."""
     x = stacked.as_matrix()
     gamma = resolve_kpca_gamma(cfg, x.shape[1])
-    # one BLAS thread: with more, eigh may return a component with the opposite
-    # sign, so the features would depend on the environment's thread setting
-    with kelm.single_threaded_blas():
-        model = kpca_fit(x, cfg.n_components, gamma, cfg.landmark_count, cfg.seed)
-        return kpca_transform(model, x)
+    model = kpca_fit(x, cfg.n_components, gamma, cfg.landmark_count, cfg.seed)
+    return kpca_transform(model, x)
 

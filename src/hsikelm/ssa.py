@@ -417,17 +417,12 @@ class TuneResult:
 
 
 def tune_kelm(train_x, train_labels, cfg: SsaConfig | None = None, folds: int = 5) -> TuneResult:
-    """Search (log10 C, log10 gamma) minimizing ``cv_objective``.
-
-    The search runs with OpenBLAS pinned to one thread, so its results do not
-    depend on the BLAS thread setting of the environment.
-    """
+    """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
     cfg = cfg if cfg is not None else default_tuning_config()
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
     objective, effective = cv_objective(train_x, train_labels, folds, cfg.seed)
-    with kelm.single_threaded_blas():
-        result = optimize(objective, cfg)
+    result = optimize(objective, cfg)
     hyper = kelm.KelmHyperparams(c=10.0 ** result.best_pos[0], gamma=10.0 ** result.best_pos[1])
     return TuneResult(
         hyper=hyper,

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from hsikelm import kelm
+from hsikelm import kelm, mstv
 from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.kelm import (
     KelmHyperparams,
@@ -365,4 +365,33 @@ def test_predict_block_failure_order_and_blas_threads(monkeypatch, cpus, openbla
     with pytest.raises(DataError, match="block 1 failed"):
         predict(model, x)
     assert seen and all(counts == [1] * len(controls) for counts in seen)
+    assert [get() for _, get in controls] == [2] * len(controls)
+
+
+def test_blas_pinned_in_run_jobs_train_and_kpca_fit(monkeypatch, openblas_at_two_threads):
+    controls = openblas_at_two_threads
+    seen = {}  # stage -> BLAS thread counts inside it
+
+    def record(name):
+        seen[name] = [get() for _, get in controls]
+
+    def recorded(name, func):
+        def wrapper(*args, **kwargs):
+            record(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    def failing_job(k, _):
+        record("failing job")
+        raise DataError("job failed")
+
+    kelm.run_jobs(lambda k, _: record("job"), 1)
+    with pytest.raises(DataError, match="job failed"):
+        kelm.run_jobs(failing_job, 1)
+    assert [get() for _, get in controls] == [2] * len(controls)
+    monkeypatch.setattr(kelm, "solve_kernel_system", recorded("train", kelm.solve_kernel_system))
+    monkeypatch.setattr(mstv, "eigh", recorded("eigh", mstv.eigh))
+    _blocks_model()
+    mstv.kpca_fit(np.random.default_rng(0).normal(size=(30, 4)), 2, 0.5, 20, seed=0)
+    assert seen == dict.fromkeys(["job", "failing job", "train", "eigh"], [1] * len(controls))
     assert [get() for _, get in controls] == [2] * len(controls)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse import identity
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
@@ -171,12 +171,39 @@ def test_smoothing_deterministic():
     assert np.array_equal(rtv_smooth(img, params), rtv_smooth(img, params))
 
 
+def edge_list_system(wx, wy, lam):
+    """I + lam * L_w assembled from the edge list: four COO entries per edge,
+    duplicates summed by the CSR conversion, then the identity added."""
+    h, w = wx.shape
+    n = h * w
+    idx = np.arange(n).reshape(h, w)
+    # horizontal edges (p, p+1) and vertical edges (p, p+w)
+    hp = idx[:, :-1].ravel()
+    hw = lam * wx[:, :-1].ravel()
+    vp = idx[:-1, :].ravel()
+    vw = lam * wy[:-1, :].ravel()
+    rows = np.concatenate([hp, hp + 1, hp, hp + 1, vp, vp + w, vp, vp + w])
+    cols = np.concatenate([hp, hp + 1, hp + 1, hp, vp, vp + w, vp + w, vp])
+    data = np.concatenate([hw, hw, -hw, -hw, vw, vw, -vw, -vw])
+    return identity(n, format="csr") + coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 56), (61, 34)])
+def test_rtv_system_bit_equal_to_edge_list_oracle(shape):
+    img = np.random.default_rng(shape[0] * shape[1]).uniform(size=shape)
+    wx, wy = mstv._texture_weights(img, 2.0, 1e-2, 1e-3)
+    got = mstv._rtv_system(wx, wy, 0.005)
+    want = edge_list_system(wx, wy, 0.005)
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_one_round_matches_default_ordering_oracle():
     rng = np.random.default_rng(6)
     img = np.where(np.arange(56)[None, :] < 23, 1.0, 0.2) + 0.1 * rng.normal(size=(40, 56))
     params = RtvParams(lam=0.01, sigma=2.0, iterations=1)
     wx, wy = mstv._texture_weights(img, params.sigma, params.epsilon_s, params.epsilon_l)
-    system = identity(img.size, format="csr") + mstv._weighted_laplacian(wx, wy, params.lam)
+    system = edge_list_system(wx, wy, params.lam)
     expected = spsolve(system, img.ravel()).reshape(img.shape)  # scipy's default ordering
     out = rtv_smooth(img, params)
     assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(img)))

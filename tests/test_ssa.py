@@ -409,6 +409,13 @@ def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, op
     assert [get() for _, get in openblas_at_two_threads] == [2] * len(openblas_at_two_threads)
 
 
+def _blas_env(threads: str) -> dict:
+    """This environment with ``OPENBLAS_NUM_THREADS`` set, for a subprocess that imports hsikelm."""
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+
+
 _TUNE_HEX = """
 import numpy as np
 from hsikelm.ssa import default_tuning_config, tune_kelm
@@ -422,13 +429,10 @@ print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 
 @pytest.mark.skipif(not kelm.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
 def test_tune_kelm_bits_independent_of_blas_threads():
-    src = str(Path(hsikelm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-        run = subprocess.run([sys.executable, "-c", _TUNE_HEX], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
+        run = subprocess.run([sys.executable, "-c", _TUNE_HEX], env=_blas_env(threads),
+                             capture_output=True, text=True, check=True, timeout=120)
         outputs.append(run.stdout)
     assert outputs[0].strip() and outputs[0] == outputs[1]
 
@@ -440,21 +444,35 @@ def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_pat
                            mstv={"k": 5, "n_components": 5, "landmark_count": 1000})
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    src = str(Path(hsikelm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     one_cpu = {min(os.sched_getaffinity(0))}
     artifacts = []
     for threads, cpus in (("1", one_cpu), ("2", None)):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         subprocess.run(
             [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
              "--out", str(out), "--canonical"],
-            env=env, capture_output=True, check=True, timeout=120,
+            env=_blas_env(threads), capture_output=True, check=True, timeout=120,
             preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
         )
-        artifacts.append([(out / name).read_bytes() for name in ("ssa_trace.csv", "run_report.json")])
+        names = ("ssa_trace.csv", "run_report.json", "confusion.csv", "classification_map.ppm")
+        artifacts.append([(out / name).read_bytes() for name in names])
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.skipif(not kelm.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
+def test_train_model_bytes_independent_of_blas_threads(small_scene, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "unused")))
+    models = []  # at n ~ 300 training pixels two BLAS threads change the Cholesky's bits
+    for threads in ("1", "2"):
+        model = tmp_path / f"threads{threads}.bin"
+        subprocess.run(
+            [sys.executable, "-m", "hsikelm.cli", "train", "--config", str(config),
+             "--train-fraction", "0.3", "--c", "100", "--gamma", "0.5", "--out", str(model)],
+            env=_blas_env(threads), capture_output=True, check=True, timeout=120,
+        )
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_tune_kelm_single_fold_is_training_mse():
