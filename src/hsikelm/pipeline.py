@@ -15,6 +15,7 @@ timing fields) even when written to different directories.
 from __future__ import annotations
 
 import json
+import sys
 import time
 import types
 import typing
@@ -100,7 +101,9 @@ def _convert(tp, value, path: str):
 
     Handles int, float (an int is widened), str, bool, ``X | None``,
     ``tuple[X, ...]`` and fixed-length tuples (from a JSON list), and nested
-    config dataclasses. A bool is never accepted as a number.
+    config dataclasses. A bool is never accepted as a number, nor NaN, an
+    infinity (Python's JSON reader accepts both) or an int beyond a float's
+    range as a float.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
@@ -116,7 +119,9 @@ def _convert(tp, value, path: str):
                          for i, (t, v) in enumerate(zip(item_types, value)))
     else:
         expected = tp.__name__
-        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints out of range
+                raise ConfigError(f"{path} must be a finite float, got {value!r}")
             value = float(value)
         if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
             return value

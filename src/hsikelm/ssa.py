@@ -327,27 +327,23 @@ def stratified_fold_ids(labels, folds: int, seed: int) -> tuple[int, np.ndarray]
     return effective, fold_of
 
 
-def _workspace(n: int, splits) -> tuple[np.ndarray, list[tuple]]:
+def _workspace(splits) -> list[tuple]:
     """Scratch arrays for one evaluation of ``cv_objective``'s objective.
 
-    Returns the n x n kernel and, per (train, held) split with t training and
-    m held-out samples, the n x t kernel columns, the t x t system, its
+    ``splits`` holds the shape (m, t) of each fold's held-out block, with m
+    held-out and t training samples. Returns per fold the t x t system, its
     F-order t x t Cholesky factor and the m x t held-out rows. All lie in one
     anonymous memory map, which goes back to the system once the arrays are
     freed; heap arrays allocated in pool threads would stay in glibc's
     per-thread arenas and raise the peak memory of the later stages.
     """
-    t_max = max(train.size for train, _ in splits)
-    m_max = max(held.size for _, held in splits)
-    sizes = np.array([n * n, n * t_max, t_max * t_max, t_max * t_max, m_max * t_max])
+    t_max = max(t for _, t in splits)
+    m_max = max(m for m, _ in splits)
+    sizes = np.array([t_max * t_max, t_max * t_max, m_max * t_max])
     flat = kelm.mapped_array(int(sizes.sum()))
-    kernel, rows, system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
-    folds = []
-    for train, held in splits:
-        t, m = train.size, held.size
-        folds.append((rows[: n * t].reshape(n, t), system[: t * t].reshape(t, t),
-                      factor[: t * t].reshape(t, t).T, held_rows[: m * t].reshape(m, t)))
-    return kernel.reshape(n, n), folds
+    system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
+    return [(system[: t * t].reshape(t, t), factor[: t * t].reshape(t, t).T,
+             held_rows[: m * t].reshape(m, t)) for m, t in splits]
 
 
 def cv_objective(train_x, train_labels, folds: int, seed: int):
@@ -356,17 +352,21 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     Returns ``(objective, folds_used)``. With ``folds_used`` >= 2 the
     objective is the mean held-out error over seeded stratified folds; with
     ``folds_used`` = 1 it is the training-set error of a model fit on
-    everything. Only C and gamma change between evaluations, so the
-    squared-distance matrix, the fold index arrays and the one-hot targets
-    are computed here once; an evaluation is one ``kelm.rbf_kernel`` over
-    that matrix and one regularized solve per fold, with the same arithmetic
-    as ``kelm.train`` followed by ``kelm.predict``.
+    everything. Only C and gamma change between evaluations, so each fold's
+    squared distances (training x training and held-out x training) and
+    one-hot targets are cut here once from one distance matrix, which is not
+    kept. An evaluation writes ``kelm.rbf_kernel`` of each block straight into
+    its scratch and makes one regularized solve per fold, with the same
+    arithmetic as ``kelm.train`` followed by ``kelm.predict``.
 
     The objective may be called from several threads at once, as
     ``batch_fitness`` does. Each call borrows one of the scratch workspaces
-    (see ``_workspace``) allocated here, one per CPU, and writes all of its
-    large arrays there; the most recently returned workspace is lent first,
-    so a workspace that no call needs is never touched.
+    (see ``_workspace``) allocated here, one per CPU; the most recently
+    returned one is lent first, so a workspace that no call needs is never
+    touched. In float64 values, the fold blocks that all calls share hold
+    (F - 1)·n² at F >= 2 folds and n² at one fold; a workspace holds
+    2·t² + m·t for the largest fold's t training and m held-out samples,
+    1.44·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -375,33 +375,32 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     effective, fold_of = stratified_fold_ids(y, folds, seed)
     targets = kelm.one_hot(y, np.unique(y))
     sq_dist = kelm.cdist(x, x, "sqeuclidean")
-    if effective == 1:
-        everything = np.arange(y.size)
-        splits = [(everything, everything)]
+    if effective == 1:  # fit and score on everything
+        plan = [(sq_dist, sq_dist, targets, targets)]
     else:
-        splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
-                  for f in range(effective)]
-    plan = [(train, held, targets[train], targets[held]) for train, held in splits]
+        plan = []
+        for f in range(effective):
+            train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+            plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
+                         targets[train], targets[held]))
+    del sq_dist  # with several folds, only their blocks are kept
     workspaces = queue.LifoQueue()
     for _ in range(len(os.sched_getaffinity(0))):
-        workspaces.put(_workspace(y.size, splits))
+        workspaces.put(_workspace([held_dist.shape for _, held_dist, _, _ in plan]))
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
-        kernel, scratch = workspace = workspaces.get()
+        scratch = workspaces.get()
         try:
-            kelm.rbf_kernel(sq_dist, hyper.gamma, out=kernel)
             errors = []
-            for (train, held, train_targets, held_targets), (rows, system, factor, held_rows) \
+            for (train_dist, held_dist, train_targets, held_targets), (system, factor, held_rows) \
                     in zip(plan, scratch):
-                # mode="raise" would buffer each take through a new array
-                np.take(kernel, train, axis=1, out=rows, mode="clip")
-                np.take(rows, train, axis=0, out=system, mode="clip")
+                kelm.rbf_kernel(train_dist, hyper.gamma, out=system)
                 alpha = kelm.solve_kernel_system(system, train_targets, hyper.c, factor)
-                np.take(rows, held, axis=0, out=held_rows, mode="clip")
-                errors.append(kelm.mse_fitness(held_rows @ alpha, held_targets))
+                scores = kelm.rbf_kernel(held_dist, hyper.gamma, out=held_rows) @ alpha
+                errors.append(kelm.mse_fitness(scores, held_targets))
         finally:
-            workspaces.put(workspace)
+            workspaces.put(scratch)
         return float(np.mean(errors))
 
     return objective, effective

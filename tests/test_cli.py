@@ -125,6 +125,15 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"ssa": {"lower": [1]}}, "unknown ssa config key(s): ['lower']"),
     ({"ssa": {"paper_literal_v": False}}, "unknown ssa config key(s): ['paper_literal_v']"),
     ({"num_classes": 70000}, "num_classes must lie in 1..65535, got 70000"),
+    ({"ssa": {"log10_c_bounds": [float("nan"), 4]}},
+     "ssa.log10_c_bounds[0] must be a finite float, got nan"),
+    ({"ssa": {"log10_gamma_bounds": [-float("inf"), float("inf")]}},
+     "ssa.log10_gamma_bounds[0] must be a finite float, got -inf"),
+    ({"mstv": {"kpca_gamma": float("inf")}}, "mstv.kpca_gamma must be a finite float, got inf"),
+    ({"mstv": {"kpca_gamma": 10 ** 400}}, "mstv.kpca_gamma must be a finite float, got 1000"),
+    ({"mstv": {"scales": [{"sigma": float("inf")}]}},
+     "mstv.scales[0].sigma must be a finite float, got inf"),
+    ({"mstv": {"scales": [{"lam": float("nan")}]}}, "mstv.scales[0].lam must be a finite float, got nan"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}

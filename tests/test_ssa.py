@@ -371,14 +371,20 @@ def test_tune_kelm_separable_blobs():
     assert result.best_fitness <= min(grid) + 0.05
 
 
-@pytest.mark.parametrize("folds", [1, 3])
-def test_cv_objective_equals_train_predict_oracle(folds):
+@pytest.mark.parametrize("folds", [1, 3, 5])
+def test_cv_objective_equals_train_predict_oracle(folds, monkeypatch):
     rng = np.random.default_rng(11)
     y = np.repeat([1, 2, 3], 12)
     x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
+    mapped, mapped_array = [], kelm.mapped_array
+    monkeypatch.setattr(kelm, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
     objective, folds_used = cv_objective(x, y, folds, seed=4)
     oracle = _cv_objective(x, y, folds, seed=4)
     assert folds_used == folds
+    # one workspace per CPU: system and factor at the largest t, held-out rows at the largest m
+    held = np.bincount(stratified_fold_ids(y, folds, seed=4)[1])
+    train = held if folds == 1 else y.size - held
+    assert mapped == [2 * train.max() ** 2 + held.max() * train.max()] * len(os.sched_getaffinity(0))
     for lc in np.linspace(-2, 4, 5):
         for lg in np.linspace(-3, 3, 5):
             z = np.array([lc, lg])
