@@ -181,6 +181,7 @@ def _load_raster(path, dtype: str, ndim: int) -> np.ndarray:
 def _save_raster(values_hwb: np.ndarray, path, dtype: str) -> None:
     """Write an (H, W, B) array as the header + band-sequential payload pair."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     h, w, b = values_hwb.shape
     header = {"height": h, "width": w, "bands": b, "dtype": dtype,
               "order": CUBE_ORDER, "byteorder": "little"}

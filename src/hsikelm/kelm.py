@@ -245,6 +245,24 @@ def mapped_array(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
 
 
+@contextlib.contextmanager
+def lend(pool: list, make):
+    """Lend ``pool``'s most recently returned item, or ``make()`` when all are lent out.
+
+    The item goes back to ``pool`` when the body exits, also when it raises.
+    Safe from several threads at once: ``pool`` never holds more items than
+    borrowers that ran at once, and an item no borrower needs is not touched.
+    """
+    try:
+        item = pool.pop()
+    except IndexError:
+        item = make()
+    try:
+        yield item
+    finally:
+        pool.append(item)
+
+
 @functools.cache
 def _helper_pool() -> ThreadPoolExecutor:
     """Threads that help ``run_jobs`` callers; idle between calls.
@@ -256,28 +274,24 @@ def _helper_pool() -> ThreadPoolExecutor:
 
 
 @single_threaded_blas()
-def run_jobs(job, count: int, scratch_shape=None) -> None:
-    """Call ``job(k, scratch)`` once for each k in ``range(count)``, side by side.
+def run_jobs(job, count: int) -> None:
+    """Call ``job(k)`` once for each k in ``range(count)``, side by side.
 
     The jobs run on one worker per CPU in the process's affinity mask (at
     most one per job): the calling thread and helpers from a shared pool.
-    So ``job`` must be safe to call from several threads. With
-    ``scratch_shape``, each worker owns one float64 ``scratch`` array of that
-    shape, all of them in one ``mapped_array``; otherwise ``scratch`` is
-    None. Each worker takes the next unstarted job, in job order, until none
-    is left or a job has raised. All jobs before a failed one have then
-    started, and they are waited for; the exception of the first failed job
-    in job order is raised. The whole call runs with BLAS on one thread.
+    So ``job`` must be safe to call from several threads; a job that needs
+    scratch memory borrows it with ``lend``. Each worker takes the next
+    unstarted job, in job order, until none is left or a job has raised.
+    All jobs before a failed one have then started, and they are waited
+    for; the exception of the first failed job in job order is raised. The
+    whole call runs with BLAS on one thread.
     """
     workers = min(len(os.sched_getaffinity(0)), count)
-    scratch = [None] * workers
-    if scratch_shape is not None:
-        scratch = mapped_array((workers, *scratch_shape))
     failures = {}  # job -> exception
     started = running = 0
     changed = threading.Condition()
 
-    def work(worker):
+    def work():
         nonlocal started, running
         while True:
             with changed:
@@ -288,7 +302,7 @@ def run_jobs(job, count: int, scratch_shape=None) -> None:
                 running += 1
             error = None
             try:
-                job(k, scratch[worker])
+                job(k)
             except BaseException as e:  # re-raised by the caller
                 error = e
             with changed:
@@ -301,9 +315,9 @@ def run_jobs(job, count: int, scratch_shape=None) -> None:
     # left; the caller waits only for jobs that have started, never for a
     # helper to start, so a busy pool cannot hold a call up. work keeps
     # every job's exception, so the helpers' futures hold none to read.
-    for worker in range(1, workers):
-        _helper_pool().submit(work, worker)
-    work(0)
+    for _ in range(1, workers):
+        _helper_pool().submit(work)
+    work()
     with changed:
         changed.wait_for(lambda: running == 0)
     if failures:
@@ -314,17 +328,20 @@ def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
     """Call ``job(start, stop, scratch)`` for the ``BLOCK_ROWS``-row blocks of ``rows``.
 
     The blocks run side by side on ``run_jobs``, so with BLAS on one thread.
-    ``scratch`` is the calling worker's (stop - start) x ``scratch_cols``
-    float64 array, C-contiguous and left as the worker's previous block
-    wrote it. The blocks do not depend on the CPU count, so neither do the
-    bits of a job that writes only its own rows.
+    ``scratch`` is a (stop - start) x ``scratch_cols`` float64 array,
+    C-contiguous, lent (``lend``) from the call's pool of ``mapped_array``
+    workspaces and left as an earlier block wrote it. The blocks do not depend
+    on the CPU count, so neither do the bits of a job that writes only its own rows.
     """
-    def block(k, scratch):
+    pool = []
+
+    def block(k):
         start = k * BLOCK_ROWS
         stop = min(start + BLOCK_ROWS, rows)
-        job(start, stop, scratch[: stop - start])
+        with lend(pool, lambda: mapped_array((min(BLOCK_ROWS, rows), scratch_cols))) as scratch:
+            job(start, stop, scratch[: stop - start])
 
-    run_jobs(block, -(-rows // BLOCK_ROWS), (min(BLOCK_ROWS, rows), scratch_cols))
+    run_jobs(block, -(-rows // BLOCK_ROWS))
 
 
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -375,6 +392,7 @@ def save_model(model: KelmModel, path) -> None:
         "class_ids": model.class_ids.tolist(),
     }
     blob = json.dumps(header, sort_keys=True).encode()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))

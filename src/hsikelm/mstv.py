@@ -204,7 +204,7 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     k = cube.bands
     out = np.empty((cube.height, cube.width, k * len(scales)), dtype=np.float32)
 
-    def smooth(j: int, _) -> None:
+    def smooth(j: int) -> None:
         out[:, :, j] = rtv_smooth(cube.values[:, :, j % k], scales[j // k])
 
     kelm.run_jobs(smooth, out.shape[2])
@@ -275,7 +275,7 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     """Project the rows of x onto the model's components.
 
     The rows are projected in blocks side by side (``kelm.run_row_blocks``),
-    each block's kernel centered in place in the worker's scratch, so the
+    each block's kernel centered in place in its borrowed scratch, so the
     bits depend on neither the CPU count nor the BLAS thread setting.
     """
     x = np.asarray(x, dtype=np.float64)

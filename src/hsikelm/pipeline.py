@@ -72,7 +72,7 @@ class PipelineConfig:
     seed: int = 0
     output_dir: str = "out"
     mstv: MstvConfig = field(default_factory=MstvConfig)
-    ssa: ssa.SsaConfig = field(default_factory=ssa.default_tuning_config)
+    ssa: ssa.TuningConfig = field(default_factory=ssa.TuningConfig)
     fixed_hyperparams: kelm.KelmHyperparams | None = None
     canonical: bool = False
 
@@ -87,13 +87,6 @@ class PipelineConfig:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-# JSON names of the (lower, upper) pair of each SsaConfig dimension, in order
-SSA_BOUNDS = {
-    "log10_c_bounds": ssa.DEFAULT_LOG10_C_BOUNDS,
-    "log10_gamma_bounds": ssa.DEFAULT_LOG10_GAMMA_BOUNDS,
-}
 
 
 def _convert(tp, value, path: str):
@@ -137,14 +130,15 @@ def _object(value, where: str) -> dict:
 def _build(cls, raw, where: str, **given):
     """Instantiate the config dataclass ``cls`` from the JSON object ``raw``.
 
-    Every field comes from ``raw`` (type-checked), else from ``given``, else
-    from its default; the fields in ``given`` are not keys of ``raw``.
+    Every init field comes from ``raw`` (type-checked), else from ``given``,
+    else from its default; the fields in ``given`` are not keys of ``raw``.
     """
     hints = typing.get_type_hints(cls)
-    unknown = set(_object(raw, where)) - (set(hints) - set(given))
+    init_fields = [f for f in fields(cls) if f.init]
+    unknown = set(_object(raw, where)) - ({f.name for f in init_fields} - set(given))
     if unknown:
         raise ConfigError(f"unknown {where or 'top-level'} config key(s): {sorted(unknown)}")
-    for f in fields(cls):
+    for f in init_fields:
         path = f"{where}.{f.name}" if where else f.name
         if f.name in raw:
             given[f.name] = _convert(hints[f.name], raw[f.name], path)
@@ -157,19 +151,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a validated config from a JSON-style dict; unknown keys and wrong types fail.
 
     The sections ``mstv`` and ``ssa`` inherit the master ``seed`` unless they
-    set their own; ``ssa`` states its search box as ``SSA_BOUNDS`` pairs.
+    set their own.
     """
     raw = dict(raw)
     seed = _convert(int, raw.get("seed", 0), "seed")
     mstv_raw = {"seed": seed, **_object(raw.pop("mstv", {}), "mstv")}
     ssa_raw = {"seed": seed, **_object(raw.pop("ssa", {}), "ssa")}
-    bounds = [_convert(tuple[float, float], ssa_raw.pop(key, list(default)), f"ssa.{key}")
-              for key, default in SSA_BOUNDS.items()]
-    lower, upper = np.array(bounds, dtype=np.float64).T
     return _build(
         PipelineConfig, raw, "",
         mstv=_build(MstvConfig, mstv_raw, "mstv"),
-        ssa=_build(ssa.SsaConfig, ssa_raw, "ssa", lower=lower, upper=upper),
+        ssa=_build(ssa.TuningConfig, ssa_raw, "ssa"),
     )
 
 
@@ -191,7 +182,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 def _echo(value):
     if is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
     return value
@@ -200,11 +191,7 @@ def _echo(value):
 def config_echo_dict(config: PipelineConfig) -> dict:
     """Semantic config as a plain dict in the shape ``config_from_dict`` reads;
     excludes the run-local output_dir."""
-    echo = _echo(config)
-    del echo["output_dir"], echo["ssa"]["lower"], echo["ssa"]["upper"]
-    pairs = np.column_stack([config.ssa.lower, config.ssa.upper]).tolist()
-    echo["ssa"].update(zip(SSA_BOUNDS, pairs))
-    return echo
+    return {key: value for key, value in _echo(config).items() if key != "output_dir"}
 
 
 @contextmanager
@@ -315,8 +302,10 @@ def make_synthetic_cube(
         raise ConfigError(f"invalid dimensions {height}x{width}x{bands}")
     if not 1 <= num_classes <= height:
         raise ConfigError(f"num_classes must lie in 1..height={height}, got {num_classes}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows = np.arange(height)
     stripe = np.minimum((rows * num_classes) // height, num_classes - 1)

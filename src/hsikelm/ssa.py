@@ -31,10 +31,8 @@ is dispatched. Draw order per role:
 
 from __future__ import annotations
 
-import os
-import queue
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +42,6 @@ from .errors import ConfigError, DataError, NumericalError
 
 DELTA = 1e-50
 _INIT, _PRODUCERS, _JOINERS, _SCOUTS = 0, 1, 2, 3
-
-DEFAULT_LOG10_C_BOUNDS = (-2.0, 4.0)
-DEFAULT_LOG10_GAMMA_BOUNDS = (-3.0, 3.0)
 
 
 def check_swarm_config(cfg) -> None:
@@ -102,6 +97,22 @@ class SsaConfig:
     @property
     def scout_count(self) -> int:
         return min(self.pop_size, max(1, round(self.scout_ratio * self.pop_size)))
+
+
+@dataclass(frozen=True)
+class TuningConfig(SsaConfig):
+    """SSA over (log10 C, log10 gamma); ``lower`` and ``upper`` derive from the axes' pairs."""
+
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
+    log10_c_bounds: tuple[float, float] = (-2.0, 4.0)
+    log10_gamma_bounds: tuple[float, float] = (-3.0, 3.0)
+
+    def __post_init__(self):
+        lower, upper = np.array([self.log10_c_bounds, self.log10_gamma_bounds], dtype=np.float64).T
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        super().__post_init__()
 
 
 @dataclass
@@ -236,7 +247,7 @@ def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
     """
     fit = np.empty(len(positions))
 
-    def score(k, _):
+    def score(k):
         fit[k] = float(obj(positions[k]))
         if np.isnan(fit[k]):
             raise NumericalError(f"objective returned NaN at position {positions[k].tolist()}")
@@ -290,16 +301,6 @@ def write_trace_csv(path, trace_best, trace_mean) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def default_tuning_config(seed: int = 0, **overrides) -> SsaConfig:
-    """2-D search space over (log10 C, log10 gamma)."""
-    return SsaConfig(
-        lower=np.array([DEFAULT_LOG10_C_BOUNDS[0], DEFAULT_LOG10_GAMMA_BOUNDS[0]]),
-        upper=np.array([DEFAULT_LOG10_C_BOUNDS[1], DEFAULT_LOG10_GAMMA_BOUNDS[1]]),
-        seed=seed,
-        **overrides,
-    )
-
-
 def stratified_fold_ids(labels, folds: int, seed: int) -> tuple[int, np.ndarray]:
     """Assign each sample to a fold, round-robin per shuffled class.
 
@@ -332,10 +333,8 @@ def _workspace(splits) -> list[tuple]:
 
     ``splits`` holds the shape (m, t) of each fold's held-out block, with m
     held-out and t training samples. Returns per fold the t x t system, its
-    F-order t x t Cholesky factor and the m x t held-out rows. All lie in one
-    anonymous memory map, which goes back to the system once the arrays are
-    freed; heap arrays allocated in pool threads would stay in glibc's
-    per-thread arenas and raise the peak memory of the later stages.
+    F-order t x t Cholesky factor and the m x t held-out rows, all views of
+    one ``kelm.mapped_array``.
     """
     t_max = max(t for _, t in splits)
     m_max = max(m for m, _ in splits)
@@ -360,13 +359,11 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     arithmetic as ``kelm.train`` followed by ``kelm.predict``.
 
     The objective may be called from several threads at once, as
-    ``batch_fitness`` does. Each call borrows one of the scratch workspaces
-    (see ``_workspace``) allocated here, one per CPU; the most recently
-    returned one is lent first, so a workspace that no call needs is never
-    touched. In float64 values, the fold blocks that all calls share hold
-    (F - 1)·n² at F >= 2 folds and n² at one fold; a workspace holds
-    2·t² + m·t for the largest fold's t training and m held-out samples,
-    1.44·n² at 5 folds.
+    ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
+    objective's pool (``kelm.lend``), which holds one per call that ran at
+    once. In float64 values, the fold blocks that all calls share hold
+    (F - 1)·n² at F >= 2 folds and n² at one fold; a workspace holds 2·t² + m·t
+    for the largest fold's t training and m held-out samples, 1.44·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -384,23 +381,18 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
             plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
                          targets[train], targets[held]))
     del sq_dist  # with several folds, only their blocks are kept
-    workspaces = queue.LifoQueue()
-    for _ in range(len(os.sched_getaffinity(0))):
-        workspaces.put(_workspace([held_dist.shape for _, held_dist, _, _ in plan]))
+    workspaces = []
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
-        scratch = workspaces.get()
-        try:
-            errors = []
+        errors = []
+        with kelm.lend(workspaces, lambda: _workspace([h.shape for _, h, _, _ in plan])) as scratch:
             for (train_dist, held_dist, train_targets, held_targets), (system, factor, held_rows) \
                     in zip(plan, scratch):
                 kelm.rbf_kernel(train_dist, hyper.gamma, out=system)
                 alpha = kelm.solve_kernel_system(system, train_targets, hyper.c, factor)
                 scores = kelm.rbf_kernel(held_dist, hyper.gamma, out=held_rows) @ alpha
                 errors.append(kelm.mse_fitness(scores, held_targets))
-        finally:
-            workspaces.put(scratch)
         return float(np.mean(errors))
 
     return objective, effective
@@ -417,7 +409,7 @@ class TuneResult:
 
 def tune_kelm(train_x, train_labels, cfg: SsaConfig | None = None, folds: int = 5) -> TuneResult:
     """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
-    cfg = cfg if cfg is not None else default_tuning_config()
+    cfg = cfg if cfg is not None else TuningConfig()
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
     objective, effective = cv_objective(train_x, train_labels, folds, cfg.seed)

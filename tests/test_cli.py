@@ -30,6 +30,39 @@ def test_synth_writes_canonical_pair(tmp_path):
     assert labels.num_classes == 3
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("--noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+], ids=["nan-noise", "inf-noise", "negative-seed"])
+def test_synth_bad_noise_or_seed_exit_2(flag, value, message, tmp_path, capsys):
+    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2", flag, value,
+               "--out-cube", str(tmp_path / "c.f32"), "--out-labels", str(tmp_path / "l.u16")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.f32").exists()
+
+
+def test_file_outputs_create_missing_directories(tmp_path):
+    # synth, features and train write files, not directories: each creates the
+    # parent directory it is pointed into
+    fresh = tmp_path / "fresh" / "nested"
+    cube_path, label_path = fresh / "cube" / "c.f32", fresh / "labels" / "l.u16"
+    assert main(["synth", "--height", "16", "--width", "16", "--bands", "8", "--classes", "2",
+                 "--out-cube", str(cube_path), "--out-labels", str(label_path)]) == 0
+    scene = {"cube_path": cube_path, "label_path": label_path, "labels": load_labels(label_path, 2)}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(fast_config_dict(scene, tmp_path / "out", train_fraction=0.3,
+                                                    mstv={"k": 4, "n_components": 3})))
+    features_path = fresh / "features" / "f.f32"
+    assert main(["features", "--config", str(cfg_path), "--out", str(features_path)]) == 0
+    assert load_cube(features_path).bands == 7  # 3 spectral + 4 spatial
+    model_path = fresh / "model" / "m.bin"
+    assert main(["train", "--config", str(cfg_path), "--c", "10", "--gamma", "0.5",
+                 "--out", str(model_path)]) == 0
+    assert model_path.stat().st_size > 0
+
+
 def test_run_subcommand(scene_config):
     out = scene_config["tmp"] / "cli_out"
     rc = main(["run", "--config", str(scene_config["config"]), "--out", str(out), "--canonical"])

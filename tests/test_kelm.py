@@ -264,37 +264,70 @@ def test_load_model_rejects_garbage(tmp_path, content):
 
 # -- side-by-side jobs and row blocks -----------------------------------------
 
-def test_run_jobs_pool_runs_each_job_once_in_its_own_scratch(cpus):
-    # switching threads as often as the interpreter allows: a job that another
-    # worker's job overwrote, or a job run twice or never, shows
+def test_run_jobs_pool_runs_each_job_once(cpus):
+    # switching threads as often as the interpreter allows: a job run twice
+    # or never shows
     calls = np.zeros(2000, dtype=np.int64)
-    owners = {}
 
-    def job(k, scratch):
+    def job(k):
         calls[k] += 1
-        owners.setdefault(scratch.ctypes.data, scratch)
-        scratch[:] = k
         time.sleep(0)  # let another worker run mid-job
-        assert np.all(scratch == k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        kelm.run_jobs(job, calls.size, (3, 2))
+        kelm.run_jobs(job, calls.size)
     finally:
         sys.setswitchinterval(interval)
     assert np.all(calls == 1)
-    assert 1 <= len(owners) <= cpus
-    assert all(s.shape == (3, 2) and s.flags.c_contiguous for s in owners.values())
-    kelm.run_jobs(job, 0, (3, 2))  # no job, no worker, no scratch
-    kelm.run_jobs(lambda k, scratch: owners.setdefault("none", scratch), 2)
-    assert owners["none"] is None
+    kelm.run_jobs(job, 0)  # no job, no worker
+    assert np.all(calls == 1)
+
+
+def test_lend_gives_each_borrower_its_own_array_and_takes_it_back(cpus):
+    # jobs on every worker, switching threads as often as the interpreter
+    # allows: an array lent to two borrowers at once, a pool that outgrows the
+    # borrowers that ran at once, or an array kept by a body that raised shows
+    pool, made = [], []
+    lock = threading.Lock()
+    borrowers = peak = 0
+
+    def make():
+        made.append(kelm.mapped_array((3, 2)))
+        return made[-1]
+
+    def job(k):
+        nonlocal borrowers, peak
+        with lock:  # counted from before the loan until after the return
+            borrowers += 1
+            peak = max(peak, borrowers)
+        with kelm.lend(pool, make) as scratch:
+            scratch[:] = k
+            time.sleep(0)  # let another borrower run mid-job
+            assert np.all(scratch == k)
+        with lock:
+            borrowers -= 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        kelm.run_jobs(job, 2000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(made) <= peak <= cpus
+    assert sorted(map(id, pool)) == sorted(map(id, made))  # every array came back
+    with pytest.raises(ValueError, match="body failed"):
+        with kelm.lend(pool, make) as scratch:
+            raise ValueError("body failed")
+    assert pool[-1] is scratch and len(pool) == len(made)  # back on top, nothing new made
+    with kelm.lend(pool, make) as again:
+        assert again is scratch  # the most recently returned array is lent first
 
 
 def test_run_jobs_pool_raises_first_failure_in_job_order_and_stops(cpus):
     started = []
 
-    def job(k, _):
+    def job(k):
         started.append(k)
         if k == 1:
             time.sleep(0.2)  # let the later failure finish first
@@ -313,7 +346,7 @@ def test_run_jobs_pool_raises_first_failure_in_job_order_and_stops(cpus):
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
 def test_run_jobs_pool_runs_jobs_concurrently():
     barrier = threading.Barrier(2, timeout=10)
-    kelm.run_jobs(lambda k, _: barrier.wait(), 2)  # BrokenBarrierError unless both run at once
+    kelm.run_jobs(lambda k: barrier.wait(), 2)  # BrokenBarrierError unless both run at once
 
 
 def _blocks_model(seed=0, n=40, d=5, classes=3):
@@ -381,11 +414,11 @@ def test_blas_pinned_in_run_jobs_train_and_kpca_fit(monkeypatch, openblas_at_two
             return func(*args, **kwargs)
         return wrapper
 
-    def failing_job(k, _):
+    def failing_job(k):
         record("failing job")
         raise DataError("job failed")
 
-    kelm.run_jobs(lambda k, _: record("job"), 1)
+    kelm.run_jobs(lambda k: record("job"), 1)
     with pytest.raises(DataError, match="job failed"):
         kelm.run_jobs(failing_job, 1)
     assert [get() for _, get in controls] == [2] * len(controls)

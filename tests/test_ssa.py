@@ -16,9 +16,9 @@ from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.ssa import (
     SsaConfig,
     SsaState,
+    TuningConfig,
     batch_fitness,
     cv_objective,
-    default_tuning_config,
     init_state,
     optimize,
     stratified_fold_ids,
@@ -239,7 +239,7 @@ def test_batch_fitness_runs_rows_concurrently():
 def test_batch_fitness_stress_more_workers_than_cores(monkeypatch):
     # eight workers on however many cores, switching threads as often as the
     # interpreter allows: every row must run exactly once and land in its slot
-    monkeypatch.setattr(ssa.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     calls = np.zeros(2000, dtype=np.int64)
 
     def obj(x):
@@ -360,7 +360,7 @@ def _cv_objective(x, y, folds, seed):
 
 def test_tune_kelm_separable_blobs():
     x, y = _blobs()
-    cfg = default_tuning_config(seed=0, pop_size=10, max_iter=8)
+    cfg = TuningConfig(seed=0, pop_size=10, max_iter=8)
     result = tune_kelm(x, y, cfg, folds=3)
     assert result.best_fitness < 0.05
     # independent grid oracle: a sub-0.05 region exists inside the same bounds
@@ -381,14 +381,14 @@ def test_cv_objective_equals_train_predict_oracle(folds, monkeypatch):
     objective, folds_used = cv_objective(x, y, folds, seed=4)
     oracle = _cv_objective(x, y, folds, seed=4)
     assert folds_used == folds
-    # one workspace per CPU: system and factor at the largest t, held-out rows at the largest m
+    grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
+    values = [objective(z) for z in grid]
+    # serial calls share one workspace: system and factor at the largest t,
+    # held-out rows at the largest m
     held = np.bincount(stratified_fold_ids(y, folds, seed=4)[1])
     train = held if folds == 1 else y.size - held
-    assert mapped == [2 * train.max() ** 2 + held.max() * train.max()] * len(os.sched_getaffinity(0))
-    for lc in np.linspace(-2, 4, 5):
-        for lg in np.linspace(-3, 3, 5):
-            z = np.array([lc, lg])
-            assert objective(z) == oracle(z)
+    assert mapped == [2 * train.max() ** 2 + held.max() * train.max()]
+    assert values == [oracle(z) for z in grid]
 
 
 def test_cv_objective_pooled_equals_serial():
@@ -424,11 +424,11 @@ def _blas_env(threads: str) -> dict:
 
 _TUNE_HEX = """
 import numpy as np
-from hsikelm.ssa import default_tuning_config, tune_kelm
+from hsikelm.ssa import TuningConfig, tune_kelm
 rng = np.random.default_rng(5)
 y = np.repeat([1, 2, 3], 100)
 x = rng.normal(size=(y.size, 8)) + 0.4 * y[:, None]
-r = tune_kelm(x, y, default_tuning_config(seed=0, pop_size=4, max_iter=2), folds=2)
+r = tune_kelm(x, y, TuningConfig(seed=0, pop_size=4, max_iter=2), folds=2)
 print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 """
 
@@ -483,7 +483,7 @@ def test_train_model_bytes_independent_of_blas_threads(small_scene, tmp_path):
 
 def test_tune_kelm_single_fold_is_training_mse():
     x, y = _blobs(n_per_class=10, seed=1)
-    cfg = default_tuning_config(seed=1, pop_size=6, max_iter=4)
+    cfg = TuningConfig(seed=1, pop_size=6, max_iter=4)
     result = tune_kelm(x, y, cfg, folds=1)
     hyper = result.hyper
     model = kelm.train(x, y, hyper)
