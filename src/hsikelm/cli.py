@@ -3,7 +3,7 @@
 Subcommands: synth (fixture generator), features, tune, train, predict,
 evaluate, and run (full pipeline). Configuration comes from a JSON file;
 a few flags override it. Exit codes: 0 success, 2 config error, 3 data
-error, 4 numerical failure.
+error (also a file that cannot be read or written), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, OSError) as e:  # an OSError names the file it could not read or write
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:

@@ -179,15 +179,15 @@ def _load_raster(path, dtype: str, ndim: int) -> np.ndarray:
 
 
 def _save_raster(values_hwb: np.ndarray, path, dtype: str) -> None:
-    """Write an (H, W, B) array as the header + band-sequential payload pair."""
+    """Write an (H, W, B) array as the band-sequential payload + header pair."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     h, w, b = values_hwb.shape
     header = {"height": h, "width": w, "bands": b, "dtype": dtype,
               "order": CUBE_ORDER, "byteorder": "little"}
-    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
     payload = np.ascontiguousarray(values_hwb.transpose(2, 0, 1), dtype=_DTYPES[dtype])
-    path.write_bytes(payload.tobytes())
+    path.write_bytes(payload.tobytes())  # first, so a failed write leaves no header behind
+    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
 
 
 def load_cube(path) -> HyperCube:

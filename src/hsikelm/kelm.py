@@ -3,20 +3,15 @@
 Training solves the symmetric positive-definite system
 ``(Omega + I/C) alpha = Y`` where ``Omega_ij = exp(-gamma ||x_i - x_j||^2)``
 and Y is the one-hot target matrix. Prediction is ``k(x, X_train) @ alpha``
-with the arg-max class, ties broken toward the lowest class id.
+with the arg-max class, ties broken toward the lowest class id. A trained
+model is kept in one file (``save_model``/``load_model``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import functools
 import json
-import mmap
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,11 +19,11 @@ import numpy as np
 from scipy.linalg import cython_lapack
 from scipy.spatial.distance import cdist
 
+from . import parallel
 from .errors import ConfigError, DataError, NumericalError
 
 RESIDUAL_TOL = 1e-8
 _JITTER = 1e-10
-BLOCK_ROWS = 2048
 _MODEL_MAGIC = b"HSIKELM1"
 
 
@@ -101,7 +96,7 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
         raise DataError(f"{n} samples cannot cover {class_ids.size} classes")
 
     omega = rbf_kernel(cdist(X, X, "sqeuclidean"), hyper.gamma)
-    with single_threaded_blas():
+    with parallel.single_threaded_blas():
         alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
@@ -178,178 +173,12 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray, factor: np.ndarray | None = 
     return x
 
 
-# (set, get) thread-count symbols: numpy's ILP64 copy, scipy's copy, a plain build
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def openblas_thread_controls() -> tuple[tuple, ...]:
-    """(set, get) thread-count functions of every OpenBLAS loaded when this is first called."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6})
-    controls = []
-    for path in paths:
-        name = path.rsplit("/", 1)[-1]
-        if "openblas" not in name or ".so" not in name:
-            continue
-        lib = ctypes.CDLL(path)
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run the body with every loaded OpenBLAS on one thread, then restore each count.
-
-    hsikelm's one BLAS policy, so that results are the same whatever the
-    environment sets: ``run_jobs`` enters it around its jobs, which get their
-    parallelism from one worker per CPU instead, and the serial BLAS stages
-    (``train``'s solve, ``mstv.kpca_fit``) enter it themselves. The count is
-    process-wide: no two independent threads may enter it at once. Without
-    OpenBLAS this does nothing.
-    """
-    controls = openblas_thread_controls()
-    previous = [get() for _, get in controls]
-    for set_threads, _ in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, previous):
-            set_threads(count)
-
-
-def mapped_array(shape) -> np.ndarray:
-    """A float64 array of ``shape`` in its own anonymous memory map.
-
-    The pages go back to the system once the array is freed. Heap arrays
-    allocated in pool threads would stay in glibc's per-thread arenas and
-    raise the peak memory of the later stages.
-    """
-    size = int(np.prod(shape))
-    buffer = mmap.mmap(-1, 8 * max(size, 1))  # a map cannot be empty
-    return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
-
-
-@contextlib.contextmanager
-def lend(pool: list, make):
-    """Lend ``pool``'s most recently returned item, or ``make()`` when all are lent out.
-
-    The item goes back to ``pool`` when the body exits, also when it raises.
-    Safe from several threads at once: ``pool`` never holds more items than
-    borrowers that ran at once, and an item no borrower needs is not touched.
-    """
-    try:
-        item = pool.pop()
-    except IndexError:
-        item = make()
-    try:
-        yield item
-    finally:
-        pool.append(item)
-
-
-@functools.cache
-def _helper_pool() -> ThreadPoolExecutor:
-    """Threads that help ``run_jobs`` callers; idle between calls.
-
-    They live as long as the process: starting threads for each call costs
-    a thread handshake per helper, more than a cheap job.
-    """
-    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="run_jobs")
-
-
-@single_threaded_blas()
-def run_jobs(job, count: int) -> None:
-    """Call ``job(k)`` once for each k in ``range(count)``, side by side.
-
-    The jobs run on one worker per CPU in the process's affinity mask (at
-    most one per job): the calling thread and helpers from a shared pool.
-    So ``job`` must be safe to call from several threads; a job that needs
-    scratch memory borrows it with ``lend``. Each worker takes the next
-    unstarted job, in job order, until none is left or a job has raised.
-    All jobs before a failed one have then started, and they are waited
-    for; the exception of the first failed job in job order is raised. The
-    whole call runs with BLAS on one thread.
-    """
-    workers = min(len(os.sched_getaffinity(0)), count)
-    failures = {}  # job -> exception
-    started = running = 0
-    changed = threading.Condition()
-
-    def work():
-        nonlocal started, running
-        while True:
-            with changed:
-                if failures or started == count:
-                    return
-                k = started
-                started += 1
-                running += 1
-            error = None
-            try:
-                job(k)
-            except BaseException as e:  # re-raised by the caller
-                error = e
-            with changed:
-                if error is not None:
-                    failures[k] = error
-                running -= 1
-                changed.notify_all()
-
-    # A helper that starts after the caller has taken every job finds none
-    # left; the caller waits only for jobs that have started, never for a
-    # helper to start, so a busy pool cannot hold a call up. work keeps
-    # every job's exception, so the helpers' futures hold none to read.
-    for _ in range(1, workers):
-        _helper_pool().submit(work)
-    work()
-    with changed:
-        changed.wait_for(lambda: running == 0)
-    if failures:
-        raise failures[min(failures)]
-
-
-def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
-    """Call ``job(start, stop, scratch)`` for the ``BLOCK_ROWS``-row blocks of ``rows``.
-
-    The blocks run side by side on ``run_jobs``, so with BLAS on one thread.
-    ``scratch`` is a (stop - start) x ``scratch_cols`` float64 array,
-    C-contiguous, lent (``lend``) from the call's pool of ``mapped_array``
-    workspaces and left as an earlier block wrote it. The blocks do not depend
-    on the CPU count, so neither do the bits of a job that writes only its own rows.
-    """
-    pool = []
-
-    def block(k):
-        start = k * BLOCK_ROWS
-        stop = min(start + BLOCK_ROWS, rows)
-        with lend(pool, lambda: mapped_array((min(BLOCK_ROWS, rows), scratch_cols))) as scratch:
-            job(start, stop, scratch[: stop - start])
-
-    run_jobs(block, -(-rows // BLOCK_ROWS))
-
-
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Scores (m x c) and arg-max labels for a feature matrix.
 
-    The rows are scored in blocks of ``BLOCK_ROWS`` side by side
-    (``run_row_blocks``), so the bits depend on neither the CPU count nor
-    the BLAS thread setting.
+    The rows are scored in blocks of ``parallel.BLOCK_ROWS`` side by side
+    (``parallel.run_row_blocks``), so the bits depend on neither the CPU
+    count nor the BLAS thread setting.
     """
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
@@ -365,7 +194,7 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
         rbf_kernel(kernel, model.hyper.gamma, out=kernel)
         np.matmul(kernel, model.alpha, out=scores[start:stop])
 
-    run_row_blocks(score_block, m, model.train_x.shape[0])
+    parallel.run_row_blocks(score_block, m, model.train_x.shape[0])
     if m == 0:
         return scores, np.empty(0, dtype=np.int64)
     labels = model.class_ids[np.argmax(scores, axis=1)]

@@ -23,7 +23,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
-from . import kelm
+from . import kelm, parallel
 from .datacube import HyperCube
 from .errors import ConfigError, DataError, NumericalError
 
@@ -193,7 +193,7 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     """Smooth every band at every scale; output band l*K + k is (scale l, band k).
 
     The (scale, band) pairs are independent and run side by side on
-    ``kelm.run_jobs`` (the sparse solver releases the GIL), with BLAS on one
+    ``parallel.run_jobs`` (the sparse solver releases the GIL), with BLAS on one
     thread. Each pair writes only its own output band, so the result does
     not depend on the thread count. After a failure no further pair starts,
     and the first failure in pair order is raised.
@@ -207,7 +207,7 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     def smooth(j: int) -> None:
         out[:, :, j] = rtv_smooth(cube.values[:, :, j % k], scales[j // k])
 
-    kelm.run_jobs(smooth, out.shape[2])
+    parallel.run_jobs(smooth, out.shape[2])
     return HyperCube(out)
 
 
@@ -245,7 +245,7 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
     rng = np.random.default_rng(seed)
     landmarks = x[rng.choice(n, size=m, replace=False)]
     # on more BLAS threads, eigh may return a component with the opposite sign
-    with kelm.single_threaded_blas():
+    with parallel.single_threaded_blas():
         k_mm = _kernel(landmarks, landmarks, gamma)
         col_mean = k_mm.mean(axis=0)
         total_mean = float(k_mm.mean())
@@ -274,7 +274,7 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
 def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     """Project the rows of x onto the model's components.
 
-    The rows are projected in blocks side by side (``kelm.run_row_blocks``),
+    The rows are projected in blocks side by side (``parallel.run_row_blocks``),
     each block's kernel centered in place in its borrowed scratch, so the
     bits depend on neither the CPU count nor the BLAS thread setting.
     """
@@ -288,7 +288,7 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
         kernel += model.total_mean
         np.matmul(kernel, model.coeffs, out=out[start:stop])
 
-    kelm.run_row_blocks(project_block, x.shape[0], model.landmarks.shape[0])
+    parallel.run_row_blocks(project_block, x.shape[0], model.landmarks.shape[0])
     return out
 
 

@@ -201,8 +201,6 @@ def _stage(name: str, timings: dict):
         yield
     except HsiKelmError as e:
         raise type(e)(f"stage {name}: {e}") from e
-    except Exception as e:
-        raise RuntimeError(f"stage {name}: {e}") from e
     finally:
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kelm
+from . import kelm, parallel
 from .errors import ConfigError, DataError, NumericalError
 
 DELTA = 1e-50
@@ -236,7 +236,7 @@ def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
     """Fitness of each row of the (m, d) ``positions``, as a float64 vector.
 
     ``obj`` takes one position and is called at most once per row. The rows
-    run side by side on ``kelm.run_jobs``, so ``obj`` must be safe to call
+    run side by side on ``parallel.run_jobs``, so ``obj`` must be safe to call
     from several threads. A row fails when ``obj`` raises or returns NaN;
     no row starts after a failure, and the failure of the first failed row
     in row order is raised (NaN as ``NumericalError``), so no later row's
@@ -252,7 +252,7 @@ def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
         if np.isnan(fit[k]):
             raise NumericalError(f"objective returned NaN at position {positions[k].tolist()}")
 
-    kelm.run_jobs(score, len(positions))
+    parallel.run_jobs(score, len(positions))
     return fit
 
 
@@ -334,12 +334,12 @@ def _workspace(splits) -> list[tuple]:
     ``splits`` holds the shape (m, t) of each fold's held-out block, with m
     held-out and t training samples. Returns per fold the t x t system, its
     F-order t x t Cholesky factor and the m x t held-out rows, all views of
-    one ``kelm.mapped_array``.
+    one ``parallel.mapped_array``.
     """
     t_max = max(t for _, t in splits)
     m_max = max(m for m, _ in splits)
     sizes = np.array([t_max * t_max, t_max * t_max, m_max * t_max])
-    flat = kelm.mapped_array(int(sizes.sum()))
+    flat = parallel.mapped_array(int(sizes.sum()))
     system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
     return [(system[: t * t].reshape(t, t), factor[: t * t].reshape(t, t).T,
              held_rows[: m * t].reshape(m, t)) for m, t in splits]
@@ -360,7 +360,7 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
 
     The objective may be called from several threads at once, as
     ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
-    objective's pool (``kelm.lend``), which holds one per call that ran at
+    objective's pool (``parallel.lend``), which holds one per call that ran at
     once. In float64 values, the fold blocks that all calls share hold
     (F - 1)·n² at F >= 2 folds and n² at one fold; a workspace holds 2·t² + m·t
     for the largest fold's t training and m held-out samples, 1.44·n² at 5 folds.
@@ -386,7 +386,8 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
         errors = []
-        with kelm.lend(workspaces, lambda: _workspace([h.shape for _, h, _, _ in plan])) as scratch:
+        with parallel.lend(workspaces,
+                           lambda: _workspace([h.shape for _, h, _, _ in plan])) as scratch:
             for (train_dist, held_dist, train_targets, held_targets), (system, factor, held_rows) \
                     in zip(plan, scratch):
                 kelm.rbf_kernel(train_dist, hyper.gamma, out=system)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsikelm import datacube, kelm, metrics, pipeline
+from hsikelm import datacube, metrics, parallel, pipeline
 
 
 class ScriptedRng:
@@ -46,7 +46,7 @@ def scripted_rng():
 def openblas_at_two_threads():
     """Every loaded OpenBLAS set to 2 threads, a count a pin to 1 thread must
     undo; yields their (set, get) controls and restores the counts after."""
-    controls = kelm.openblas_thread_controls()
+    controls = parallel.openblas_thread_controls()
     original = [get() for _, get in controls]
     for set_threads, _ in controls:
         set_threads(2)
@@ -55,8 +55,9 @@ def openblas_at_two_threads():
         set_threads(count)
 
 
-# row counts around the block size of kelm.run_row_blocks, none included
-BLOCK_SIZES = [0, 1, kelm.BLOCK_ROWS - 1, kelm.BLOCK_ROWS, kelm.BLOCK_ROWS + 1, 3 * kelm.BLOCK_ROWS + 5]
+# row counts around the block size of parallel.run_row_blocks, none included
+BLOCK_ROWS = parallel.BLOCK_ROWS
+BLOCK_SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
 
 
 @pytest.fixture(params=[1, 8], ids=["1cpu", "8cpus"])

@@ -192,6 +192,34 @@ def test_missing_cube_exit_3(tmp_path, small_scene):
     assert main(["run", "--config", str(path)]) == 3
 
 
+def _one_line_data_error_naming(path, err):
+    assert err.startswith("data error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def test_synth_into_a_directory_exit_3_without_header(tmp_path, capsys):
+    cube_path = tmp_path / "taken"
+    cube_path.mkdir()
+    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
+               "--out-cube", str(cube_path), "--out-labels", str(tmp_path / "l.u16")])
+    assert rc == 3
+    _one_line_data_error_naming(cube_path, capsys.readouterr().err)
+    assert not (tmp_path / "taken.json").exists()  # the payload fails first
+
+
+def test_run_out_under_a_file_exit_3(scene_config, capsys):
+    out = scene_config["tmp"] / "a_file" / "out"
+    out.parent.write_text("")
+    assert main(["run", "--config", str(scene_config["config"]), "--out", str(out)]) == 3
+    _one_line_data_error_naming(out, capsys.readouterr().err)
+
+
+def test_run_unwritable_artifact_exit_3(scene_config, capsys):
+    out = scene_config["tmp"] / "out"
+    (out / "confusion.csv").mkdir(parents=True)  # a directory where the file goes
+    assert main(["run", "--config", str(scene_config["config"]), "--out", str(out)]) == 3
+    _one_line_data_error_naming(out / "confusion.csv", capsys.readouterr().err)
+
+
 def test_degenerate_cube_exit_4(tmp_path, small_scene):
     # a constant cube has no positive kernel-PCA eigenvalues
     from hsikelm.datacube import HyperCube, LabelRaster, save_cube, save_labels

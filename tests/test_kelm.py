@@ -1,8 +1,5 @@
 import json
-import os
 import struct
-import sys
-import threading
 import time
 
 import numpy as np
@@ -10,7 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from hsikelm import kelm, mstv
+from hsikelm import kelm, mstv, parallel
 from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.kelm import (
     KelmHyperparams,
@@ -262,92 +259,7 @@ def test_load_model_rejects_garbage(tmp_path, content):
         load_model(path)
 
 
-# -- side-by-side jobs and row blocks -----------------------------------------
-
-def test_run_jobs_pool_runs_each_job_once(cpus):
-    # switching threads as often as the interpreter allows: a job run twice
-    # or never shows
-    calls = np.zeros(2000, dtype=np.int64)
-
-    def job(k):
-        calls[k] += 1
-        time.sleep(0)  # let another worker run mid-job
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        kelm.run_jobs(job, calls.size)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.all(calls == 1)
-    kelm.run_jobs(job, 0)  # no job, no worker
-    assert np.all(calls == 1)
-
-
-def test_lend_gives_each_borrower_its_own_array_and_takes_it_back(cpus):
-    # jobs on every worker, switching threads as often as the interpreter
-    # allows: an array lent to two borrowers at once, a pool that outgrows the
-    # borrowers that ran at once, or an array kept by a body that raised shows
-    pool, made = [], []
-    lock = threading.Lock()
-    borrowers = peak = 0
-
-    def make():
-        made.append(kelm.mapped_array((3, 2)))
-        return made[-1]
-
-    def job(k):
-        nonlocal borrowers, peak
-        with lock:  # counted from before the loan until after the return
-            borrowers += 1
-            peak = max(peak, borrowers)
-        with kelm.lend(pool, make) as scratch:
-            scratch[:] = k
-            time.sleep(0)  # let another borrower run mid-job
-            assert np.all(scratch == k)
-        with lock:
-            borrowers -= 1
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        kelm.run_jobs(job, 2000)
-    finally:
-        sys.setswitchinterval(interval)
-    assert 1 <= len(made) <= peak <= cpus
-    assert sorted(map(id, pool)) == sorted(map(id, made))  # every array came back
-    with pytest.raises(ValueError, match="body failed"):
-        with kelm.lend(pool, make) as scratch:
-            raise ValueError("body failed")
-    assert pool[-1] is scratch and len(pool) == len(made)  # back on top, nothing new made
-    with kelm.lend(pool, make) as again:
-        assert again is scratch  # the most recently returned array is lent first
-
-
-def test_run_jobs_pool_raises_first_failure_in_job_order_and_stops(cpus):
-    started = []
-
-    def job(k):
-        started.append(k)
-        if k == 1:
-            time.sleep(0.2)  # let the later failure finish first
-            raise ValueError("job 1 failed")
-        if k == 3:
-            raise NumericalError("job 3 failed")
-        time.sleep(0.01)
-
-    with pytest.raises(ValueError, match="job 1 failed"):
-        kelm.run_jobs(job, 100)
-    # no job starts once a failure is recorded: without the stop, all 100
-    # would have started while job 1 sleeps
-    assert sorted(started) == list(range(len(started))) and len(started) < 3 + 2 * cpus
-
-
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
-def test_run_jobs_pool_runs_jobs_concurrently():
-    barrier = threading.Barrier(2, timeout=10)
-    kelm.run_jobs(lambda k: barrier.wait(), 2)  # BrokenBarrierError unless both run at once
-
+# -- row blocks ---------------------------------------------------------------
 
 def _blocks_model(seed=0, n=40, d=5, classes=3):
     rng = np.random.default_rng(seed)
@@ -359,9 +271,9 @@ def _blocks_model(seed=0, n=40, d=5, classes=3):
 def _serial_block_scores(model, x):
     """The parent formula on the same row blocks, one after the other."""
     scores = np.empty((x.shape[0], model.class_ids.size))
-    with kelm.single_threaded_blas():
-        for start in range(0, x.shape[0], kelm.BLOCK_ROWS):
-            stop = start + kelm.BLOCK_ROWS
+    with parallel.single_threaded_blas():
+        for start in range(0, x.shape[0], parallel.BLOCK_ROWS):
+            stop = start + parallel.BLOCK_ROWS
             k = rbf_kernel(cdist(x[start:stop], model.train_x, "sqeuclidean"), model.hyper.gamma)
             scores[start:stop] = k @ model.alpha
     return scores
@@ -379,7 +291,7 @@ def test_predict_blocks_bit_equal_to_serial_blocks(cpus, m):
 
 def test_predict_block_failure_order_and_blas_threads(monkeypatch, cpus, openblas_at_two_threads):
     model = _blocks_model()
-    x = np.random.default_rng(1).normal(size=(5 * kelm.BLOCK_ROWS, 5))
+    x = np.random.default_rng(1).normal(size=(5 * parallel.BLOCK_ROWS, 5))
     controls = openblas_at_two_threads
     seen = []  # BLAS thread counts inside the blocks
     cdist_before = kelm.cdist
@@ -387,10 +299,10 @@ def test_predict_block_failure_order_and_blas_threads(monkeypatch, cpus, openbla
     def failing(a, b, metric, out):
         seen.append([get() for _, get in controls])
         start = int(np.flatnonzero((x == a[0]).all(axis=1))[0])
-        if start == kelm.BLOCK_ROWS:
+        if start == parallel.BLOCK_ROWS:
             time.sleep(0.2)  # let the later failure finish first
             raise DataError("block 1 failed")
-        if start == 3 * kelm.BLOCK_ROWS:
+        if start == 3 * parallel.BLOCK_ROWS:
             raise NumericalError("block 3 failed")
         return cdist_before(a, b, metric, out=out)
 
@@ -418,9 +330,9 @@ def test_blas_pinned_in_run_jobs_train_and_kpca_fit(monkeypatch, openblas_at_two
         record("failing job")
         raise DataError("job failed")
 
-    kelm.run_jobs(lambda k: record("job"), 1)
+    parallel.run_jobs(lambda k: record("job"), 1)
     with pytest.raises(DataError, match="job failed"):
-        kelm.run_jobs(failing_job, 1)
+        parallel.run_jobs(failing_job, 1)
     assert [get() for _, get in controls] == [2] * len(controls)
     monkeypatch.setattr(kelm, "solve_kernel_system", recorded("train", kelm.solve_kernel_system))
     monkeypatch.setattr(mstv, "eigh", recorded("eigh", mstv.eigh))

@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
-from hsikelm import kelm, mstv
+from hsikelm import kelm, mstv, parallel
 from hsikelm.datacube import HyperCube
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.mstv import (
@@ -258,7 +258,7 @@ def test_stack_pool_matches_serial_loop():
     cube = HyperCube(rng.uniform(size=(40, 56, 3)).astype(np.float32))
     scales = [RtvParams(lam=0.01, sigma=1.0, iterations=2), RtvParams(lam=0.005, sigma=2.0)]
     out = multiscale_stack(cube, scales)
-    with kelm.single_threaded_blas():
+    with parallel.single_threaded_blas():
         serial = [rtv_smooth(cube.values[:, :, b], p) for p in scales for b in range(3)]
     assert np.array_equal(out.values, np.stack(serial, axis=2).astype(np.float32))
 
@@ -347,15 +347,15 @@ def test_mstv_config_validated():
 def _serial_block_transform(model, x):
     """The parent formula on the same row blocks, one after the other."""
     out = np.empty((x.shape[0], model.coeffs.shape[1]))
-    with kelm.single_threaded_blas():
-        for start in range(0, x.shape[0], kelm.BLOCK_ROWS):
-            block = x[start : start + kelm.BLOCK_ROWS]
+    with parallel.single_threaded_blas():
+        for start in range(0, x.shape[0], parallel.BLOCK_ROWS):
+            block = x[start : start + parallel.BLOCK_ROWS]
             if model.gamma == 0.0:
                 k = block @ model.landmarks.T
             else:
                 k = kelm.rbf_kernel(cdist(block, model.landmarks, "sqeuclidean"), model.gamma)
             centered = k - k.mean(axis=1, keepdims=True) - model.col_mean[None, :] + model.total_mean
-            out[start : start + kelm.BLOCK_ROWS] = centered @ model.coeffs
+            out[start : start + parallel.BLOCK_ROWS] = centered @ model.coeffs
     return out
 
 
@@ -374,7 +374,7 @@ def test_kpca_transform_linear_blocks_match_one_product():
     # let depend on the block's row count; the blocked features stay within
     # 1e-12 of the projection done as one product
     rng = np.random.default_rng(2)
-    x = rng.uniform(size=(3 * kelm.BLOCK_ROWS + 5, 60))
+    x = rng.uniform(size=(3 * parallel.BLOCK_ROWS + 5, 60))
     model = kpca_fit(x, n_components=20, gamma=0.0, landmark_count=500, seed=0)
     k = x @ model.landmarks.T
     whole = (k - k.mean(axis=1, keepdims=True) - model.col_mean + model.total_mean) @ model.coeffs
@@ -385,17 +385,17 @@ def test_kpca_transform_linear_blocks_match_one_product():
 def test_kpca_transform_block_failure_order_and_blas_threads(monkeypatch, cpus, openblas_at_two_threads):
     rng = np.random.default_rng(3)
     model = kpca_fit(rng.normal(size=(300, 6)), n_components=4, gamma=0.5, landmark_count=50, seed=0)
-    x = rng.normal(size=(5 * kelm.BLOCK_ROWS, 6))
+    x = rng.normal(size=(5 * parallel.BLOCK_ROWS, 6))
     controls = openblas_at_two_threads
     seen = []  # BLAS thread counts inside the blocks
 
     def failing(a, b, metric, out):
         seen.append([get() for _, get in controls])
         start = int(np.flatnonzero((x == a[0]).all(axis=1))[0])
-        if start == kelm.BLOCK_ROWS:
+        if start == parallel.BLOCK_ROWS:
             time.sleep(0.2)  # let the later failure finish first
             raise ConfigError("block 1 failed")
-        if start == 3 * kelm.BLOCK_ROWS:
+        if start == 3 * parallel.BLOCK_ROWS:
             raise NumericalError("block 3 failed")
         return cdist(a, b, metric, out=out)
 

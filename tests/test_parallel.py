@@ -1,0 +1,115 @@
+import os
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from hsikelm import parallel
+from hsikelm.errors import NumericalError
+
+
+def test_run_jobs_pool_runs_each_job_once(cpus):
+    # switching threads as often as the interpreter allows: a job run twice
+    # or never shows
+    calls = np.zeros(2000, dtype=np.int64)
+
+    def job(k):
+        calls[k] += 1
+        time.sleep(0)  # let another worker run mid-job
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel.run_jobs(job, calls.size)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(calls == 1)
+    parallel.run_jobs(job, 0)  # no job, no worker
+    assert np.all(calls == 1)
+
+
+def test_lend_gives_each_borrower_its_own_array_and_takes_it_back(cpus):
+    # jobs on every worker, switching threads as often as the interpreter
+    # allows: an array lent to two borrowers at once, a pool that outgrows the
+    # borrowers that ran at once, or an array kept by a body that raised shows
+    pool, made = [], []
+    lock = threading.Lock()
+    borrowers = peak = 0
+
+    def make():
+        made.append(parallel.mapped_array((3, 2)))
+        return made[-1]
+
+    def job(k):
+        nonlocal borrowers, peak
+        with lock:  # counted from before the loan until after the return
+            borrowers += 1
+            peak = max(peak, borrowers)
+        with parallel.lend(pool, make) as scratch:
+            scratch[:] = k
+            time.sleep(0)  # let another borrower run mid-job
+            assert np.all(scratch == k)
+        with lock:
+            borrowers -= 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel.run_jobs(job, 2000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(made) <= peak <= cpus
+    assert sorted(map(id, pool)) == sorted(map(id, made))  # every array came back
+    with pytest.raises(ValueError, match="body failed"):
+        with parallel.lend(pool, make) as scratch:
+            raise ValueError("body failed")
+    assert pool[-1] is scratch and len(pool) == len(made)  # back on top, nothing new made
+    with parallel.lend(pool, make) as again:
+        assert again is scratch  # the most recently returned array is lent first
+
+
+def test_run_jobs_pool_raises_first_failure_in_job_order_and_stops(cpus):
+    started = []
+
+    def job(k):
+        started.append(k)
+        if k == 1:
+            time.sleep(0.2)  # let the later failure finish first
+            raise ValueError("job 1 failed")
+        if k == 3:
+            raise NumericalError("job 3 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(ValueError, match="job 1 failed"):
+        parallel.run_jobs(job, 100)
+    # no job starts once a failure is recorded: without the stop, all 100
+    # would have started while job 1 sleeps
+    assert sorted(started) == list(range(len(started))) and len(started) < 3 + 2 * cpus
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_run_jobs_pool_runs_jobs_concurrently():
+    barrier = threading.Barrier(2, timeout=10)
+    parallel.run_jobs(lambda k: barrier.wait(), 2)  # BrokenBarrierError unless both run at once
+
+
+@pytest.mark.parametrize("cpus", [8], indirect=True)
+def test_run_jobs_cancels_helpers_that_never_started(cpus):
+    # every pool thread is busy, so no helper can start: the calling thread
+    # runs every job and must not wait for a helper that never started
+    release = threading.Event()
+    pool = parallel._helper_pool()
+    blockers = [pool.submit(release.wait, 10) for _ in range(pool._max_workers)]
+    runners = []
+    try:
+        start = time.perf_counter()
+        parallel.run_jobs(lambda k: runners.append((k, threading.get_ident())), 10)
+        elapsed = time.perf_counter() - start
+    finally:
+        release.set()
+    for blocker in blockers:
+        blocker.result(timeout=10)
+    assert elapsed < 5
+    assert runners == [(k, threading.get_ident()) for k in range(10)]

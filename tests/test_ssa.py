@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hsikelm
-from hsikelm import kelm, ssa
+from hsikelm import kelm, parallel, ssa
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.ssa import (
     SsaConfig,
@@ -376,8 +377,8 @@ def test_cv_objective_equals_train_predict_oracle(folds, monkeypatch):
     rng = np.random.default_rng(11)
     y = np.repeat([1, 2, 3], 12)
     x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
-    mapped, mapped_array = [], kelm.mapped_array
-    monkeypatch.setattr(kelm, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
+    mapped, mapped_array = [], parallel.mapped_array
+    monkeypatch.setattr(parallel, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
     objective, folds_used = cv_objective(x, y, folds, seed=4)
     oracle = _cv_objective(x, y, folds, seed=4)
     assert folds_used == folds
@@ -433,7 +434,7 @@ print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 """
 
 
-@pytest.mark.skipif(not kelm.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
+@pytest.mark.skipif(not parallel.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
 def test_tune_kelm_bits_independent_of_blas_threads():
     outputs = []
     for threads in ("1", "2"):
@@ -443,7 +444,7 @@ def test_tune_kelm_bits_independent_of_blas_threads():
     assert outputs[0].strip() and outputs[0] == outputs[1]
 
 
-@pytest.mark.skipif(not kelm.openblas_thread_controls() or len(os.sched_getaffinity(0)) < 2,
+@pytest.mark.skipif(not parallel.openblas_thread_controls() or len(os.sched_getaffinity(0)) < 2,
                     reason="needs a loaded OpenBLAS and at least 2 CPUs")
 def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_path):
     raw = fast_config_dict(small_scene, tmp_path / "unused",
@@ -465,7 +466,7 @@ def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_pat
     assert artifacts[0] == artifacts[1]
 
 
-@pytest.mark.skipif(not kelm.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
+@pytest.mark.skipif(not parallel.openblas_thread_controls(), reason="no loaded OpenBLAS to pin")
 def test_train_model_bytes_independent_of_blas_threads(small_scene, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "unused")))
@@ -479,6 +480,43 @@ def test_train_model_bytes_independent_of_blas_threads(small_scene, tmp_path):
         )
         models.append(model.read_bytes())
     assert models[0] == models[1]
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's OpenBLAS picks its kernel when loaded, so that
+    ``OPENBLAS_CORETYPE`` can choose another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _dynamic_arch_openblas(),
+                    reason="needs x86-64 and an OpenBLAS built with DYNAMIC_ARCH")
+def test_run_agrees_across_openblas_kernels(small_scene, tmp_path):
+    # Prescott (SSE3) runs on any x86-64 CPU, and its kernels round
+    # differently from the AVX ones a modern CPU gets by default
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "unused")))
+    env = {k: v for k, v in _blas_env("1").items() if k != "OPENBLAS_CORETYPE"}
+    outs = []
+    for core in (None, "Prescott"):
+        outs.append(tmp_path / (core or "default"))
+        subprocess.run(
+            [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
+             "--out", str(outs[-1]), "--canonical"],
+            env=dict(env, OPENBLAS_CORETYPE=core) if core else env,
+            capture_output=True, check=True, timeout=120,
+        )
+    reports = [json.loads((out / "run_report.json").read_text()) for out in outs]
+    for key in ("chosen_hyperparams", "oa", "aa", "kappa"):
+        assert reports[0][key] == reports[1][key]
+    for name in ("confusion.csv", "classification_map.ppm"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    traces = [np.loadtxt(out / "ssa_trace.csv", delimiter=",", skiprows=1) for out in outs]
+    assert traces[0].shape == traces[1].shape
+    np.testing.assert_allclose(traces[1], traces[0], rtol=1e-9, atol=0)
 
 
 def test_tune_kelm_single_fold_is_training_mse():
