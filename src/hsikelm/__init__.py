@@ -16,7 +16,6 @@ from .kelm import KelmHyperparams, KelmModel, mse_fitness, predict, rbf_kernel, 
 from .lbp import lbp_features
 from .metrics import ConfusionMatrix, aa, confusion, kappa, oa
 from .mstv import (
-    BandGrouping,
     MstvConfig,
     RtvParams,
     group_and_average,
@@ -45,7 +44,7 @@ __all__ = [
     "KelmHyperparams", "KelmModel", "mse_fitness", "predict", "rbf_kernel", "train",
     "lbp_features",
     "ConfusionMatrix", "aa", "confusion", "kappa", "oa",
-    "BandGrouping", "MstvConfig", "RtvParams", "group_and_average", "kpca_reduce",
+    "MstvConfig", "RtvParams", "group_and_average", "kpca_reduce",
     "multiscale_stack", "rtv_smooth",
     "PipelineConfig", "RunReport", "fuse", "make_synthetic_cube",
     "normalize_features", "render_map", "run_full",

@@ -55,7 +55,12 @@ def _cmd_synth(args) -> int:
         args.height, args.width, args.bands, args.classes, args.noise_sigma, args.seed
     )
     save_cube(cube, args.out_cube)
-    save_labels(labels, args.out_labels)
+    try:
+        save_labels(labels, args.out_labels)
+    except BaseException:  # leave no cube without its labels
+        for path in (args.out_cube, f"{args.out_cube}.json"):
+            Path(path).unlink(missing_ok=True)
+        raise
     print(f"wrote {args.out_cube} ({cube.height}x{cube.width}x{cube.bands}) and {args.out_labels}")
     return 0
 
@@ -79,7 +84,7 @@ def _cmd_features(args) -> int:
     feature_cube = HyperCube(bundle.fused.reshape(h, w, -1).astype(np.float32))
     save_cube(feature_cube, args.out)
     print(f"wrote {args.out}: {feature_cube.bands} features "
-          f"({bundle.spectral_dim} spectral + {bundle.spatial_dim} spatial)")
+          f"({config.mstv.n_components} spectral + {config.mstv.k} spatial)")
     return 0
 
 

@@ -121,16 +121,28 @@ def _header_path(path: Path) -> Path:
     return Path(str(path) + ".json")
 
 
+def read_json_object(path, error=DataError) -> dict:
+    """The JSON object in the file at ``path``.
+
+    A missing file, bytes that are not JSON (malformed or undecodable) and a
+    value that is not an object raise ``error``. The bytes are decoded as
+    ``json.loads`` detects (UTF-8, -16 or -32), whatever the locale.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"missing file: {path}")
+    try:
+        value = json.loads(path.read_bytes())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both derive from it
+        raise error(f"malformed JSON in {path}: {e}") from e
+    if not isinstance(value, dict):
+        raise error(f"{path} must hold a JSON object")
+    return value
+
+
 def _read_header(path: Path, expect_dtype: str) -> dict:
     hpath = _header_path(path)
-    if not hpath.exists():
-        raise DataError(f"missing header file: {hpath}")
-    try:
-        header = json.loads(hpath.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"malformed header {hpath}: {e}") from e
-    if not isinstance(header, dict):
-        raise DataError(f"header {hpath} must hold a JSON object")
+    header = read_json_object(hpath)
     required = {"height", "width", "bands", "dtype", "order", "byteorder"}
     missing = required - set(header)
     if missing:
@@ -158,6 +170,9 @@ def _load_raster(path, dtype: str, ndim: int) -> np.ndarray:
             arr = np.load(path)
         except (ValueError, EOFError) as e:  # pickled, object or corrupt data
             raise DataError(f"unreadable .npy file {path}: {e}") from e
+        if not isinstance(arr, np.ndarray):  # a zip archive loads as an open NpzFile
+            arr.close()
+            raise DataError(f"{path} holds a zip archive, not one array")
         if arr.ndim != ndim:
             raise DataError(f"expected {ndim}-D array in {path}, got shape {arr.shape}")
         if arr.dtype.kind not in "biuf":

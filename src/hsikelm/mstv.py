@@ -87,13 +87,7 @@ class MstvConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class BandGrouping:
-    k: int
-    groups: tuple[tuple[int, ...], ...]
-
-
-def band_grouping(num_bands: int, k: int) -> BandGrouping:
+def band_grouping(num_bands: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Partition bands 0..M-1 into k contiguous groups; remainder joins the last."""
     if k < 1:
         raise ConfigError(f"group count must be >= 1, got {k}")
@@ -104,14 +98,13 @@ def band_grouping(num_bands: int, k: int) -> BandGrouping:
     for g in range(k - 1):
         groups.append(tuple(range(g * size, (g + 1) * size)))
     groups.append(tuple(range((k - 1) * size, num_bands)))
-    return BandGrouping(k=k, groups=tuple(groups))
+    return tuple(groups)
 
 
 def group_and_average(cube: HyperCube, k: int) -> HyperCube:
     """Reduce to k bands, each the mean of its contiguous source group."""
-    grouping = band_grouping(cube.bands, k)
     out = np.empty((cube.height, cube.width, k), dtype=np.float32)
-    for g, members in enumerate(grouping.groups):
+    for g, members in enumerate(band_grouping(cube.bands, k)):
         # a float64 mean of the float32 slice, without a float64 copy of the cube
         out[:, :, g] = cube.values[:, :, members[0] : members[-1] + 1].mean(axis=2, dtype=np.float64)
     return HyperCube(out)

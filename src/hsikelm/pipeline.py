@@ -34,6 +34,7 @@ from .datacube import (
     check_companion,
     load_cube,
     load_labels,
+    read_json_object,
     stratified_split,
 )
 from .errors import ConfigError, DataError, HsiKelmError
@@ -165,15 +166,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"missing config file: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed config {path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+    raw = read_json_object(path, ConfigError)
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
@@ -230,8 +223,6 @@ def fuse(spectral: np.ndarray, spatial: np.ndarray) -> np.ndarray:
 class FeatureBundle:
     labels: LabelRaster
     fused: np.ndarray
-    spectral_dim: int
-    spatial_dim: int
 
 
 def build_features(config: PipelineConfig, timings: dict | None = None) -> FeatureBundle:
@@ -250,12 +241,7 @@ def build_features(config: PipelineConfig, timings: dict | None = None) -> Featu
         spatial = lbp_features(reduced)
     with _stage("fuse", timings):
         fused = fuse(normalize_features(spectral), spatial)
-    return FeatureBundle(
-        labels=labels,
-        fused=fused,
-        spectral_dim=spectral.shape[1],
-        spatial_dim=spatial.shape[1],
-    )
+    return FeatureBundle(labels=labels, fused=fused)
 
 
 def split_labels(labels: LabelRaster, config: PipelineConfig) -> SampleSplit:

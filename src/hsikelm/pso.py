@@ -11,23 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ssa import batch_fitness, check_swarm_config
+from .ssa import SwarmConfig, batch_fitness
+
+INERTIA_START, INERTIA_END = 0.9, 0.4
+COGNITIVE = SOCIAL = 2.0
 
 
 @dataclass(frozen=True)
-class PsoConfig:
-    lower: np.ndarray
-    upper: np.ndarray
-    pop_size: int = 30
+class PsoConfig(SwarmConfig):
     max_iter: int = 200
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
-    cognitive: float = 2.0
-    social: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        check_swarm_config(self)
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class PsoResult:
 
 def pso_minimize(obj, cfg: PsoConfig) -> PsoResult:
     rng = np.random.default_rng(cfg.seed)
-    n, d = cfg.pop_size, cfg.lower.size
+    n, d = cfg.pop_size, cfg.dim
     span = cfg.upper - cfg.lower
     pos = cfg.lower + span * rng.uniform(size=(n, d))
     vel = np.zeros((n, d))
@@ -51,10 +43,10 @@ def pso_minimize(obj, cfg: PsoConfig) -> PsoResult:
     gbest_fit = float(fit[g])
     trace = []
     for t in range(cfg.max_iter):
-        w = cfg.inertia_start + (cfg.inertia_end - cfg.inertia_start) * t / max(cfg.max_iter - 1, 1)
+        w = INERTIA_START + (INERTIA_END - INERTIA_START) * t / max(cfg.max_iter - 1, 1)
         r1 = rng.uniform(size=(n, d))
         r2 = rng.uniform(size=(n, d))
-        vel = w * vel + cfg.cognitive * r1 * (pbest - pos) + cfg.social * r2 * (gbest - pos)
+        vel = w * vel + COGNITIVE * r1 * (pbest - pos) + SOCIAL * r2 * (gbest - pos)
         vel = np.clip(vel, -span, span)
         pos = np.clip(pos + vel, cfg.lower, cfg.upper)
         fit = batch_fitness(obj, pos)

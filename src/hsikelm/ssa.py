@@ -44,51 +44,51 @@ DELTA = 1e-50
 _INIT, _PRODUCERS, _JOINERS, _SCOUTS = 0, 1, 2, 3
 
 
-def check_swarm_config(cfg) -> None:
-    """Validate the fields every swarm config shares; store the bounds as flat float vectors.
-
-    ``cfg`` is a frozen dataclass with ``lower``, ``upper``, ``pop_size``,
-    ``max_iter`` and ``seed``.
-    """
-    lower = np.asarray(cfg.lower, dtype=np.float64).ravel()
-    upper = np.asarray(cfg.upper, dtype=np.float64).ravel()
-    if lower.size == 0 or lower.shape != upper.shape:
-        raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
-    if np.any(lower > upper):
-        raise ConfigError("lower bound exceeds upper bound")
-    object.__setattr__(cfg, "lower", lower)
-    object.__setattr__(cfg, "upper", upper)
-    if cfg.pop_size < 2:
-        raise ConfigError(f"pop_size must be >= 2, got {cfg.pop_size}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-
-
 @dataclass(frozen=True)
-class SsaConfig:
+class SwarmConfig:
+    """The fields every swarm optimizer shares; the bounds are stored as flat float vectors."""
+
     lower: np.ndarray
     upper: np.ndarray
     pop_size: int = 30
     max_iter: int = 20
-    producer_ratio: float = 0.2
-    scout_ratio: float = 0.1
-    safety_threshold: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        check_swarm_config(self)
+        lower = np.asarray(self.lower, dtype=np.float64).ravel()
+        upper = np.asarray(self.upper, dtype=np.float64).ravel()
+        if lower.size == 0 or lower.shape != upper.shape:
+            raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
+        if np.any(lower > upper):
+            raise ConfigError("lower bound exceeds upper bound")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        if self.pop_size < 2:
+            raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def dim(self) -> int:
+        return self.lower.size
+
+
+@dataclass(frozen=True)
+class SsaConfig(SwarmConfig):
+    producer_ratio: float = 0.2
+    scout_ratio: float = 0.1
+    safety_threshold: float = 0.8
+
+    def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.producer_ratio < 1.0:
             raise ConfigError(f"producer_ratio must lie in (0,1), got {self.producer_ratio}")
         if not 0.0 < self.scout_ratio < 1.0:
             raise ConfigError(f"scout_ratio must lie in (0,1), got {self.scout_ratio}")
         if not 0.0 < self.safety_threshold < 1.0:
             raise ConfigError(f"safety_threshold must lie in (0,1), got {self.safety_threshold}")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
     @property
     def producer_count(self) -> int:
@@ -408,9 +408,8 @@ class TuneResult:
     folds_used: int
 
 
-def tune_kelm(train_x, train_labels, cfg: SsaConfig | None = None, folds: int = 5) -> TuneResult:
+def tune_kelm(train_x, train_labels, cfg: SsaConfig, folds: int = 5) -> TuneResult:
     """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
-    cfg = cfg if cfg is not None else TuningConfig()
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
     objective, effective = cv_objective(train_x, train_labels, folds, cfg.seed)

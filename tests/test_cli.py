@@ -206,6 +206,42 @@ def test_synth_into_a_directory_exit_3_without_header(tmp_path, capsys):
     assert not (tmp_path / "taken.json").exists()  # the payload fails first
 
 
+def test_synth_unwritable_labels_exit_3_without_cube(tmp_path, capsys):
+    cube_path, label_path = tmp_path / "c.f32", tmp_path / "taken"
+    label_path.mkdir()
+    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
+               "--out-cube", str(cube_path), "--out-labels", str(label_path)])
+    assert rc == 3
+    _one_line_data_error_naming(label_path, capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no cube pair left
+
+
+def test_undecodable_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed JSON in ") and str(path) in err
+
+
+def test_undecodable_header_exit_3(scene_config, capsys):
+    header = scene_config["scene"]["cube_path"].with_name("cube.f32.json")
+    header.write_bytes(b'{"bands": 20, "note": "\xe9"}')  # Latin-1, not UTF-8
+    assert main(["run", "--config", str(scene_config["config"])]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage load: malformed JSON in ") and str(header) in err
+
+
+def test_zip_archive_named_npy_exit_3(scene_config, capsys):
+    cube_path = scene_config["tmp"] / "cube.npy"
+    with open(cube_path, "wb") as f:  # np.savez would append .npz to a path
+        np.savez(f, values=scene_config["scene"]["cube"].values)
+    raw = json.loads(scene_config["config"].read_text())
+    scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
+    assert main(["run", "--config", str(scene_config["config"])]) == 3
+    assert f"{cube_path} holds a zip archive" in capsys.readouterr().err
+
+
 def test_run_out_under_a_file_exit_3(scene_config, capsys):
     out = scene_config["tmp"] / "a_file" / "out"
     out.parent.write_text("")

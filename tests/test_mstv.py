@@ -61,15 +61,15 @@ def align_signs(a, reference):
 
 def test_grouping_200_into_20():
     grouping = band_grouping(200, 20)
-    assert len(grouping.groups) == 20
-    assert all(len(g) == 10 for g in grouping.groups)
-    assert grouping.groups[0] == tuple(range(10))
-    assert grouping.groups[-1] == tuple(range(190, 200))
+    assert len(grouping) == 20
+    assert all(len(g) == 10 for g in grouping)
+    assert grouping[0] == tuple(range(10))
+    assert grouping[-1] == tuple(range(190, 200))
 
 
 def test_grouping_remainder_to_last():
     grouping = band_grouping(7, 3)
-    assert grouping.groups == ((0, 1), (2, 3), (4, 5, 6))
+    assert grouping == ((0, 1), (2, 3), (4, 5, 6))
 
 
 def test_grouping_errors():
@@ -105,7 +105,7 @@ def test_group_average_counts():
 def test_group_average_within_group_bounds(cube_vals, k):
     cube = HyperCube(cube_vals)
     out = group_and_average(cube, k)
-    for g, members in enumerate(band_grouping(8, k).groups):
+    for g, members in enumerate(band_grouping(8, k)):
         src = cube.values[:, :, list(members)]
         assert np.all(out.values[:, :, g] >= src.min(axis=2) - 1e-6)
         assert np.all(out.values[:, :, g] <= src.max(axis=2) + 1e-6)
@@ -116,7 +116,7 @@ def test_group_average_bit_equal_to_float64_copy(shape, k):
     cube = HyperCube(np.random.default_rng(shape[2]).normal(size=shape).astype(np.float32))
     vals = cube.values.astype(np.float64)
     want = np.stack([vals[:, :, list(members)].mean(axis=2)
-                     for members in band_grouping(shape[2], k).groups], axis=2)
+                     for members in band_grouping(shape[2], k)], axis=2)
     assert np.array_equal(group_and_average(cube, k).values, want.astype(np.float32))
 
 
