@@ -52,14 +52,11 @@ def main():
     rows = []
     print(f"{'benchmark':<14} {'optimizer':<6} {'median':>12} {'best':>12} {'worst':>12}")
     for name, (fn, (lo, hi)) in BENCHMARKS.items():
-        lower, upper = np.full(args.dim, lo), np.full(args.dim, hi)
-        for label, run in (
-            ("ssa", lambda s: ssa.optimize(fn, ssa.SsaConfig(
-                lower=lower, upper=upper, pop_size=args.pop, max_iter=args.iters, seed=s)).best_fit),
-            ("pso", lambda s: pso.pso_minimize(fn, pso.PsoConfig(
-                lower=lower, upper=upper, pop_size=args.pop, max_iter=args.iters, seed=s)).best_fit),
-        ):
-            finals = [run(seed) for seed in range(args.seeds)]
+        configs = [ssa.SwarmConfig(lower=np.full(args.dim, lo), upper=np.full(args.dim, hi),
+                                   pop_size=args.pop, max_iter=args.iters, seed=seed)
+                   for seed in range(args.seeds)]
+        for label, minimize in (("ssa", ssa.optimize), ("pso", pso.pso_minimize)):
+            finals = [minimize(fn, cfg).best_fit for cfg in configs]
             print(f"{name:<14} {label:<6} {np.median(finals):>12.3e} "
                   f"{min(finals):>12.3e} {max(finals):>12.3e}")
             rows.extend((name, label, seed, value) for seed, value in enumerate(finals))

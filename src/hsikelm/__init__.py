@@ -32,8 +32,8 @@ from .pipeline import (
     render_map,
     run_full,
 )
-from .pso import PsoConfig, pso_minimize
-from .ssa import SsaConfig, SsaState, SsaResult, optimize, tune_kelm
+from .pso import pso_minimize
+from .ssa import SsaResult, SsaState, SwarmConfig, optimize, tune_kelm
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "multiscale_stack", "rtv_smooth",
     "PipelineConfig", "RunReport", "fuse", "make_synthetic_cube",
     "normalize_features", "render_map", "run_full",
-    "PsoConfig", "pso_minimize",
-    "SsaConfig", "SsaState", "SsaResult", "optimize", "tune_kelm",
+    "pso_minimize",
+    "SsaResult", "SsaState", "SwarmConfig", "optimize", "tune_kelm",
     "__version__",
 ]

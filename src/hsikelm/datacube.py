@@ -202,7 +202,11 @@ def _save_raster(values_hwb: np.ndarray, path, dtype: str) -> None:
               "order": CUBE_ORDER, "byteorder": "little"}
     payload = np.ascontiguousarray(values_hwb.transpose(2, 0, 1), dtype=_DTYPES[dtype])
     path.write_bytes(payload.tobytes())  # first, so a failed write leaves no header behind
-    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
+    try:
+        _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
+    except BaseException:  # nor a payload without its header
+        path.unlink(missing_ok=True)
+        raise
 
 
 def load_cube(path) -> HyperCube:

@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, NumericalError
 RESIDUAL_TOL = 1e-8
 _JITTER = 1e-10
 _MODEL_MAGIC = b"HSIKELM1"
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,18 @@ def load_model(path) -> KelmModel:
         n, d = header["train_shape"]
         n2, c = header["alpha_shape"]
         hyper = KelmHyperparams(**header["hyperparams"])
-        class_ids = np.asarray(header["class_ids"], dtype=np.int64)
+        ids = header["class_ids"]
     except (struct.error, ValueError, KeyError, TypeError, ConfigError) as e:
         raise DataError(f"malformed header in model file {path}: {e!r}") from e
-    if not all(type(v) is int and v >= 0 for v in (n, d, n2, c)) or class_ids.shape != (c,):
+    if not all(type(v) is int and v >= 0 for v in (n, d, n2, c)) or not isinstance(ids, list) \
+            or len(ids) != c:
         raise DataError(f"malformed shapes in model file {path}")
+    # predict's tie goes to the first column, the lowest id only if the ids ascend
+    if not all(type(v) is int and 1 <= v <= _INT64_MAX for v in ids) \
+            or any(a >= b for a, b in zip(ids, ids[1:])):
+        raise DataError(f"class_ids in model file {path} must be strictly ascending int64 "
+                        f"integers >= 1, got {ids}")
+    class_ids = np.array(ids, dtype=np.int64)
     offset += hlen
     expected = offset + (n * d + n2 * c) * 8
     if n != n2 or len(raw) != expected:

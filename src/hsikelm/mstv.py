@@ -4,7 +4,7 @@ variation smoothing, and landmark kernel PCA fusion.
 The smoother minimizes a data-fidelity term plus a structure-aware penalty
 sum_p [Dx_p / (Lx_p + eps) + Dy_p / (Ly_p + eps)], where Dx/Dy aggregate
 absolute forward differences inside a Gaussian(sigma) window and Lx/Ly are
-magnitudes of the windowed (signed) differences. It is solved by a few
+magnitudes of the windowed (signed) differences. It is solved by four
 rounds of an iteratively reweighted sparse linear system: each round fixes
 per-edge weights from the current estimate, then solves
 (I + lambda * L_w) s = g where L_w is the weighted 4-neighbor graph
@@ -27,29 +27,26 @@ from . import kelm, parallel
 from .datacube import HyperCube
 from .errors import ConfigError, DataError, NumericalError
 
+# the standard RTV solver's rounds and stabilizers (Xu et al. 2012)
+RTV_ROUNDS = 4
+EPSILON_S = 1e-2
+EPSILON_L = 1e-3
 _SOLVE_TOL = 1e-6
 _EIG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class RtvParams:
-    """One smoothing scale: strength lambda, window sigma (pixels), solver rounds."""
+    """One smoothing scale: strength lambda and window sigma (pixels)."""
 
     lam: float = 0.005
     sigma: float = 3.0
-    iterations: int = 4
-    epsilon_s: float = 1e-2
-    epsilon_l: float = 1e-3
 
     def __post_init__(self):
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.epsilon_s <= 0 or self.epsilon_l <= 0:
-            raise ConfigError("stabilizers epsilon_s and epsilon_l must be > 0")
 
 
 def default_scales() -> tuple[RtvParams, ...]:
@@ -124,15 +121,15 @@ def scale_bands_unit(cube: HyperCube) -> HyperCube:
     return HyperCube(min_max_scale(cube.values, axis=(0, 1)).astype(np.float32))
 
 
-def _texture_weights(s, sigma, eps_s, eps_l):
+def _texture_weights(s, sigma):
     fx = np.diff(s, axis=1, append=s[:, -1:])
     fy = np.diff(s, axis=0, append=s[-1:, :])
-    point = 1.0 / np.maximum(np.sqrt(fx**2 + fy**2), eps_s)
+    point = 1.0 / np.maximum(np.sqrt(fx**2 + fy**2), EPSILON_S)
     blurred = gaussian_filter(s, sigma, mode="nearest", truncate=2.5)
     gfx = np.diff(blurred, axis=1, append=blurred[:, -1:])
     gfy = np.diff(blurred, axis=0, append=blurred[-1:, :])
-    wx = point / np.maximum(np.abs(gfx), eps_l)
-    wy = point / np.maximum(np.abs(gfy), eps_l)
+    wx = point / np.maximum(np.abs(gfx), EPSILON_L)
+    wy = point / np.maximum(np.abs(gfy), EPSILON_L)
     wx[:, -1] = 0.0
     wy[-1, :] = 0.0
     return wx, wy
@@ -168,8 +165,8 @@ def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
     g = img.ravel()
     out = img.copy()
     sigma = params.sigma
-    for _ in range(params.iterations):
-        wx, wy = _texture_weights(out, sigma, params.epsilon_s, params.epsilon_l)
+    for _ in range(RTV_ROUNDS):
+        wx, wy = _texture_weights(out, sigma)
         system = _rtv_system(wx, wy, params.lam)
         # symmetric minimum-degree ordering: the system is symmetric, and this
         # roughly halves the fill of the LU factors against the default COLAMD

@@ -18,18 +18,13 @@ COGNITIVE = SOCIAL = 2.0
 
 
 @dataclass(frozen=True)
-class PsoConfig(SwarmConfig):
-    max_iter: int = 200
-
-
-@dataclass(frozen=True)
 class PsoResult:
     best_pos: np.ndarray
     best_fit: float
     trace_best: list[float]
 
 
-def pso_minimize(obj, cfg: PsoConfig) -> PsoResult:
+def pso_minimize(obj, cfg: SwarmConfig) -> PsoResult:
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.pop_size, cfg.dim
     span = cfg.upper - cfg.lower

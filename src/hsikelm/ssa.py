@@ -41,12 +41,16 @@ from . import kelm, parallel
 from .errors import ConfigError, DataError, NumericalError
 
 DELTA = 1e-50
+# the standard sparrow search's role sizes and warning threshold (Xue & Shen 2020)
+PRODUCER_RATIO = 0.2
+SCOUT_RATIO = 0.1
+SAFETY_THRESHOLD = 0.8
 _INIT, _PRODUCERS, _JOINERS, _SCOUTS = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """The fields every swarm optimizer shares; the bounds are stored as flat float vectors."""
+    """The config that SSA and PSO both take; the bounds are stored as flat float vectors."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -75,32 +79,16 @@ class SwarmConfig:
         return self.lower.size
 
 
-@dataclass(frozen=True)
-class SsaConfig(SwarmConfig):
-    producer_ratio: float = 0.2
-    scout_ratio: float = 0.1
-    safety_threshold: float = 0.8
+def producer_count(pop_size: int) -> int:
+    return min(pop_size - 1, max(1, round(PRODUCER_RATIO * pop_size)))
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.producer_ratio < 1.0:
-            raise ConfigError(f"producer_ratio must lie in (0,1), got {self.producer_ratio}")
-        if not 0.0 < self.scout_ratio < 1.0:
-            raise ConfigError(f"scout_ratio must lie in (0,1), got {self.scout_ratio}")
-        if not 0.0 < self.safety_threshold < 1.0:
-            raise ConfigError(f"safety_threshold must lie in (0,1), got {self.safety_threshold}")
 
-    @property
-    def producer_count(self) -> int:
-        return min(self.pop_size - 1, max(1, round(self.producer_ratio * self.pop_size)))
-
-    @property
-    def scout_count(self) -> int:
-        return min(self.pop_size, max(1, round(self.scout_ratio * self.pop_size)))
+def scout_count(pop_size: int) -> int:
+    return min(pop_size, max(1, round(SCOUT_RATIO * pop_size)))
 
 
 @dataclass(frozen=True)
-class TuningConfig(SsaConfig):
+class TuningConfig(SwarmConfig):
     """SSA over (log10 C, log10 gamma); ``lower`` and ``upper`` derive from the axes' pairs."""
 
     lower: np.ndarray = field(init=False)
@@ -109,6 +97,12 @@ class TuningConfig(SsaConfig):
     log10_gamma_bounds: tuple[float, float] = (-3.0, 3.0)
 
     def __post_init__(self):
+        for name in ("log10_c_bounds", "log10_gamma_bounds"):
+            bounds = getattr(self, name)
+            with np.errstate(over="ignore"):
+                scale = 10.0 ** np.asarray(bounds, dtype=np.float64)
+            if not np.all(np.isfinite(scale) & (scale > 0)):
+                raise ConfigError(f"{name} must keep 10**bound a finite float > 0, got {bounds}")
         lower, upper = np.array([self.log10_c_bounds, self.log10_gamma_bounds], dtype=np.float64).T
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -137,11 +131,11 @@ def _ranks(state: SsaState) -> np.ndarray:
     return np.argsort(state.fitness, kind="stable")
 
 
-def _clip(x, cfg: SsaConfig) -> np.ndarray:
+def _clip(x, cfg: SwarmConfig) -> np.ndarray:
     return np.clip(x, cfg.lower, cfg.upper)
 
 
-def init_state(obj, cfg: SsaConfig) -> SsaState:
+def init_state(obj, cfg: SwarmConfig) -> SsaState:
     rng = _phase_rng(cfg.seed, 0, _INIT)
     pos = cfg.lower + (cfg.upper - cfg.lower) * rng.uniform(size=(cfg.pop_size, cfg.dim))
     fit = batch_fitness(obj, pos)
@@ -159,15 +153,15 @@ def init_state(obj, cfg: SsaConfig) -> SsaState:
     )
 
 
-def update_producers(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
+def update_producers(state: SsaState, cfg: SwarmConfig, rng) -> np.ndarray:
     """Move the best-ranked fraction: contract multiplicatively while safe,
     otherwise take a shared normal step in every dimension. Returns the
     moved rows."""
-    producers = _ranks(state)[: cfg.producer_count]
+    producers = _ranks(state)[: producer_count(cfg.pop_size)]
     r2 = rng.uniform()
     for rank0, i in enumerate(producers):
         c = rank0 + 1
-        if r2 < cfg.safety_threshold:
+        if r2 < SAFETY_THRESHOLD:
             a = rng.uniform()
             factor = 0.0 if a == 0.0 else np.exp(-c / (a * cfg.max_iter))
             cand = state.positions[i] * factor
@@ -177,16 +171,17 @@ def update_producers(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
     return producers
 
 
-def update_joiners(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
+def update_joiners(state: SsaState, cfg: SwarmConfig, rng) -> np.ndarray:
     """Move the remaining ranks: the worse half scatters relative to the
     worst position, the better half gathers at the best producer candidate,
     whose fitness must already be in ``cand_fitness``. Returns the moved rows."""
     order = _ranks(state)
     n, d = state.positions.shape
-    producers, joiners = order[: cfg.producer_count], order[cfg.producer_count :]
+    n_producers = producer_count(cfg.pop_size)
+    producers, joiners = order[:n_producers], order[n_producers:]
     best_producer = producers[int(np.argmin(state.cand_fitness[producers]))]
     d_f = state.candidates[best_producer]
-    for rank0, i in enumerate(joiners, start=cfg.producer_count):
+    for rank0, i in enumerate(joiners, start=n_producers):
         c = rank0 + 1
         if c > n / 2:
             q = rng.standard_normal()
@@ -199,12 +194,12 @@ def update_joiners(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
     return joiners
 
 
-def update_scouts(state: SsaState, cfg: SsaConfig, rng) -> np.ndarray:
+def update_scouts(state: SsaState, cfg: SwarmConfig, rng) -> np.ndarray:
     """Move a random subset: anyone worse than the global best jumps toward
     it; the global best itself takes a fitness-scaled step. Returns the
     moved rows."""
     n, d = state.positions.shape
-    rows = rng.permutation(n)[: cfg.scout_count]
+    rows = rng.permutation(n)[: scout_count(cfg.pop_size)]
     for i in rows:
         if state.fitness[i] > state.best_fit:
             v = rng.standard_normal(d)
@@ -264,7 +259,7 @@ class SsaResult:
     trace_mean: list[float]
 
 
-def optimize(obj, cfg: SsaConfig, on_iteration=None) -> SsaResult:
+def optimize(obj, cfg: SwarmConfig, on_iteration=None) -> SsaResult:
     """Run the full loop: init, role updates, greedy replacement.
 
     ``on_iteration(state)`` is invoked after every iteration (useful for
@@ -408,7 +403,7 @@ class TuneResult:
     folds_used: int
 
 
-def tune_kelm(train_x, train_labels, cfg: SsaConfig, folds: int = 5) -> TuneResult:
+def tune_kelm(train_x, train_labels, cfg: SwarmConfig, folds: int = 5) -> TuneResult:
     """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")

@@ -93,7 +93,7 @@ def sphere_benchmark():
     finals, traces, violations = [], [], 0.0
     start = time.perf_counter()
     for seed in range(20):
-        cfg = ssa.SsaConfig(lower=lo, upper=hi, pop_size=30, max_iter=200, seed=seed)
+        cfg = ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30, max_iter=200, seed=seed)
         worst_violation = [0.0]
 
         def check(state, worst=worst_violation):
@@ -212,18 +212,18 @@ def test_criterion_05_ssa_beats_pso_fixture(sphere_benchmark):
     lo, hi = sphere_benchmark["bounds"]
     ssa_sphere = float(np.median(sphere_benchmark["finals"]))
     ssa_rosen = float(np.median([
-        ssa.optimize(rosenbrock, ssa.SsaConfig(lower=lo, upper=hi, pop_size=30,
-                                               max_iter=200, seed=seed)).best_fit
+        ssa.optimize(rosenbrock, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
+                                                 max_iter=200, seed=seed)).best_fit
         for seed in range(20)
     ]))
     pso_sphere = float(np.median([
-        pso.pso_minimize(sphere, pso.PsoConfig(lower=lo, upper=hi, pop_size=30,
-                                               max_iter=200, seed=seed)).best_fit
+        pso.pso_minimize(sphere, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
+                                                 max_iter=200, seed=seed)).best_fit
         for seed in range(20)
     ]))
     pso_rosen = float(np.median([
-        pso.pso_minimize(rosenbrock, pso.PsoConfig(lower=lo, upper=hi, pop_size=30,
-                                                   max_iter=200, seed=seed)).best_fit
+        pso.pso_minimize(rosenbrock, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
+                                                     max_iter=200, seed=seed)).best_fit
         for seed in range(20)
     ]))
     ok = ssa_sphere <= pso_sphere and ssa_rosen <= pso_rosen

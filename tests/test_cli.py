@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hsikelm import cli
 from hsikelm.cli import main
 from hsikelm.datacube import load_cube, load_labels
 from conftest import fast_config_dict
@@ -167,6 +168,14 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"mstv": {"scales": [{"sigma": float("inf")}]}},
      "mstv.scales[0].sigma must be a finite float, got inf"),
     ({"mstv": {"scales": [{"lam": float("nan")}]}}, "mstv.scales[0].lam must be a finite float, got nan"),
+    ({"ssa": {"producer_ratio": 0.2}}, "unknown ssa config key(s): ['producer_ratio']"),
+    ({"ssa": {"scout_ratio": 0.1}}, "unknown ssa config key(s): ['scout_ratio']"),
+    ({"ssa": {"safety_threshold": 0.8}}, "unknown ssa config key(s): ['safety_threshold']"),
+    ({"mstv": {"scales": [{"iterations": 4}]}}, "unknown mstv.scales[0] config key(s): ['iterations']"),
+    ({"mstv": {"scales": [{"epsilon_s": 0.01}]}},
+     "unknown mstv.scales[0] config key(s): ['epsilon_s']"),
+    ({"mstv": {"scales": [{"epsilon_l": 0.001}]}},
+     "unknown mstv.scales[0] config key(s): ['epsilon_l']"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -174,6 +183,23 @@ def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsy
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, bounds", [
+    ("log10_c_bounds", [-400, 400]),
+    ("log10_c_bounds", [-2, 309]),
+    ("log10_gamma_bounds", [-330, 3]),
+])
+def test_search_box_outside_float_range_exit_2_before_any_stage(key, bounds, tmp_path, small_scene,
+                                                                 capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_full", lambda config: pytest.fail("a stage ran"))
+    raw = fast_config_dict(small_scene, tmp_path / "o")
+    raw["ssa"] = {**raw["ssa"], key: bounds}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "stage" not in err
 
 
 def test_unknown_config_key_exit_2(tmp_path, small_scene):
@@ -214,6 +240,26 @@ def test_synth_unwritable_labels_exit_3_without_cube(tmp_path, capsys):
     assert rc == 3
     _one_line_data_error_naming(label_path, capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no cube pair left
+
+
+def test_synth_unwritable_cube_header_exit_3_without_payload(tmp_path, capsys):
+    cube_path = tmp_path / "c.f32"
+    (tmp_path / "c.f32.json").mkdir()  # a directory where the header goes
+    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
+               "--out-cube", str(cube_path), "--out-labels", str(tmp_path / "l.u16")])
+    assert rc == 3
+    _one_line_data_error_naming(cube_path, capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.f32.json"]  # no headerless payload
+
+
+def test_synth_unwritable_labels_header_exit_3_without_any_payload(tmp_path, capsys):
+    label_path = tmp_path / "l.u16"
+    (tmp_path / "l.u16.json").mkdir()
+    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
+               "--out-cube", str(tmp_path / "c.f32"), "--out-labels", str(label_path)])
+    assert rc == 3
+    _one_line_data_error_naming(label_path, capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.u16.json"]  # no cube, no labels
 
 
 def test_undecodable_config_exit_2(tmp_path, capsys):

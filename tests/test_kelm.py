@@ -259,6 +259,16 @@ def test_load_model_rejects_garbage(tmp_path, content):
         load_model(path)
 
 
+@pytest.mark.parametrize("class_ids", [[1.7, 2.2], [2, 1], [0, -3], [1, 1], [2**70, 1], [True, 2]],
+                         ids=["floats", "descending", "below-1", "repeated", "beyond-int64", "bool"])
+def test_load_model_rejects_bad_class_ids(tmp_path, class_ids):
+    header = {**_GOOD_HEADER, "alpha_shape": [1, 2], "class_ids": class_ids}
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_model_bytes(json.dumps(header).encode()) + bytes(8 * 3))
+    with pytest.raises(DataError, match="class_ids"):
+        load_model(path)
+
+
 # -- row blocks ---------------------------------------------------------------
 
 def _blocks_model(seed=0, n=40, d=5, classes=3):

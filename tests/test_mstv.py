@@ -191,18 +191,19 @@ def edge_list_system(wx, wy, lam):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 56), (61, 34)])
 def test_rtv_system_bit_equal_to_edge_list_oracle(shape):
     img = np.random.default_rng(shape[0] * shape[1]).uniform(size=shape)
-    wx, wy = mstv._texture_weights(img, 2.0, 1e-2, 1e-3)
+    wx, wy = mstv._texture_weights(img, 2.0)
     got = mstv._rtv_system(wx, wy, 0.005)
     want = edge_list_system(wx, wy, 0.005)
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
 
 
-def test_one_round_matches_default_ordering_oracle():
+def test_one_round_matches_default_ordering_oracle(monkeypatch):
+    monkeypatch.setattr(mstv, "RTV_ROUNDS", 1)
     rng = np.random.default_rng(6)
     img = np.where(np.arange(56)[None, :] < 23, 1.0, 0.2) + 0.1 * rng.normal(size=(40, 56))
-    params = RtvParams(lam=0.01, sigma=2.0, iterations=1)
-    wx, wy = mstv._texture_weights(img, params.sigma, params.epsilon_s, params.epsilon_l)
+    params = RtvParams(lam=0.01, sigma=2.0)
+    wx, wy = mstv._texture_weights(img, params.sigma)
     system = edge_list_system(wx, wy, params.lam)
     expected = spsolve(system, img.ravel()).reshape(img.shape)  # scipy's default ordering
     out = rtv_smooth(img, params)
@@ -221,8 +222,6 @@ def test_rtv_params_validated():
         RtvParams(lam=-0.1)
     with pytest.raises(ConfigError):
         RtvParams(sigma=0.0)
-    with pytest.raises(ConfigError):
-        RtvParams(iterations=0)
 
 
 # -- multi-scale stack --------------------------------------------------------
@@ -256,7 +255,7 @@ def test_stack_k20_l3_gives_60_bands():
 def test_stack_pool_matches_serial_loop():
     rng = np.random.default_rng(7)
     cube = HyperCube(rng.uniform(size=(40, 56, 3)).astype(np.float32))
-    scales = [RtvParams(lam=0.01, sigma=1.0, iterations=2), RtvParams(lam=0.005, sigma=2.0)]
+    scales = [RtvParams(lam=0.01, sigma=1.0), RtvParams(lam=0.005, sigma=2.0)]
     out = multiscale_stack(cube, scales)
     with parallel.single_threaded_blas():
         serial = [rtv_smooth(cube.values[:, :, b], p) for p in scales for b in range(3)]

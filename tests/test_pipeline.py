@@ -145,17 +145,32 @@ _EVERY_KEY = {
     "mstv": {
         "k": 6, "n_components": 9, "kpca_gamma": 0.5, "landmark_count": 300, "seed": 2,
         "scales": [
-            {"lam": 0.01, "sigma": 1.5, "iterations": 2, "epsilon_s": 0.02, "epsilon_l": 0.002},
-            {"lam": 0.02, "sigma": 2.5, "iterations": 3, "epsilon_s": 0.03, "epsilon_l": 0.004},
+            {"lam": 0.01, "sigma": 1.5},
+            {"lam": 0.02, "sigma": 2.5},
         ],
     },
     "ssa": {
-        "pop_size": 12, "max_iter": 4, "producer_ratio": 0.3, "scout_ratio": 0.2,
-        "safety_threshold": 0.7, "seed": 5,
+        "pop_size": 12, "max_iter": 4, "seed": 5,
         "log10_c_bounds": [-1.0, 3.0], "log10_gamma_bounds": [-2.0, 2.0],
     },
     "fixed_hyperparams": {"c": 10.0, "gamma": 0.25},
 }
+
+
+def _key_tree(value):
+    """The nested keys of a config dict; a list stands for its items' distinct key trees."""
+    if isinstance(value, dict):
+        return {key: _key_tree(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return sorted({json.dumps(_key_tree(v), sort_keys=True) for v in value})
+    return None
+
+
+def test_every_key_config_sets_every_key():
+    # fixed_hyperparams is the one section whose default is None, so it is given
+    echo = config_echo_dict(config_from_dict({"cube_path": "a", "label_path": "b", "num_classes": 2,
+                                              "fixed_hyperparams": {"c": 1.0, "gamma": 1.0}}))
+    assert _key_tree(_EVERY_KEY) == _key_tree(echo)
 
 
 def test_config_echo_round_trips():

@@ -15,7 +15,7 @@ import hsikelm
 from hsikelm import kelm, parallel, ssa
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.ssa import (
-    SsaConfig,
+    SwarmConfig,
     SsaState,
     TuningConfig,
     batch_fitness,
@@ -52,7 +52,7 @@ def make_state(positions, fitness):
 def wide_cfg(d=1, **kw):
     defaults = dict(pop_size=2, max_iter=20, seed=0)
     defaults.update(kw)
-    return SsaConfig(lower=np.full(d, -1e6), upper=np.full(d, 1e6), **defaults)
+    return SwarmConfig(lower=np.full(d, -1e6), upper=np.full(d, 1e6), **defaults)
 
 
 # -- producer update ----------------------------------------------------------
@@ -135,19 +135,15 @@ def test_scout_best_fitness_scaled_step(scripted_rng):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SsaConfig(lower=np.array([0.0]), upper=np.array([-1.0]))
+        SwarmConfig(lower=np.array([0.0]), upper=np.array([-1.0]))
     with pytest.raises(ConfigError):
-        SsaConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=1)
+        SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=1)
     with pytest.raises(ConfigError):
-        SsaConfig(lower=np.array([0.0]), upper=np.array([1.0]), producer_ratio=0.0)
-    with pytest.raises(ConfigError):
-        SsaConfig(lower=np.array([0.0]), upper=np.array([1.0]), safety_threshold=1.0)
-    with pytest.raises(ConfigError):
-        SsaConfig(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
+        SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
 
 
 def test_constant_objective():
-    cfg = SsaConfig(lower=np.array([-1.0]), upper=np.array([1.0]), pop_size=5, max_iter=6, seed=0)
+    cfg = SwarmConfig(lower=np.array([-1.0]), upper=np.array([1.0]), pop_size=5, max_iter=6, seed=0)
     result = optimize(lambda x: 7.0, cfg)
     assert result.best_fit == 7.0
     assert result.trace_best == [7.0] * 6
@@ -156,15 +152,15 @@ def test_constant_objective():
 def test_quadratic_1d_statistics():
     finals = []
     for seed in range(10):
-        cfg = SsaConfig(lower=np.array([0.0]), upper=np.array([10.0]),
-                        pop_size=30, max_iter=50, seed=seed)
+        cfg = SwarmConfig(lower=np.array([0.0]), upper=np.array([10.0]),
+                          pop_size=30, max_iter=50, seed=seed)
         finals.append(optimize(lambda x: float((x[0] - 3.0) ** 2), cfg).best_fit)
     assert np.median(finals) < 1e-4
 
 
 def test_trace_monotone_and_bounds_respected():
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
-    cfg = SsaConfig(lower=lo, upper=hi, pop_size=10, max_iter=25, seed=5)
+    cfg = SwarmConfig(lower=lo, upper=hi, pop_size=10, max_iter=25, seed=5)
 
     def check(state):
         assert np.all(state.positions >= lo - 1e-12) and np.all(state.positions <= hi + 1e-12)
@@ -175,20 +171,20 @@ def test_trace_monotone_and_bounds_respected():
 
 
 def test_deterministic_given_seed():
-    cfg = SsaConfig(lower=np.array([-4.0, -4.0]), upper=np.array([4.0, 4.0]),
-                    pop_size=8, max_iter=12, seed=9)
+    cfg = SwarmConfig(lower=np.array([-4.0, -4.0]), upper=np.array([4.0, 4.0]),
+                      pop_size=8, max_iter=12, seed=9)
     obj = lambda x: float(np.sum(x**2))
     a = optimize(obj, cfg)
     b = optimize(obj, cfg)
     assert a.trace_best == b.trace_best
     assert np.array_equal(a.best_pos, b.best_pos)
-    other = optimize(obj, SsaConfig(lower=cfg.lower, upper=cfg.upper,
-                                    pop_size=8, max_iter=12, seed=10))
+    other = optimize(obj, SwarmConfig(lower=cfg.lower, upper=cfg.upper,
+                                      pop_size=8, max_iter=12, seed=10))
     assert a.trace_best != other.trace_best
 
 
 def test_nan_objective_aborts():
-    cfg = SsaConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=4, max_iter=2, seed=0)
+    cfg = SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=4, max_iter=2, seed=0)
     with pytest.raises(NumericalError, match="NaN"):
         optimize(lambda x: float("nan"), cfg)
 
@@ -270,7 +266,8 @@ def _three_loop_optimize(obj, cfg):
         state.candidates[:] = state.positions
         state.cand_fitness[:] = state.fitness
         order = np.argsort(state.fitness, kind="stable")
-        producers, joiners = order[: cfg.producer_count], order[cfg.producer_count :]
+        n_producers = ssa.producer_count(cfg.pop_size)
+        producers, joiners = order[:n_producers], order[n_producers:]
         update_producers(state, cfg, ssa._phase_rng(cfg.seed, t, ssa._PRODUCERS))
         for i in producers:
             state.cand_fitness[i] = float(obj(state.candidates[i]))
@@ -295,8 +292,8 @@ def _clipped_rastrigin(x):
                          ids=["sphere", "clipped_rastrigin", "constant"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_optimize_matches_three_loop_oracle(obj, seed):
-    cfg = SsaConfig(lower=np.full(3, -3.0), upper=np.full(3, 3.0), pop_size=12,
-                    max_iter=10, scout_ratio=0.3, seed=seed)
+    cfg = SwarmConfig(lower=np.full(3, -3.0), upper=np.full(3, 3.0), pop_size=12,
+                      max_iter=10, seed=seed)
     calls = {"new": 0, "oracle": 0}
 
     def counted(key):
@@ -315,8 +312,8 @@ def test_optimize_matches_three_loop_oracle(obj, seed):
 
 
 def test_degenerate_bounds_return_the_point():
-    cfg = SsaConfig(lower=np.array([2.0, -1.0]), upper=np.array([2.0, -1.0]),
-                    pop_size=4, max_iter=3, seed=0)
+    cfg = SwarmConfig(lower=np.array([2.0, -1.0]), upper=np.array([2.0, -1.0]),
+                      pop_size=4, max_iter=3, seed=0)
     result = optimize(lambda x: float(np.sum(x**2)), cfg)
     assert np.array_equal(result.best_pos, [2.0, -1.0])
 
@@ -408,8 +405,8 @@ def test_cv_objective_pooled_equals_serial():
 
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
     x, y = _blobs(n_per_class=8, seed=3)
-    cfg = SsaConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
-                    pop_size=4, max_iter=2, seed=0)
+    cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
+                      pop_size=4, max_iter=2, seed=0)
     monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="residual"):
         tune_kelm(x, y, cfg, folds=2)
@@ -533,8 +530,8 @@ def test_tune_kelm_single_fold_is_training_mse():
 
 def test_tune_kelm_degenerate_bounds():
     x, y = _blobs(n_per_class=6, seed=2)
-    cfg = SsaConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
-                    pop_size=4, max_iter=2, seed=0)
+    cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
+                      pop_size=4, max_iter=2, seed=0)
     result = tune_kelm(x, y, cfg, folds=2)
     assert result.hyper.c == 10.0
     assert result.hyper.gamma == 1.0
