@@ -100,7 +100,7 @@ def _cmd_tune(args) -> int:
     )
     ssa.write_trace_csv(out_dir / TRACE_NAME, result.trace_best, result.trace_mean)
     print(f"chosen c={result.hyper.c:.6g} gamma={result.hyper.gamma:.6g} "
-          f"fitness={result.best_fitness:.6g} folds={result.folds_used}")
+          f"fitness={result.best_fitness:.6g} folds={config.folds}")
     return 0
 
 

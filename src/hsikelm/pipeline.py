@@ -84,8 +84,8 @@ class PipelineConfig:
             )
         if not 1 <= self.num_classes <= MAX_CLASSES:
             raise ConfigError(f"num_classes must lie in 1..{MAX_CLASSES}, got {self.num_classes}")
-        if self.folds < 1:
-            raise ConfigError(f"folds must be >= 1, got {self.folds}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -31,7 +31,6 @@ is dispatched. Draw order per role:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -296,31 +295,28 @@ def write_trace_csv(path, trace_best, trace_mean) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def stratified_fold_ids(labels, folds: int, seed: int) -> tuple[int, np.ndarray]:
-    """Assign each sample to a fold, round-robin per shuffled class.
+def stratified_fold_ids(labels, folds: int, seed: int) -> np.ndarray:
+    """Assign each sample to one of ``folds`` folds, round-robin per shuffled class.
 
-    Folds are reduced (with a warning) when some class is too small to
-    appear in at least two folds; the degenerate result is a single fold.
+    A class with fewer than ``folds`` samples is held out in fewer folds. Fold
+    f holds a sample only when some class has more than f samples, so a label
+    set whose largest class has fewer than ``folds`` samples is a ConfigError.
     """
     y = np.asarray(labels).ravel()
-    if folds < 1:
-        raise ConfigError(f"folds must be >= 1, got {folds}")
-    _, counts = np.unique(y, return_counts=True)
-    effective = min(folds, int(counts.min()))
-    if effective < 2:
-        effective = 1
-    if effective < folds:
-        warnings.warn(
-            f"reducing folds from {folds} to {effective}: smallest class has {int(counts.min())} sample(s)",
-            stacklevel=2,
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
+    classes, counts = np.unique(y, return_counts=True)
+    if counts.max() < folds:
+        raise ConfigError(
+            f"folds={folds} leaves a fold empty: the largest class has {counts.max()} training "
+            "sample(s); lower folds, raise train_fraction or set fixed_hyperparams"
         )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
     fold_of = np.zeros(y.size, dtype=np.int64)
-    if effective > 1:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
-        for c in np.unique(y):
-            idx = rng.permutation(np.flatnonzero(y == c))
-            fold_of[idx] = np.arange(idx.size) % effective
-    return effective, fold_of
+    for c in classes:
+        idx = rng.permutation(np.flatnonzero(y == c))
+        fold_of[idx] = np.arange(idx.size) % folds
+    return fold_of
 
 
 def _workspace(splits) -> list[tuple]:
@@ -343,39 +339,35 @@ def _workspace(splits) -> list[tuple]:
 def cv_objective(train_x, train_labels, folds: int, seed: int):
     """Cross-validated squared error of a KELM at (log10 C, log10 gamma).
 
-    Returns ``(objective, folds_used)``. With ``folds_used`` >= 2 the
-    objective is the mean held-out error over seeded stratified folds; with
-    ``folds_used`` = 1 it is the training-set error of a model fit on
-    everything. Only C and gamma change between evaluations, so each fold's
-    squared distances (training x training and held-out x training) and
-    one-hot targets are cut here once from one distance matrix, which is not
-    kept. An evaluation writes ``kelm.rbf_kernel`` of each block straight into
-    its scratch and makes one regularized solve per fold, with the same
-    arithmetic as ``kelm.train`` followed by ``kelm.predict``.
+    The objective is the mean held-out error over the seeded stratified
+    folds of ``stratified_fold_ids``. Only C and gamma change between
+    evaluations, so each fold's squared distances (training x training and
+    held-out x training) and one-hot targets are cut here once from one
+    distance matrix, which is not kept. An evaluation writes
+    ``kelm.rbf_kernel`` of each block straight into its scratch and makes one
+    regularized solve per fold, with the same arithmetic as ``kelm.train``
+    followed by ``kelm.predict``.
 
     The objective may be called from several threads at once, as
     ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
     objective's pool (``parallel.lend``), which holds one per call that ran at
     once. In float64 values, the fold blocks that all calls share hold
-    (F - 1)·n² at F >= 2 folds and n² at one fold; a workspace holds 2·t² + m·t
-    for the largest fold's t training and m held-out samples, 1.44·n² at 5 folds.
+    (F - 1)·n² at F folds; a workspace holds 2·t² + m·t for the largest
+    fold's t training and m held-out samples, 1.44·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
     if x.shape[0] != y.size:
         raise DataError(f"{x.shape[0]} samples but {y.size} labels")
-    effective, fold_of = stratified_fold_ids(y, folds, seed)
+    fold_of = stratified_fold_ids(y, folds, seed)
     targets = kelm.one_hot(y, np.unique(y))
     sq_dist = kelm.cdist(x, x, "sqeuclidean")
-    if effective == 1:  # fit and score on everything
-        plan = [(sq_dist, sq_dist, targets, targets)]
-    else:
-        plan = []
-        for f in range(effective):
-            train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
-            plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
-                         targets[train], targets[held]))
-    del sq_dist  # with several folds, only their blocks are kept
+    plan = []
+    for f in range(folds):
+        train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+        plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
+                     targets[train], targets[held]))
+    del sq_dist  # only the folds' blocks are kept
     workspaces = []
 
     def objective(z):
@@ -391,7 +383,7 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
                 errors.append(kelm.mse_fitness(scores, held_targets))
         return float(np.mean(errors))
 
-    return objective, effective
+    return objective
 
 
 @dataclass(frozen=True)
@@ -400,20 +392,17 @@ class TuneResult:
     best_fitness: float
     trace_best: list[float]
     trace_mean: list[float]
-    folds_used: int
 
 
 def tune_kelm(train_x, train_labels, cfg: SwarmConfig, folds: int = 5) -> TuneResult:
     """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
-    objective, effective = cv_objective(train_x, train_labels, folds, cfg.seed)
-    result = optimize(objective, cfg)
+    result = optimize(cv_objective(train_x, train_labels, folds, cfg.seed), cfg)
     hyper = kelm.KelmHyperparams(c=10.0 ** result.best_pos[0], gamma=10.0 ** result.best_pos[1])
     return TuneResult(
         hyper=hyper,
         best_fitness=result.best_fit,
         trace_best=result.trace_best,
         trace_mean=result.trace_mean,
-        folds_used=effective,
     )

@@ -176,6 +176,7 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
      "unknown mstv.scales[0] config key(s): ['epsilon_s']"),
     ({"mstv": {"scales": [{"epsilon_l": 0.001}]}},
      "unknown mstv.scales[0] config key(s): ['epsilon_l']"),
+    ({"folds": 1}, "folds must be >= 2, got 1"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -200,6 +201,18 @@ def test_search_box_outside_float_range_exit_2_before_any_stage(key, bounds, tmp
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err and "stage" not in err
+
+
+def test_more_folds_than_the_largest_class_exit_2(tmp_path, small_scene, capsys):
+    # 1% of the 352-, 352- and 320-pixel classes leaves 4, 4 and 3 training samples
+    raw = fast_config_dict(small_scene, tmp_path / "o", train_fraction=0.01, folds=5)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stage tune: folds=5 leaves a fold empty: the largest class "
+                          "has 4 training sample(s)")
+    assert "train_fraction" in err and "fixed_hyperparams" in err
 
 
 def test_unknown_config_key_exit_2(tmp_path, small_scene):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import hsikelm
 from hsikelm import metrics
-from hsikelm.datacube import save_cube, save_labels
+from hsikelm.datacube import LabelRaster, save_cube, save_labels
 from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
 from hsikelm.pipeline import (
@@ -279,6 +279,29 @@ def test_harder_synthetic_quality_floor(tmp_path):
         ssa={"pop_size": 10, "max_iter": 3},
     )))
     assert report.oa >= 0.84 and report.aa >= 0.84 and report.kappa >= 0.82
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_class_with_one_training_sample_tunes_on_held_out_error(seed, tmp_path):
+    # class 1 keeps 20 labeled pixels, so 5% training leaves it 1 sample; a tune
+    # scored on training error ran to the box corner (4, 3) on these seeds, at
+    # OA 0.06 and 0.05, while 3 held-out folds measured OA 0.87 and 0.90
+    cube, labels = make_synthetic_cube(48, 48, 30, 12, 0.4, seed=seed)
+    raster = labels.labels.copy()
+    raster.ravel()[np.flatnonzero(raster.ravel() == 1)[20:]] = 0
+    scene = {"cube_path": tmp_path / "cube.f32", "label_path": tmp_path / "labels.u16",
+             "labels": LabelRaster(raster, labels.num_classes)}
+    save_cube(cube, scene["cube_path"])
+    save_labels(scene["labels"], scene["label_path"])
+    report = run_full(config_from_dict(fast_config_dict(
+        scene, tmp_path / "out", train_fraction=0.05, folds=3, seed=seed,
+        mstv={"k": 10, "n_components": 10, "landmark_count": 300,
+              "scales": [{"sigma": 1.0}, {"sigma": 2.0}]},
+        ssa={"pop_size": 10, "max_iter": 3},
+    )))
+    chosen = (np.log10(report.chosen_hyperparams.c), np.log10(report.chosen_hyperparams.gamma))
+    assert chosen != pytest.approx((4.0, 3.0))
+    assert report.oa >= 0.5
 
 
 def test_package_exports_resolve():

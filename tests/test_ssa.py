@@ -339,17 +339,19 @@ def _blobs(n_per_class=20, seed=0):
 
 
 def _cv_objective(x, y, folds, seed):
-    effective, fold_of = stratified_fold_ids(y, folds, seed)
+    fold_of = stratified_fold_ids(y, folds, seed)
     class_ids = np.unique(y)
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
         errors = []
-        for f in range(effective):
+        for f in range(folds):
             held = fold_of == f
-            train = ~held if effective > 1 else held  # one fold: fit and score on everything
-            model = kelm.train(x[train], y[train], hyper)
-            scores, _ = kelm.predict(model, x[held])
+            model = kelm.train(x[~held], y[~held], hyper)
+            fold_scores, _ = kelm.predict(model, x[held])
+            # a class absent from the training side has an all-zero target column, so it scores 0
+            scores = np.zeros((fold_scores.shape[0], class_ids.size))
+            scores[:, np.searchsorted(class_ids, model.class_ids)] = fold_scores
             errors.append(kelm.mse_fitness(scores, kelm.one_hot(y[held], class_ids)))
         return float(np.mean(errors))
 
@@ -369,22 +371,27 @@ def test_tune_kelm_separable_blobs():
     assert result.best_fitness <= min(grid) + 0.05
 
 
-@pytest.mark.parametrize("folds", [1, 3, 5])
-def test_cv_objective_equals_train_predict_oracle(folds, monkeypatch):
+@pytest.mark.parametrize("counts, folds", [
+    pytest.param([12, 12, 12], 2, id="2"),
+    pytest.param([12, 12, 12], 3, id="3"),
+    pytest.param([12, 12, 12], 5, id="5"),
+    pytest.param([12, 12, 2], 5, id="class-held-out-in-2-of-5"),
+    pytest.param([12, 12, 1], 5, id="class-absent-from-a-training-side"),
+])
+def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
     rng = np.random.default_rng(11)
-    y = np.repeat([1, 2, 3], 12)
+    y = np.repeat([1, 2, 3], counts)
     x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
     mapped, mapped_array = [], parallel.mapped_array
     monkeypatch.setattr(parallel, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
-    objective, folds_used = cv_objective(x, y, folds, seed=4)
+    objective = cv_objective(x, y, folds, seed=4)
     oracle = _cv_objective(x, y, folds, seed=4)
-    assert folds_used == folds
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     values = [objective(z) for z in grid]
     # serial calls share one workspace: system and factor at the largest t,
     # held-out rows at the largest m
-    held = np.bincount(stratified_fold_ids(y, folds, seed=4)[1])
-    train = held if folds == 1 else y.size - held
+    held = np.bincount(stratified_fold_ids(y, folds, seed=4), minlength=folds)
+    train = y.size - held
     assert mapped == [2 * train.max() ** 2 + held.max() * train.max()]
     assert values == [oracle(z) for z in grid]
 
@@ -393,9 +400,9 @@ def test_cv_objective_pooled_equals_serial():
     rng = np.random.default_rng(2)
     y = np.repeat([1, 2, 3], [11, 12, 14])
     x = rng.normal(size=(y.size, 6)) + 0.5 * y[:, None]
-    _, fold_of = stratified_fold_ids(y, 3, seed=1)
+    fold_of = stratified_fold_ids(y, 3, seed=1)
     assert len(set(np.bincount(fold_of).tolist())) > 1  # folds of unequal size
-    objective, _ = cv_objective(x, y, 3, seed=1)
+    objective = cv_objective(x, y, 3, seed=1)
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     serial = [objective(z) for z in grid]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -516,18 +523,6 @@ def test_run_agrees_across_openblas_kernels(small_scene, tmp_path):
     np.testing.assert_allclose(traces[1], traces[0], rtol=1e-9, atol=0)
 
 
-def test_tune_kelm_single_fold_is_training_mse():
-    x, y = _blobs(n_per_class=10, seed=1)
-    cfg = TuningConfig(seed=1, pop_size=6, max_iter=4)
-    result = tune_kelm(x, y, cfg, folds=1)
-    hyper = result.hyper
-    model = kelm.train(x, y, hyper)
-    scores, _ = kelm.predict(model, x)
-    training_mse = kelm.mse_fitness(scores, kelm.one_hot(y, model.class_ids))
-    assert result.best_fitness == pytest.approx(training_mse, rel=1e-12)
-    assert result.folds_used == 1
-
-
 def test_tune_kelm_degenerate_bounds():
     x, y = _blobs(n_per_class=6, seed=2)
     cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
@@ -537,14 +532,21 @@ def test_tune_kelm_degenerate_bounds():
     assert result.hyper.gamma == 1.0
 
 
-def test_fold_reduction_warns():
-    y = np.array([1, 1, 1, 1, 2])  # class 2 is a singleton
-    with pytest.warns(UserWarning, match="reducing folds"):
-        effective, _ = stratified_fold_ids(y, folds=5, seed=0)
-    assert effective == 1
-    with pytest.warns(UserWarning, match="reducing folds"):
-        effective, fold_of = stratified_fold_ids(np.array([1, 1, 1, 2, 2, 2]), folds=5, seed=0)
-    assert effective == 3
-    # every training side keeps both classes
-    for f in range(3):
-        assert set(np.array([1, 1, 1, 2, 2, 2])[fold_of != f]) == {1, 2}
+def test_fold_ids_keep_the_configured_folds():
+    # pinned: where no class is short the ids, and so every tune on them, must not move
+    y = np.array([3, 1, 2, 3, 2, 1, 3, 2, 1, 3, 2, 3])
+    assert stratified_fold_ids(y, folds=3, seed=7).tolist() == [0, 2, 2, 1, 0, 1, 0, 0, 0, 1, 1, 2]
+    for counts, folds in (([6, 1], 5), ([3, 5, 3], 5), ([9, 2, 1, 4], 5), ([5, 5], 2)):
+        y = np.repeat(np.arange(1, len(counts) + 1), counts)
+        fold_of = stratified_fold_ids(y, folds, seed=0)
+        assert set(fold_of.tolist()) == set(range(folds))  # every fold holds a sample
+        for c, count in zip(np.unique(y), counts):
+            # round robin: a class with c < F samples sits in exactly c folds
+            assert sorted(fold_of[y == c].tolist()) == sorted(np.arange(count) % folds)
+
+
+def test_fold_ids_reject_more_folds_than_the_largest_class():
+    with pytest.raises(ConfigError, match="folds=2 leaves a fold empty"):
+        stratified_fold_ids(np.array([1, 2, 3]), 2, 0)
+    with pytest.raises(ConfigError, match="folds must be >= 2, got 1"):
+        stratified_fold_ids(np.array([1, 1, 2, 2]), 1, 0)
