@@ -24,14 +24,13 @@ from .pipeline import (
     REPORT_NAME,
     TRACE_NAME,
     build_features,
+    load_and_split,
     load_config,
     make_synthetic_cube,
     predict_raster,
     render_map,
     run_full,
     score_test_split,
-    split_labels,
-    training_set,
 )
 
 PRED_NAME = "predicted_labels.u16"
@@ -79,9 +78,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_features(args) -> int:
     config = _config_from_args(args)
-    bundle = build_features(config)
-    h, w = bundle.labels.height, bundle.labels.width
-    feature_cube = HyperCube(bundle.fused.reshape(h, w, -1).astype(np.float32))
+    labels = load_labels(config.label_path, config.num_classes)
+    fused = build_features(config, labels)
+    feature_cube = HyperCube(fused.reshape(labels.height, labels.width, -1).astype(np.float32))
     save_cube(feature_cube, args.out)
     print(f"wrote {args.out}: {feature_cube.bands} features "
           f"({config.mstv.n_components} spectral + {config.mstv.k} spatial)")
@@ -90,9 +89,9 @@ def _cmd_features(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = _config_from_args(args)
-    bundle = build_features(config)
-    train_x, train_y = training_set(bundle, split_labels(bundle.labels, config))
-    result = ssa.tune_kelm(train_x, train_y, config.ssa, folds=config.folds)
+    labels, split, train_y, fold_of = load_and_split(config, tune=True)
+    train_x = build_features(config, labels)[split.train_idx]
+    result = ssa.tune_kelm(train_x, train_y, config.ssa, fold_of)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "chosen_hyperparams.json").write_text(
@@ -119,8 +118,8 @@ def _resolve_hyper(args, config) -> kelm.KelmHyperparams:
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     hyper = _resolve_hyper(args, config)
-    bundle = build_features(config)
-    train_x, train_y = training_set(bundle, split_labels(bundle.labels, config))
+    labels, split, train_y, _ = load_and_split(config, tune=False)
+    train_x = build_features(config, labels)[split.train_idx]
     model = kelm.train(train_x, train_y, hyper, num_classes=config.num_classes)
     kelm.save_model(model, args.out)
     print(f"wrote {args.out}: {model.train_x.shape[0]} samples, "
@@ -131,7 +130,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _config_from_args(args)
     model = kelm.load_model(args.model)
-    raster = predict_raster(model, build_features(config))
+    labels = load_labels(config.label_path, config.num_classes)
+    raster = predict_raster(model, build_features(config, labels), labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_labels(LabelRaster(raster.astype(np.uint16), config.num_classes), out_dir / PRED_NAME)
@@ -142,14 +142,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
-    truth = load_labels(config.label_path, config.num_classes)
+    truth, split, _, _ = load_and_split(config, tune=False)
     pred = load_labels(args.pred, config.num_classes)
     if (truth.height, truth.width) != (pred.height, pred.width):
         raise DataError(
             f"prediction raster {pred.height}x{pred.width} does not match "
             f"ground truth {truth.height}x{truth.width}"
         )
-    split = split_labels(truth, config)
     cm, oa_v, aa_v, kappa_v = score_test_split(truth, pred.labels, split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,12 @@
-"""End-to-end orchestration: features, tuning, training, evaluation, artifacts.
+"""End-to-end orchestration: split, features, tuning, training, evaluation, artifacts.
 
-A run loads a cube and its labels, extracts spectral features (grouping +
-multi-scale smoothing + kernel PCA) and spatial features (per-pixel LBP
-codes), fuses them, splits the labeled pixels, tunes the classifier's
-(C, gamma) with the swarm optimizer unless fixed values are supplied,
-trains, evaluates on the held-out pixels, and writes a report JSON,
+A run loads the labels, splits the labeled pixels and, when it tunes,
+assigns the training pixels to folds; a split or fold count that cannot
+work thus fails before any feature is computed. It then loads the cube,
+extracts spectral features (grouping + multi-scale smoothing + kernel
+PCA) and spatial features (per-pixel LBP codes), fuses them, tunes the
+classifier's (C, gamma) with the swarm optimizer unless fixed values are
+supplied, trains, evaluates on the held-out pixels, and writes a report JSON,
 confusion CSV, classification map PPM, and (when tuned) a convergence
 trace CSV into the output directory. Report artifact paths are relative
 to the output directory and the config echo omits it, so two runs with
@@ -219,18 +221,30 @@ def fuse(spectral: np.ndarray, spatial: np.ndarray) -> np.ndarray:
     return np.hstack([spectral, spatial])
 
 
-@dataclass
-class FeatureBundle:
-    labels: LabelRaster
-    fused: np.ndarray
+def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = None):
+    """Stages load and split, which need no feature: the label raster, the
+    run's seeded train/test split of its labeled pixels, the class ids of the
+    training pixels and, when ``tune``, their fold ids (else None). Every
+    class must have a labeled pixel and the test side must not be empty."""
+    timings = {} if timings is None else timings
+    with _stage("load", timings):
+        labels = load_labels(config.label_path, config.num_classes)
+    with _stage("split", timings):
+        split = stratified_split(labels, config.train_fraction, config.seed)
+        if split.test_idx.size == 0:
+            raise DataError("empty test split")
+        train_y = labels.labels.ravel()[split.train_idx].astype(np.int64)
+        fold_of = ssa.stratified_fold_ids(train_y, config.folds, config.ssa.seed) if tune else None
+    return labels, split, train_y, fold_of
 
 
-def build_features(config: PipelineConfig, timings: dict | None = None) -> FeatureBundle:
-    """Load data and produce the fused per-pixel feature matrix."""
+def build_features(config: PipelineConfig, labels: LabelRaster,
+                   timings: dict | None = None) -> np.ndarray:
+    """Load the cube and produce the fused feature matrix, one row per pixel
+    of the cube, which must match ``labels`` in shape."""
     timings = {} if timings is None else timings
     with _stage("load", timings):
         cube = load_cube(config.cube_path)
-        labels = load_labels(config.label_path, config.num_classes)
         check_companion(cube, labels)
     with _stage("group", timings):
         reduced = group_and_average(cube, config.mstv.k)
@@ -240,33 +254,17 @@ def build_features(config: PipelineConfig, timings: dict | None = None) -> Featu
     with _stage("lbp", timings):
         spatial = lbp_features(reduced)
     with _stage("fuse", timings):
-        fused = fuse(normalize_features(spectral), spatial)
-    return FeatureBundle(labels=labels, fused=fused)
+        return fuse(normalize_features(spectral), spatial)
 
 
-def split_labels(labels: LabelRaster, config: PipelineConfig) -> SampleSplit:
-    """The run's seeded train/test split of the labeled pixels; every class
-    must have a labeled pixel and the test side must not be empty."""
-    split = stratified_split(labels, config.train_fraction, config.seed)
-    if split.test_idx.size == 0:
-        raise DataError("empty test split")
-    return split
-
-
-def training_set(bundle: FeatureBundle, split: SampleSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Features and class ids of the split's training pixels."""
-    labels = bundle.labels.labels.ravel()[split.train_idx].astype(np.int64)
-    return bundle.fused[split.train_idx], labels
-
-
-def predict_raster(model: kelm.KelmModel, bundle: FeatureBundle) -> np.ndarray:
+def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: LabelRaster) -> np.ndarray:
     """Predicted class id of every labeled pixel, 0 elsewhere, in the label
     raster's shape."""
-    labeled = bundle.labels.labeled_indices()
-    _, pred_labeled = kelm.predict(model, bundle.fused[labeled])
-    raster = np.zeros(bundle.labels.labels.size, dtype=np.int64)
+    labeled = labels.labeled_indices()
+    _, pred_labeled = kelm.predict(model, fused[labeled])
+    raster = np.zeros(labels.labels.size, dtype=np.int64)
     raster[labeled] = pred_labeled
-    return raster.reshape(bundle.labels.labels.shape)
+    return raster.reshape(labels.labels.shape)
 
 
 def score_test_split(truth: LabelRaster, pred: np.ndarray, split: SampleSplit):
@@ -353,28 +351,27 @@ def run_full(config: PipelineConfig) -> RunReport:
     timings: dict = {}
     t0 = time.perf_counter()
 
-    bundle = build_features(config, timings)
-
-    with _stage("split", timings):
-        split = split_labels(bundle.labels, config)
-    train_x, train_y = training_set(bundle, split)
+    labels, split, train_y, fold_of = load_and_split(
+        config, tune=config.fixed_hyperparams is None, timings=timings)
+    fused = build_features(config, labels, timings)
+    train_x = fused[split.train_idx]
 
     tune_result = None
     if config.fixed_hyperparams is not None:
         chosen = config.fixed_hyperparams
     else:
         with _stage("tune", timings):
-            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa, folds=config.folds)
+            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa, fold_of)
             chosen = tune_result.hyper
 
     with _stage("train", timings):
         model = kelm.train(train_x, train_y, chosen, num_classes=config.num_classes)
 
     with _stage("predict", timings):
-        pred_map = predict_raster(model, bundle)
+        pred_map = predict_raster(model, fused, labels)
 
     with _stage("evaluate", timings):
-        cm, oa_v, aa_v, kappa_v = score_test_split(bundle.labels, pred_map, split)
+        cm, oa_v, aa_v, kappa_v = score_test_split(labels, pred_map, split)
 
     with _stage("emit", timings):
         metrics.write_confusion_csv(cm, out_dir / CONFUSION_NAME)

@@ -258,11 +258,10 @@ class SsaResult:
     trace_mean: list[float]
 
 
-def optimize(obj, cfg: SwarmConfig, on_iteration=None) -> SsaResult:
+def optimize(obj, cfg: SwarmConfig) -> SsaResult:
     """Run the full loop: init, role updates, greedy replacement.
 
-    ``on_iteration(state)`` is invoked after every iteration (useful for
-    instrumentation). Deterministic for a fixed config seed.
+    Deterministic for a fixed config seed.
     """
     state = init_state(obj, cfg)
     trace_best, trace_mean = [], []
@@ -277,8 +276,6 @@ def optimize(obj, cfg: SwarmConfig, on_iteration=None) -> SsaResult:
         greedy_replace(state)
         trace_best.append(state.best_fit)
         trace_mean.append(float(state.fitness.mean()))
-        if on_iteration is not None:
-            on_iteration(state)
     return SsaResult(
         best_pos=state.best_pos.copy(),
         best_fit=state.best_fit,
@@ -336,11 +333,12 @@ def _workspace(splits) -> list[tuple]:
              held_rows[: m * t].reshape(m, t)) for m, t in splits]
 
 
-def cv_objective(train_x, train_labels, folds: int, seed: int):
+def cv_objective(train_x, train_labels, fold_of):
     """Cross-validated squared error of a KELM at (log10 C, log10 gamma).
 
-    The objective is the mean held-out error over the seeded stratified
-    folds of ``stratified_fold_ids``. Only C and gamma change between
+    The objective is the mean held-out error over the folds that
+    ``fold_of`` assigns the samples to, as ``stratified_fold_ids`` makes
+    them; each distinct id is one fold. Only C and gamma change between
     evaluations, so each fold's squared distances (training x training and
     held-out x training) and one-hot targets are cut here once from one
     distance matrix, which is not kept. An evaluation writes
@@ -357,13 +355,13 @@ def cv_objective(train_x, train_labels, folds: int, seed: int):
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
-    if x.shape[0] != y.size:
-        raise DataError(f"{x.shape[0]} samples but {y.size} labels")
-    fold_of = stratified_fold_ids(y, folds, seed)
+    fold_of = np.asarray(fold_of).ravel()
+    if not x.shape[0] == y.size == fold_of.size:
+        raise DataError(f"{x.shape[0]} samples but {y.size} labels and {fold_of.size} fold ids")
     targets = kelm.one_hot(y, np.unique(y))
     sq_dist = kelm.cdist(x, x, "sqeuclidean")
     plan = []
-    for f in range(folds):
+    for f in np.unique(fold_of):
         train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
         plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
                      targets[train], targets[held]))
@@ -394,11 +392,11 @@ class TuneResult:
     trace_mean: list[float]
 
 
-def tune_kelm(train_x, train_labels, cfg: SwarmConfig, folds: int = 5) -> TuneResult:
-    """Search (log10 C, log10 gamma) minimizing ``cv_objective``."""
+def tune_kelm(train_x, train_labels, cfg: SwarmConfig, fold_of) -> TuneResult:
+    """Search (log10 C, log10 gamma) minimizing ``cv_objective`` on the folds ``fold_of``."""
     if cfg.dim != 2:
         raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
-    result = optimize(cv_objective(train_x, train_labels, folds, cfg.seed), cfg)
+    result = optimize(cv_objective(train_x, train_labels, fold_of), cfg)
     hyper = kelm.KelmHyperparams(c=10.0 ** result.best_pos[0], gamma=10.0 ** result.best_pos[1])
     return TuneResult(
         hyper=hyper,

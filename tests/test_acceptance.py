@@ -90,24 +90,27 @@ def rosenbrock(x):
 @pytest.fixture(scope="module")
 def sphere_benchmark():
     lo, hi = np.full(10, -5.0), np.full(10, 5.0)
-    finals, traces, violations = [], [], 0.0
+    finals, traces, worst_violation = [], [], [0.0]
+    replace = ssa.greedy_replace
+
+    def check(state):  # every iteration ends in greedy_replace
+        replace(state)
+        spread = max(
+            float(np.max(lo - state.positions, initial=0.0)),
+            float(np.max(state.positions - hi, initial=0.0)),
+        )
+        worst_violation[0] = max(worst_violation[0], spread)
+
     start = time.perf_counter()
-    for seed in range(20):
-        cfg = ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30, max_iter=200, seed=seed)
-        worst_violation = [0.0]
-
-        def check(state, worst=worst_violation):
-            spread = max(
-                float(np.max(lo - state.positions, initial=0.0)),
-                float(np.max(state.positions - hi, initial=0.0)),
-            )
-            worst[0] = max(worst[0], spread)
-
-        result = ssa.optimize(sphere, cfg, on_iteration=check)
-        finals.append(result.best_fit)
-        traces.append(result.trace_best)
-        violations = max(violations, worst_violation[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssa, "greedy_replace", check)
+        for seed in range(20):
+            cfg = ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30, max_iter=200, seed=seed)
+            result = ssa.optimize(sphere, cfg)
+            finals.append(result.best_fit)
+            traces.append(result.trace_best)
     elapsed = time.perf_counter() - start
+    violations = worst_violation[0]
     return {"finals": finals, "traces": traces, "violations": violations,
             "elapsed": elapsed, "bounds": (lo, hi)}
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hsikelm import cli
+from hsikelm import cli, pipeline
 from hsikelm.cli import main
-from hsikelm.datacube import load_cube, load_labels
+from hsikelm.datacube import LabelRaster, load_cube, load_labels, save_labels
 from conftest import fast_config_dict
 
 
@@ -203,16 +203,44 @@ def test_search_box_outside_float_range_exit_2_before_any_stage(key, bounds, tmp
     assert err.startswith("config error: ") and key in err and "stage" not in err
 
 
-def test_more_folds_than_the_largest_class_exit_2(tmp_path, small_scene, capsys):
-    # 1% of the 352-, 352- and 320-pixel classes leaves 4, 4 and 3 training samples
+def _fail_if_smoothed(monkeypatch):
+    monkeypatch.setattr(pipeline, "multiscale_stack", lambda *a: pytest.fail("the smoothing ran"))
+
+
+def test_more_folds_than_the_largest_class_exit_2(tmp_path, small_scene, capsys, monkeypatch):
+    # 1% of the 352-, 352- and 320-pixel classes leaves 4, 4 and 3 training
+    # samples; the fold plan fails at the split, before the smoothing
+    _fail_if_smoothed(monkeypatch)
     raw = fast_config_dict(small_scene, tmp_path / "o", train_fraction=0.01, folds=5)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: stage tune: folds=5 leaves a fold empty: the largest class "
-                          "has 4 training sample(s)")
-    assert "train_fraction" in err and "fixed_hyperparams" in err
+    for argv in (["run"], ["tune", "--out", str(tmp_path / "tuned")]):
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stage split: folds=5 leaves a fold empty: the largest "
+                              "class has 4 training sample(s)")
+        assert "train_fraction" in err and "fixed_hyperparams" in err
+    # without a tune there is no fold plan, so the same split runs
+    monkeypatch.undo()
+    path.write_text(json.dumps({**raw, "fixed_hyperparams": {"c": 100.0, "gamma": 1.0}}))
+    assert main(["run", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "tune", "train"])
+def test_one_labeled_pixel_per_class_exit_3_before_the_smoothing(command, tmp_path, small_scene,
+                                                                  capsys, monkeypatch):
+    # each class's one labeled pixel goes to training, which leaves no test pixel
+    _fail_if_smoothed(monkeypatch)
+    raster = np.zeros((32, 32), dtype=np.uint16)
+    raster[[0, 15, 31], 0] = [1, 2, 3]
+    label_path = tmp_path / "sparse.u16"
+    save_labels(LabelRaster(raster, 3), label_path)
+    raw = fast_config_dict(small_scene, tmp_path / "o", label_path=str(label_path),
+                           fixed_hyperparams={"c": 1.0, "gamma": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "data error: stage split: empty test split\n"
 
 
 def test_unknown_config_key_exit_2(tmp_path, small_scene):
@@ -327,6 +355,7 @@ def test_degenerate_cube_exit_4(tmp_path, small_scene):
     save_labels(LabelRaster(labels, 2), label_path)
     raw = {
         "cube_path": str(cube_path), "label_path": str(label_path), "num_classes": 2,
+        "folds": 2,  # 3 training samples per class: the fold plan passes and the run reaches KPCA
         "mstv": {"k": 2, "n_components": 2, "landmark_count": 64},
         "ssa": {"pop_size": 4, "max_iter": 2},
         "output_dir": str(tmp_path / "o"),

@@ -13,7 +13,7 @@ import pytest
 
 import hsikelm
 from hsikelm import kelm, parallel, ssa
-from hsikelm.errors import ConfigError, NumericalError
+from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.ssa import (
     SwarmConfig,
     SsaState,
@@ -158,15 +158,18 @@ def test_quadratic_1d_statistics():
     assert np.median(finals) < 1e-4
 
 
-def test_trace_monotone_and_bounds_respected():
+def test_trace_monotone_and_bounds_respected(monkeypatch):
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
     cfg = SwarmConfig(lower=lo, upper=hi, pop_size=10, max_iter=25, seed=5)
+    replace = ssa.greedy_replace
 
-    def check(state):
+    def check(state):  # every iteration ends in greedy_replace
+        replace(state)
         assert np.all(state.positions >= lo - 1e-12) and np.all(state.positions <= hi + 1e-12)
         assert np.all(state.candidates >= lo - 1e-12) and np.all(state.candidates <= hi + 1e-12)
 
-    result = optimize(lambda x: float(np.sum(x**2)), cfg, on_iteration=check)
+    monkeypatch.setattr(ssa, "greedy_replace", check)
+    result = optimize(lambda x: float(np.sum(x**2)), cfg)
     assert all(a >= b for a, b in zip(result.trace_best, result.trace_best[1:]))
 
 
@@ -361,7 +364,7 @@ def _cv_objective(x, y, folds, seed):
 def test_tune_kelm_separable_blobs():
     x, y = _blobs()
     cfg = TuningConfig(seed=0, pop_size=10, max_iter=8)
-    result = tune_kelm(x, y, cfg, folds=3)
+    result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 3, seed=0))
     assert result.best_fitness < 0.05
     # independent grid oracle: a sub-0.05 region exists inside the same bounds
     objective = _cv_objective(x, y, folds=3, seed=0)
@@ -384,7 +387,7 @@ def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
     x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
     mapped, mapped_array = [], parallel.mapped_array
     monkeypatch.setattr(parallel, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
-    objective = cv_objective(x, y, folds, seed=4)
+    objective = cv_objective(x, y, stratified_fold_ids(y, folds, seed=4))
     oracle = _cv_objective(x, y, folds, seed=4)
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     values = [objective(z) for z in grid]
@@ -402,12 +405,21 @@ def test_cv_objective_pooled_equals_serial():
     x = rng.normal(size=(y.size, 6)) + 0.5 * y[:, None]
     fold_of = stratified_fold_ids(y, 3, seed=1)
     assert len(set(np.bincount(fold_of).tolist())) > 1  # folds of unequal size
-    objective = cv_objective(x, y, 3, seed=1)
+    objective = cv_objective(x, y, fold_of)
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     serial = [objective(z) for z in grid]
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = list(pool.map(objective, grid[::-1]))[::-1]
     assert [v.hex() for v in pooled] == [v.hex() for v in serial]
+
+
+def test_cv_objective_rejects_mismatched_counts():
+    x, y = _blobs(n_per_class=4)
+    fold_of = stratified_fold_ids(y, 2, seed=0)
+    with pytest.raises(DataError, match="8 samples but 7 labels and 8 fold ids"):
+        cv_objective(x, y[:-1], fold_of)
+    with pytest.raises(DataError, match="8 samples but 8 labels and 7 fold ids"):
+        cv_objective(x, y, fold_of[:-1])
 
 
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
@@ -416,7 +428,7 @@ def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, op
                       pop_size=4, max_iter=2, seed=0)
     monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="residual"):
-        tune_kelm(x, y, cfg, folds=2)
+        tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
     assert [get() for _, get in openblas_at_two_threads] == [2] * len(openblas_at_two_threads)
 
 
@@ -429,11 +441,11 @@ def _blas_env(threads: str) -> dict:
 
 _TUNE_HEX = """
 import numpy as np
-from hsikelm.ssa import TuningConfig, tune_kelm
+from hsikelm.ssa import TuningConfig, stratified_fold_ids, tune_kelm
 rng = np.random.default_rng(5)
 y = np.repeat([1, 2, 3], 100)
 x = rng.normal(size=(y.size, 8)) + 0.4 * y[:, None]
-r = tune_kelm(x, y, TuningConfig(seed=0, pop_size=4, max_iter=2), folds=2)
+r = tune_kelm(x, y, TuningConfig(seed=0, pop_size=4, max_iter=2), stratified_fold_ids(y, 2, 0))
 print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 """
 
@@ -527,7 +539,7 @@ def test_tune_kelm_degenerate_bounds():
     x, y = _blobs(n_per_class=6, seed=2)
     cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
                       pop_size=4, max_iter=2, seed=0)
-    result = tune_kelm(x, y, cfg, folds=2)
+    result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
     assert result.hyper.c == 10.0
     assert result.hyper.gamma == 1.0
 
