@@ -26,6 +26,8 @@ RESIDUAL_TOL = 1e-8
 _JITTER = 1e-10
 _MODEL_MAGIC = b"HSIKELM1"
 _INT64_MAX = np.iinfo(np.int64).max
+# exponents below this give kernel values under sqrt(tiny), which rbf_kernel sets to 0
+_LOG_FLOOR = 0.5 * np.log(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,27 @@ class KelmModel:
 def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-gamma * d) elementwise, for an array d of precomputed squared distances.
 
+    Where ``-gamma * d`` lies below ``_LOG_FLOOR``, that is where the value
+    would fall below ``sqrt(finfo(float64).tiny)`` (about 1.5e-154), the
+    kernel is exactly 0. The product of any two kernel values is then a
+    normal double; the Cholesky, residual and held-out products run 20-40x
+    slower on subnormal ones. A value under the floor is below the last bit
+    of any sum above about 1e-138 that it joins, so only such tiny scores
+    change; a query row whose every kernel value is under the floor scores
+    all-zero (see ``predict``).
+
     The kernel is written into ``out`` when given, else into a new array; the
-    exp runs in place, so a call allocates at most one array of d's size.
+    exp runs in place, so a call allocates at most one array of d's size,
+    plus a boolean mask of d's shape when the floor applies.
     """
     kernel = np.multiply(sq_dist, -gamma, out=out)
-    return np.exp(kernel, out=kernel)
+    if not (kernel.size and kernel.min() < _LOG_FLOOR):
+        return np.exp(kernel, out=kernel)
+    # no per-element branch, and exp never takes its slow path for subnormal outputs
+    keep = kernel >= _LOG_FLOOR
+    np.maximum(kernel, _LOG_FLOOR - 1.0, out=kernel)
+    np.exp(kernel, out=kernel)
+    return np.multiply(kernel, keep, out=kernel)
 
 
 def one_hot(labels, class_ids) -> np.ndarray:
@@ -176,6 +194,10 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray, factor: np.ndarray | None = 
 
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Scores (m x c) and arg-max labels for a feature matrix.
+
+    A row whose every kernel value lies below ``rbf_kernel``'s floor (a query
+    far from all training samples at a large gamma) scores all-zero, so the
+    tie rule gives it the lowest class id.
 
     The rows are scored in blocks of ``parallel.BLOCK_ROWS`` side by side
     (``parallel.run_row_blocks``), so the bits depend on neither the CPU

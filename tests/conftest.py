@@ -60,6 +60,16 @@ BLOCK_ROWS = parallel.BLOCK_ROWS
 BLOCK_SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
 
 
+def clustered_samples(n=300, seed=0):
+    """n samples in 4-D, two clusters per class of 3, whose spread leaves
+    kernel entries at every scale: at log10 gamma near 2 some fall below the
+    RBF kernel's floor and others lie just above it."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 2.0, size=(6, 4))
+    cluster = np.arange(n) % 6
+    return centres[cluster] + 0.15 * rng.normal(size=(n, 4)), cluster % 3 + 1
+
+
 @pytest.fixture(params=[1, 8], ids=["1cpu", "8cpus"])
 def cpus(request, monkeypatch):
     """The affinity mask's CPU count, as the job runner sees it."""

@@ -20,7 +20,7 @@ from hsikelm.kelm import (
     train,
 )
 
-from conftest import BLOCK_SIZES
+from conftest import BLOCK_SIZES, clustered_samples
 
 
 def oracle_scores(train_x, labels, c, gamma, query_x):
@@ -50,6 +50,74 @@ def test_rbf_kernel_values():
     assert sq_dist.tolist() == [1.0] * 4  # the distances are not overwritten
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-100
+
+
+SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def test_rbf_kernel_floor():
+    floor = kelm._LOG_FLOOR
+    sq_dist = np.concatenate([np.linspace(0.0, 800.0, 4001),
+                              [-floor, np.nextafter(-floor, 0.0), np.nextafter(-floor, np.inf)]])
+    plain = np.exp(-1.0 * sq_dist)
+    assert np.any((plain > 0) & (plain < SQRT_TINY))  # the floor has values to remove
+    kept = -1.0 * sq_dist >= floor
+    want = np.where(kept, plain, 0.0)
+    before = sq_dist.copy()
+    values = rbf_kernel(sq_dist, 1.0)
+    assert np.array_equal(sq_dist, before)  # the distances are not overwritten
+    assert np.array_equal(values[kept], plain[kept])  # bit-equal at or above the floor
+    assert np.all(values[~kept] == 0.0) and np.all(values[kept] >= SQRT_TINY)
+    assert not np.any((values > 0) & (values < SQRT_TINY))
+    # into a separate array, and in place as the KPCA calls it
+    out = np.full_like(sq_dist, np.nan)
+    assert rbf_kernel(sq_dist, 1.0, out=out) is out and np.array_equal(out, want)
+    assert np.array_equal(sq_dist, before)
+    assert rbf_kernel(sq_dist, 1.0, out=sq_dist) is sq_dist and np.array_equal(sq_dist, want)
+    # an empty block, and a gamma broadcast against the distances
+    assert rbf_kernel(np.empty((0, 3)), 500.0).shape == (0, 3)
+    assert rbf_kernel(np.empty(0), 500.0, out=np.empty(0)).size == 0
+    values = rbf_kernel(np.ones(4), np.array([1.0, 300.0, -floor, 400.0]))
+    assert values[:3].tolist() == np.exp([-1.0, -300.0, floor]).tolist() and values[3] == 0.0
+    assert np.isnan(rbf_kernel(np.array([np.nan, 1000.0, 1.0]), 1.0)).tolist() == [True, False, False]
+
+
+def test_train_and_predict_where_the_floor_fires_equal_the_unfloored_formula():
+    x, y = clustered_samples()
+    rng = np.random.default_rng(1)
+    query = x[rng.choice(len(x), 40, replace=False)] + 0.02 * rng.normal(size=(40, 4))
+    targets = one_hot(y, [1, 2, 3])
+    for log10_c, log10_gamma in [(-1.0, 1.8), (1.0, 1.95), (3.0, 2.1)]:
+        c, gamma = 10.0 ** log10_c, 10.0 ** log10_gamma
+        omega = np.exp(-gamma * cdist(x, x, "sqeuclidean"))
+        query_kernel = np.exp(-gamma * cdist(query, x, "sqeuclidean"))
+        for kernel in (omega, query_kernel):
+            assert np.any((kernel > 0) & (kernel < SQRT_TINY))
+        with parallel.single_threaded_blas():  # as train solves
+            alpha = cho_solve(cho_factor(omega + np.eye(len(x)) / c, lower=True), targets)
+        want = query_kernel @ alpha
+        scores, labels = predict(train(x, y, KelmHyperparams(c=c, gamma=gamma)), query)
+        # the terms the floor drops are below the last bit of any score above
+        # about 1e-138; only scores far below that can move, and by less than the floor
+        large = np.abs(want) >= 1e-130
+        assert np.all(large.any(axis=1))
+        assert np.array_equal(scores[large], want[large])
+        assert np.all(np.abs(scores - want) < SQRT_TINY)
+        assert np.array_equal(labels, np.argmax(want, axis=1) + 1)
+
+
+def test_far_query_scores_zero_and_takes_the_lowest_class():
+    """A query whose every kernel value lies below the floor scores all-zero,
+    so predict's tie rule gives it the lowest class id; the unfloored values
+    (about 1e-174 to 1e-210) would have picked the nearest class, 3."""
+    x = np.array([[0.0], [0.1], [0.2]])
+    hyper = KelmHyperparams(c=1.0, gamma=100.0)
+    model = train(x, [1, 2, 3], hyper)
+    query = np.array([[2.2]])
+    unfloored = np.exp(-hyper.gamma * cdist(query, x, "sqeuclidean")) @ model.alpha
+    assert np.all(np.abs(unfloored) > 0) and np.argmax(unfloored) == 2
+    scores, labels = predict(model, query)
+    assert scores.tolist() == [[0.0, 0.0, 0.0]] and labels.tolist() == [1]
 
 
 def test_hyperparams_validated():

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 import hsikelm
 from hsikelm import kelm, parallel, ssa
@@ -30,7 +32,7 @@ from hsikelm.ssa import (
     write_trace_csv,
 )
 
-from conftest import fast_config_dict
+from conftest import clustered_samples, fast_config_dict
 
 
 def make_state(positions, fitness):
@@ -397,6 +399,36 @@ def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
     train = y.size - held
     assert mapped == [2 * train.max() ** 2 + held.max() * train.max()]
     assert values == [oracle(z) for z in grid]
+
+
+def test_cv_objective_where_the_kernel_floor_fires_equals_the_unfloored_oracle():
+    """At log10 gamma near 2 ``kelm.rbf_kernel`` zeroes the kernel entries
+    below sqrt(tiny); the objective keeps its bits. The oracle uses plain
+    ``np.exp`` and scipy's Cholesky."""
+    x, y = clustered_samples()
+    fold_of = stratified_fold_ids(y, 5, seed=0)
+    targets = kelm.one_hot(y, [1, 2, 3])
+    sq_dist = cdist(x, x, "sqeuclidean")
+
+    def oracle(z):
+        c, gamma = 10.0 ** z[0], 10.0 ** z[1]
+        errors = []
+        for f in range(5):
+            train, held = fold_of != f, fold_of == f
+            omega = np.exp(-gamma * sq_dist[np.ix_(train, train)])
+            assert np.any((omega > 0) & (omega < np.sqrt(np.finfo(np.float64).tiny)))
+            alpha = cho_solve(cho_factor(omega + np.eye(omega.shape[0]) / c, lower=True),
+                              targets[train])
+            scores = np.exp(-gamma * sq_dist[np.ix_(held, train)]) @ alpha
+            errors.append(np.mean((scores - targets[held]) ** 2))
+        return float(np.mean(errors))
+
+    objective = cv_objective(x, y, fold_of)
+    grid = [np.array([lc, lg]) for lc in (-1.0, 1.0, 3.0) for lg in (1.8, 1.95, 2.1)]
+    with parallel.single_threaded_blas():  # as a tune runs the objective
+        want = [oracle(z).hex() for z in grid]
+        assert [objective(z).hex() for z in grid] == want
+    assert len(set(want)) == len(grid)  # nine distinct values, none at a trivial kernel
 
 
 def test_cv_objective_pooled_equals_serial():
