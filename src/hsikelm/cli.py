@@ -120,7 +120,7 @@ def _cmd_train(args) -> int:
     hyper = _resolve_hyper(args, config)
     labels, split, train_y, _ = load_and_split(config, tune=False)
     train_x = build_features(config, labels)[split.train_idx]
-    model = kelm.train(train_x, train_y, hyper, num_classes=config.num_classes)
+    model = kelm.train(train_x, train_y, hyper)
     kelm.save_model(model, args.out)
     print(f"wrote {args.out}: {model.train_x.shape[0]} samples, "
           f"{model.class_ids.size} classes, c={hyper.c:.6g} gamma={hyper.gamma:.6g}")

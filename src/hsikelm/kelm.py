@@ -4,14 +4,14 @@ Training solves the symmetric positive-definite system
 ``(Omega + I/C) alpha = Y`` where ``Omega_ij = exp(-gamma ||x_i - x_j||^2)``
 and Y is the one-hot target matrix. Prediction is ``k(x, X_train) @ alpha``
 with the arg-max class, ties broken toward the lowest class id. A trained
-model is kept in one file (``save_model``/``load_model``).
+model's classes are the labels it was trained on. It is kept in one numpy
+archive (``save_model``/``load_model``).
 """
 
 from __future__ import annotations
 
 import ctypes
-import json
-import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +20,10 @@ from scipy.linalg import cython_lapack
 from scipy.spatial.distance import cdist
 
 from . import parallel
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, HsiKelmError, NumericalError
 
 RESIDUAL_TOL = 1e-8
 _JITTER = 1e-10
-_MODEL_MAGIC = b"HSIKELM1"
-_INT64_MAX = np.iinfo(np.int64).max
 # exponents below this give kernel values under sqrt(tiny), which rbf_kernel sets to 0
 _LOG_FLOOR = 0.5 * np.log(np.finfo(np.float64).tiny)
 
@@ -47,7 +45,23 @@ class KelmModel:
     train_x: np.ndarray  # (n, d) float64
     alpha: np.ndarray  # (n, c) float64
     hyper: KelmHyperparams
-    class_ids: np.ndarray  # (c,) int64, ascending
+    class_ids: np.ndarray  # (c,) int64, strictly ascending, all >= 1
+
+    def __post_init__(self):
+        x, alpha, ids = self.train_x, self.alpha, self.class_ids
+        for name, value, dtype, ndim in (("train_x", x, "float64", 2), ("alpha", alpha, "float64", 2),
+                                         ("class_ids", ids, "int64", 1)):
+            want = np.dtype(dtype)  # kind and size, so that big-endian arrays pass too
+            if not (isinstance(value, np.ndarray) and value.ndim == ndim
+                    and (value.dtype.kind, value.dtype.itemsize) == (want.kind, want.itemsize)):
+                raise DataError(f"{name} must be a {ndim}-D {dtype} array, got "
+                                f"{getattr(value, 'dtype', type(value).__name__)} {np.shape(value)}")
+        if x.shape[0] != alpha.shape[0] or ids.size != alpha.shape[1]:
+            raise DataError(f"shapes do not match: train_x {x.shape}, alpha {alpha.shape}, "
+                            f"class_ids {ids.shape}")
+        # predict's tie goes to the first column, the lowest id only if the ids ascend
+        if not (np.all(ids >= 1) and np.all(ids[1:] > ids[:-1])):
+            raise DataError(f"class_ids must be strictly ascending and >= 1, got {ids.tolist()}")
 
 
 def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -89,12 +103,12 @@ def one_hot(labels, class_ids) -> np.ndarray:
     return out
 
 
-def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> KelmModel:
+def train(x, labels, hyper: KelmHyperparams) -> KelmModel:
     """Fit the classifier by one regularized kernel solve.
 
-    When ``num_classes`` is given, every class 1..num_classes must appear in
-    ``labels``; otherwise the class list is the sorted set of observed ids.
-    The solve runs with BLAS on one thread, whatever the environment sets.
+    The class ids are the distinct labels, ascending; a label below 1 is a
+    DataError. The solve runs with BLAS on one thread, whatever the
+    environment sets.
     """
     X = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels).ravel()
@@ -102,18 +116,7 @@ def train(x, labels, hyper: KelmHyperparams, num_classes: int | None = None) -> 
         raise DataError(f"features must be 2-D, got shape {X.shape}")
     if X.shape[0] != y.size:
         raise DataError(f"{X.shape[0]} samples but {y.size} labels")
-    observed = np.unique(y)
-    if num_classes is not None:
-        class_ids = np.arange(1, num_classes + 1, dtype=np.int64)
-        missing = sorted(set(class_ids.tolist()) - set(observed.tolist()))
-        if missing:
-            raise DataError("class absent: " + ", ".join(str(c) for c in missing))
-    else:
-        class_ids = observed.astype(np.int64)
-    n = X.shape[0]
-    if n < class_ids.size:
-        raise DataError(f"{n} samples cannot cover {class_ids.size} classes")
-
+    class_ids = np.unique(y).astype(np.int64)
     omega = rbf_kernel(cdist(X, X, "sqeuclidean"), hyper.gamma)
     with parallel.single_threaded_blas():
         alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
@@ -234,56 +237,25 @@ def mse_fitness(scores: np.ndarray, y_one_hot: np.ndarray) -> float:
 
 
 def save_model(model: KelmModel, path) -> None:
-    """Single file: length-prefixed JSON header, then f64-LE trainX and alpha."""
-    header = {
-        "dtype": "f64",
-        "byteorder": "little",
-        "hyperparams": {"c": model.hyper.c, "gamma": model.hyper.gamma},
-        "train_shape": list(model.train_x.shape),
-        "alpha_shape": list(model.alpha.shape),
-        "class_ids": model.class_ids.tolist(),
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
+    """numpy archive of train_x, alpha, class_ids and hyper = (c, gamma)."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(model.train_x, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.alpha, dtype="<f8").tobytes())
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path
+        np.savez(fh, train_x=model.train_x, alpha=model.alpha, class_ids=model.class_ids,
+                 hyper=np.array([model.hyper.c, model.hyper.gamma]))
 
 
 def load_model(path) -> KelmModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    raw = path.read_bytes()
-    if raw[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
-        raise DataError(f"{path} is not a model file")
-    offset = len(_MODEL_MAGIC) + 8
+    """The model in the archive ``save_model`` wrote; any other file is a DataError."""
     try:
-        (hlen,) = struct.unpack_from("<Q", raw, len(_MODEL_MAGIC))
-        header = json.loads(raw[offset : offset + hlen])
-        n, d = header["train_shape"]
-        n2, c = header["alpha_shape"]
-        hyper = KelmHyperparams(**header["hyperparams"])
-        ids = header["class_ids"]
-    except (struct.error, ValueError, KeyError, TypeError, ConfigError) as e:
-        raise DataError(f"malformed header in model file {path}: {e!r}") from e
-    if not all(type(v) is int and v >= 0 for v in (n, d, n2, c)) or not isinstance(ids, list) \
-            or len(ids) != c:
-        raise DataError(f"malformed shapes in model file {path}")
-    # predict's tie goes to the first column, the lowest id only if the ids ascend
-    if not all(type(v) is int and 1 <= v <= _INT64_MAX for v in ids) \
-            or any(a >= b for a, b in zip(ids, ids[1:])):
-        raise DataError(f"class_ids in model file {path} must be strictly ascending int64 "
-                        f"integers >= 1, got {ids}")
-    class_ids = np.array(ids, dtype=np.int64)
-    offset += hlen
-    expected = offset + (n * d + n2 * c) * 8
-    if n != n2 or len(raw) != expected:
-        raise DataError(f"payload length mismatch in model file {path}")
-    train_x = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
-    offset += n * d * 8
-    alpha = np.frombuffer(raw, dtype="<f8", count=n * c, offset=offset).reshape(n, c)
-    return KelmModel(train_x=train_x.copy(), alpha=alpha.copy(), hyper=hyper, class_ids=class_ids)
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):  # else np.load may read one array, or try to unpickle
+                raise DataError("not a numpy archive")
+            fh.seek(0)
+            archive = np.load(fh, allow_pickle=False)
+            c, gamma = archive["hyper"].tolist()
+            return KelmModel(train_x=archive["train_x"], alpha=archive["alpha"],
+                             hyper=KelmHyperparams(c=c, gamma=gamma),
+                             class_ids=archive["class_ids"])
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile,
+            HsiKelmError) as e:
+        raise DataError(f"unreadable model file {path}: {e}") from e

@@ -60,7 +60,6 @@ class MstvConfig:
     k: int = 20
     scales: tuple[RtvParams, ...] = field(default_factory=default_scales)
     n_components: int = 20
-    kpca_gamma: float | None = None  # None -> 1/(k*L); 0.0 -> linear kernel
     landmark_count: int = 1000
     seed: int = 0
 
@@ -78,8 +77,6 @@ class MstvConfig:
             raise ConfigError(
                 f"landmark_count {self.landmark_count} < n_components {self.n_components}"
             )
-        if self.kpca_gamma is not None and self.kpca_gamma < 0:
-            raise ConfigError(f"kpca_gamma must be >= 0 or None, got {self.kpca_gamma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -282,16 +279,10 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolve_kpca_gamma(cfg: MstvConfig, feature_count: int) -> float:
-    if cfg.kpca_gamma is None:
-        return 1.0 / feature_count
-    return float(cfg.kpca_gamma)
-
-
 def kpca_reduce(stacked: HyperCube, cfg: MstvConfig) -> np.ndarray:
-    """Project every pixel of the stacked cube onto the top components."""
+    """Project every pixel of the stacked cube onto the top components of an
+    RBF KPCA with gamma = 1 / feature count."""
     x = stacked.as_matrix()
-    gamma = resolve_kpca_gamma(cfg, x.shape[1])
-    model = kpca_fit(x, cfg.n_components, gamma, cfg.landmark_count, cfg.seed)
+    model = kpca_fit(x, cfg.n_components, 1.0 / x.shape[1], cfg.landmark_count, cfg.seed)
     return kpca_transform(model, x)
 

@@ -365,7 +365,7 @@ def run_full(config: PipelineConfig) -> RunReport:
             chosen = tune_result.hyper
 
     with _stage("train", timings):
-        model = kelm.train(train_x, train_y, chosen, num_classes=config.num_classes)
+        model = kelm.train(train_x, train_y, chosen)
 
     with _stage("predict", timings):
         pred_map = predict_raster(model, fused, labels)

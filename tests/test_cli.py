@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hsikelm import cli, pipeline
+from hsikelm import cli, kelm, pipeline
 from hsikelm.cli import main
 from hsikelm.datacube import LabelRaster, load_cube, load_labels, save_labels
 from conftest import fast_config_dict
@@ -163,8 +163,9 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
      "ssa.log10_c_bounds[0] must be a finite float, got nan"),
     ({"ssa": {"log10_gamma_bounds": [-float("inf"), float("inf")]}},
      "ssa.log10_gamma_bounds[0] must be a finite float, got -inf"),
-    ({"mstv": {"kpca_gamma": float("inf")}}, "mstv.kpca_gamma must be a finite float, got inf"),
-    ({"mstv": {"kpca_gamma": 10 ** 400}}, "mstv.kpca_gamma must be a finite float, got 1000"),
+    ({"train_fraction": float("inf")}, "train_fraction must be a finite float, got inf"),
+    ({"fixed_hyperparams": {"c": 10 ** 400, "gamma": 1.0}},
+     "fixed_hyperparams.c must be a finite float, got 1000"),
     ({"mstv": {"scales": [{"sigma": float("inf")}]}},
      "mstv.scales[0].sigma must be a finite float, got inf"),
     ({"mstv": {"scales": [{"lam": float("nan")}]}}, "mstv.scales[0].lam must be a finite float, got nan"),
@@ -177,6 +178,7 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"mstv": {"scales": [{"epsilon_l": 0.001}]}},
      "unknown mstv.scales[0] config key(s): ['epsilon_l']"),
     ({"folds": 1}, "folds must be >= 2, got 1"),
+    ({"mstv": {"kpca_gamma": 0.5}}, "unknown mstv config key(s): ['kpca_gamma']"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -327,6 +329,26 @@ def test_zip_archive_named_npy_exit_3(scene_config, capsys):
     scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
     assert main(["run", "--config", str(scene_config["config"])]) == 3
     assert f"{cube_path} holds a zip archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["config-json", "npy", "truncated-archive"])
+def test_predict_with_a_file_that_is_not_a_model_exit_3(kind, scene_config, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_features", lambda *a: pytest.fail("features built"))
+    model_path = scene_config["tmp"] / "model.bin"
+    if kind == "config-json":
+        model_path = scene_config["config"]
+    elif kind == "npy":
+        with open(model_path, "wb") as fh:
+            np.save(fh, np.eye(3))
+    else:
+        model = kelm.train(np.eye(3), [1, 2, 2], kelm.KelmHyperparams(c=1.0, gamma=1.0))
+        kelm.save_model(model, model_path)
+        model_path.write_bytes(model_path.read_bytes()[:-30])
+    rc = main(["predict", "--config", str(scene_config["config"]), "--model", str(model_path),
+               "--out", str(scene_config["tmp"] / "pred")])
+    assert rc == 3
+    _one_line_data_error_naming(model_path, capsys.readouterr().err)
+    assert not (scene_config["tmp"] / "pred").exists()
 
 
 def test_run_out_under_a_file_exit_3(scene_config, capsys):

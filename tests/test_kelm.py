@@ -1,5 +1,4 @@
-import json
-import struct
+import re
 import time
 
 import numpy as np
@@ -11,6 +10,7 @@ from hsikelm import kelm, mstv, parallel
 from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.kelm import (
     KelmHyperparams,
+    KelmModel,
     load_model,
     mse_fitness,
     one_hot,
@@ -199,9 +199,45 @@ def test_identity_kernel_limit():
     assert np.array_equal(pred, y)
 
 
-def test_class_absent():
-    with pytest.raises(DataError, match="class absent"):
-        train(np.array([[0.0]]), [1], KelmHyperparams(c=1.0, gamma=1.0), num_classes=2)
+def test_class_ids_are_the_training_labels():
+    model = train(np.array([[0.0], [1.0], [2.0]]), np.array([5, 2, 5], dtype=np.uint16),
+                  KelmHyperparams(c=1.0, gamma=1.0))
+    assert model.class_ids.tolist() == [2, 5] and model.class_ids.dtype == np.int64
+    assert model.alpha.shape == (3, 2)
+
+
+def test_train_rejects_a_label_below_1():
+    with pytest.raises(DataError, match=r"class_ids must be strictly ascending and >= 1, got \[0, 1\]"):
+        train(np.array([[0.0], [1.0], [2.0]]), [0, 1, 1], KelmHyperparams(c=1.0, gamma=1.0))
+
+
+def _model_fields():
+    return {"train_x": np.zeros((3, 2)), "alpha": np.zeros((3, 2)),
+            "hyper": KelmHyperparams(c=1.0, gamma=1.0), "class_ids": np.array([1, 2])}
+
+
+@pytest.mark.parametrize("change", [
+    {"class_ids": np.array([2, 1])},
+    {"class_ids": np.array([1, 1])},
+    {"class_ids": np.array([0, 1])},
+    {"class_ids": np.array([-3, 1])},
+    {"class_ids": np.array([1.0, 2.0])},
+    {"class_ids": np.array([1, 2], dtype=np.int32)},
+    {"class_ids": np.array([1, 2], dtype=np.uint64)},
+    {"class_ids": [1, 2]},
+    {"class_ids": np.array([[1, 2]])},
+    {"class_ids": np.array([1, 2, 3])},
+    {"alpha": np.zeros((4, 2))},
+    {"alpha": np.zeros((3, 2), dtype=np.float32)},
+    {"alpha": np.zeros(3)},
+    {"train_x": np.zeros(3)},
+    {"train_x": np.zeros((3, 2), dtype=np.int64)},
+], ids=["descending", "repeated", "zero", "negative", "float", "int32", "uint64", "list", "2-d",
+        "more-ids-than-columns", "alpha-rows", "float32-alpha", "1-d-alpha", "1-d-train-x",
+        "int-train-x"])
+def test_model_validator_rejects(change):
+    with pytest.raises(DataError):
+        KelmModel(**{**_model_fields(), **change})
 
 
 def test_empty_prediction():
@@ -303,36 +339,83 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.class_ids, model.class_ids)
 
 
-def _model_bytes(header_blob: bytes) -> bytes:
-    return b"HSIKELM1" + struct.pack("<Q", len(header_blob)) + header_blob
+def _trained_model():
+    rng = np.random.default_rng(6)
+    y = np.array([1, 2, 3, 1, 2, 3, 2])
+    return train(rng.normal(size=(7, 3)), y, KelmHyperparams(c=3.0, gamma=0.4))
 
 
-_GOOD_HEADER = {"dtype": "f64", "byteorder": "little", "hyperparams": {"c": 1.0, "gamma": 1.0},
-                "train_shape": [1, 1], "alpha_shape": [1, 1], "class_ids": [1]}
+def _write_archive(path, **members):
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path
+        np.savez(fh, **members)
 
 
-@pytest.mark.parametrize("content", [
-    b"not a model",
-    b"HSIKELM1" + b"\x01\x02",  # truncated inside the header length
-    _model_bytes(b"{not json"),
-    _model_bytes(json.dumps({k: v for k, v in _GOOD_HEADER.items() if k != "train_shape"}).encode()),
-    _model_bytes(json.dumps({**_GOOD_HEADER, "train_shape": [1, 1.0]}).encode()) + bytes(16),
-    _model_bytes(json.dumps({**_GOOD_HEADER, "hyperparams": {"c": -1.0, "gamma": 1.0}}).encode())
-    + bytes(16),
-], ids=["not-a-model", "truncated", "bad-json", "no-train-shape", "float-shape", "negative-c"])
-def test_load_model_rejects_garbage(tmp_path, content):
+def _members(model):
+    return {"train_x": model.train_x, "alpha": model.alpha, "class_ids": model.class_ids,
+            "hyper": np.array([model.hyper.c, model.hyper.gamma])}
+
+
+def test_saved_model_is_a_numpy_archive_of_four_members(tmp_path):
+    model = _trained_model()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert not (tmp_path / "model.bin.npz").exists()
+    with np.load(path, allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["alpha", "class_ids", "hyper", "train_x"]
+        for key, value in _members(model).items():
+            assert archive[key].dtype == value.dtype and np.array_equal(archive[key], value)
+
+
+def test_big_endian_archive_loads_and_predicts_the_same(tmp_path):
+    model = _trained_model()
+    path = tmp_path / "big.bin"
+    _write_archive(path, **{key: value.astype(value.dtype.newbyteorder(">"))
+                            for key, value in _members(model).items()})
+    back = load_model(path)
+    q = np.random.default_rng(1).normal(size=(5, 3))
+    assert np.array_equal(predict(back, q)[0], predict(model, q)[0])
+    assert np.array_equal(predict(back, q)[1], predict(model, q)[1])
+
+
+def _garbage(kind, path):
+    model = _trained_model()
+    if kind == "not-a-model":  # bytes that are not a zip archive
+        path.write_bytes(b"not a model")
+    elif kind == "truncated":
+        save_model(model, path)
+        path.write_bytes(path.read_bytes()[:200])
+    elif kind == "plain-npy":
+        with open(path, "wb") as fh:
+            np.save(fh, model.train_x)
+    elif kind == "missing-member":
+        _write_archive(path, **{k: v for k, v in _members(model).items() if k != "alpha"})
+    elif kind == "object-member":
+        _write_archive(path, **{**_members(model), "class_ids": np.array([1, "2", None], dtype=object)})
+    elif kind == "negative-c":
+        _write_archive(path, **{**_members(model), "hyper": np.array([-1.0, 0.4])})
+    elif kind == "one-hyperparameter":
+        _write_archive(path, **{**_members(model), "hyper": np.array([3.0])})
+    elif kind == "alpha-rows":
+        _write_archive(path, **{**_members(model), "alpha": model.alpha[:-1]})
+
+
+@pytest.mark.parametrize("kind", ["not-a-model", "truncated", "plain-npy", "missing-member",
+                                  "object-member", "negative-c", "one-hyperparameter", "alpha-rows"])
+def test_load_model_rejects_garbage(tmp_path, kind):
     path = tmp_path / "bad.bin"
-    path.write_bytes(content)
-    with pytest.raises(DataError):
+    _garbage(kind, path)
+    with pytest.raises(DataError, match=re.escape(f"unreadable model file {path}: ")):
         load_model(path)
 
 
-@pytest.mark.parametrize("class_ids", [[1.7, 2.2], [2, 1], [0, -3], [1, 1], [2**70, 1], [True, 2]],
-                         ids=["floats", "descending", "below-1", "repeated", "beyond-int64", "bool"])
+@pytest.mark.parametrize("class_ids", [
+    np.array([1.0, 2.0, 3.0]), np.array([3, 2, 1]), np.array([0, 1, 2]), np.array([1, 1, 2]),
+    np.array([1, 2, 2**64 - 1], dtype=np.uint64), np.array([True, True, True]),
+    np.array([1, 2, 3], dtype=np.int32), np.array([[1, 2, 3]]),
+], ids=["floats", "descending", "below-1", "repeated", "beyond-int64", "bool", "int32", "2-d"])
 def test_load_model_rejects_bad_class_ids(tmp_path, class_ids):
-    header = {**_GOOD_HEADER, "alpha_shape": [1, 2], "class_ids": class_ids}
     path = tmp_path / "bad.bin"
-    path.write_bytes(_model_bytes(json.dumps(header).encode()) + bytes(8 * 3))
+    _write_archive(path, **{**_members(_trained_model()), "class_ids": class_ids})
     with pytest.raises(DataError, match="class_ids"):
         load_model(path)
 

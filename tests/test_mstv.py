@@ -325,7 +325,7 @@ def test_kpca_reduce_shapes_and_determinism():
     rng = np.random.default_rng(8)
     cube = HyperCube(rng.normal(size=(8, 8, 6)).astype(np.float32))
     cfg = MstvConfig(k=3, scales=(RtvParams(lam=0.0),), n_components=3,
-                     landmark_count=40, seed=2, kpca_gamma=None)
+                     landmark_count=40, seed=2)
     a = kpca_reduce(cube, cfg)
     b = kpca_reduce(cube, cfg)
     assert a.shape == (64, 3)

@@ -143,7 +143,7 @@ _EVERY_KEY = {
     "cube_path": "cube.f32", "label_path": "labels.u16", "num_classes": 4,
     "train_fraction": 0.25, "folds": 3, "seed": 7, "canonical": True,
     "mstv": {
-        "k": 6, "n_components": 9, "kpca_gamma": 0.5, "landmark_count": 300, "seed": 2,
+        "k": 6, "n_components": 9, "landmark_count": 300, "seed": 2,
         "scales": [
             {"lam": 0.01, "sigma": 1.5},
             {"lam": 0.02, "sigma": 2.5},
