@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 from scipy.spatial.distance import cdist
 
 from . import parallel
@@ -116,34 +116,39 @@ def train(x, labels, hyper: KelmHyperparams) -> KelmModel:
         raise DataError(f"features must be 2-D, got shape {X.shape}")
     if X.shape[0] != y.size:
         raise DataError(f"{X.shape[0]} samples but {y.size} labels")
+    if X.shape[0] == 0:  # LAPACK would reject the empty system's leading dimension
+        raise DataError("no training samples")
     class_ids = np.unique(y).astype(np.int64)
-    omega = rbf_kernel(cdist(X, X, "sqeuclidean"), hyper.gamma)
+    omega = cdist(X, X, "sqeuclidean")
+    rbf_kernel(omega, hyper.gamma, out=omega)  # the one n x n array of the fit
     with parallel.single_threaded_blas():
         alpha = solve_kernel_system(omega, one_hot(y, class_ids), hyper.c)
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
 
-def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float,
-                        factor: np.ndarray | None = None) -> np.ndarray:
+def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
     """alpha with ``(omega + I/c) alpha = targets``, for a precomputed kernel matrix.
 
-    ``omega`` is overwritten by the system matrix (1/c added to its
-    diagonal). Cholesky with one jitter retry; the solution is rejected when
-    its residual exceeds ``RESIDUAL_TOL``. ``factor`` is an optional F-order
-    array of omega's shape that receives the Cholesky factor.
+    ``omega``, a C-contiguous float64 array, is overwritten: its diagonal
+    and lower triangle by the system matrix (1/c added to the diagonal),
+    its strict upper triangle by the transposed Cholesky factor
+    (``_spd_solve``). Cholesky with one jitter retry; the solution is
+    rejected when its residual, computed from the lower triangle, exceeds
+    ``RESIDUAL_TOL``.
     """
     omega[np.diag_indices_from(omega)] += 1.0 / c
-    alpha = _spd_solve(omega, targets, factor)
-    residual = np.max(np.abs(omega @ alpha - targets))
+    alpha = _spd_solve(omega, targets)
+    residual = np.max(np.abs(_lower_symmetric_product(omega, alpha) - targets))
     if residual > RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):
         raise NumericalError(f"kernel solve residual too large: {residual:.3e}")
     return alpha
 
 
-def _lapack_routine(name: str, *argtypes):
-    """scipy's LAPACK routine ``name`` as a ctypes function, which releases the GIL
-    while it runs (scipy's own wrappers hold it)."""
-    capsule = cython_lapack.__pyx_capi__[name]
+def _scipy_routine(module, name: str, *argtypes):
+    """scipy's BLAS or LAPACK routine ``name`` (``module`` is ``cython_blas`` or
+    ``cython_lapack``) as a ctypes function, which releases the GIL while it
+    runs (scipy's own wrappers hold it)."""
+    capsule = module.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -152,47 +157,70 @@ def _lapack_routine(name: str, *argtypes):
 
 
 _INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
 # (uplo, n, a, lda, info) and (uplo, n, nrhs, a, lda, b, ldb, info); arrays by address
-_DPOTRF = _lapack_routine("dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
-_DPOTRS = _lapack_routine("dpotrs", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT,
-                          ctypes.c_void_p, _INT, _INT)
+_DPOTRF = _scipy_routine(cython_lapack, "dpotrf", ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT)
+_DPOTRS = _scipy_routine(cython_lapack, "dpotrs", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT,
+                         ctypes.c_void_p, _INT, _INT)
+# (side, uplo, m, n, alpha, a, lda, b, ldb, beta, c, ldc)
+_DSYMM = _scipy_routine(cython_blas, "dsymm", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _DOUBLE,
+                        ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _DOUBLE, ctypes.c_void_p, _INT)
 
 
-def _spd_solve(system: np.ndarray, rhs: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-    """x with ``system @ x = rhs`` for a symmetric positive-definite ``system``.
+def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with ``system @ x = rhs`` for a symmetric positive-definite ``system``,
+    factored in place.
 
-    Runs LAPACK's lower Cholesky ``dpotrf``/``dpotrs``, the routines behind
-    ``scipy.linalg.cho_factor``/``cho_solve`` with the same bits, but with
-    the GIL released, so solves in several threads run side by side. The
-    F-order ``factor`` (allocated when not given) receives ``system.T``,
-    which is ``system`` because it is symmetric, so the copy is a plain one.
-    A failed factorization is retried once with jitter on the diagonal.
-    x is F-order, as ``cho_solve`` returns it.
+    ``system`` must be a C-contiguous float64 array. Its F-order view, the
+    same matrix since it is symmetric, goes to LAPACK's lower Cholesky
+    ``dpotrf``/``dpotrs``, the routines behind ``scipy.linalg.cho_factor``/
+    ``cho_solve`` with the same bits, but with the GIL released, so solves
+    in several threads run side by side. The factor L lands in the view's
+    lower triangle, which is ``system``'s upper one: on return the strict
+    upper triangle holds L.T, and the diagonal (written back) and the lower
+    triangle still hold the system. A failed factorization is retried once
+    with jitter on the diagonal, after the upper triangle is rebuilt from
+    the lower one. x is F-order, as ``cho_solve`` returns it.
     """
     x = np.array(rhs, dtype=np.float64, order="F")
-    if factor is None:
-        factor = np.empty(system.shape, order="F")
     # LAPACK gets bare pointers: the shapes and the layout must be right here
-    if not (system.ndim == 2 and system.shape[0] == system.shape[1] == x.shape[0]
-            and x.ndim <= 2 and factor.shape == system.shape and factor.dtype == np.float64
-            and factor.flags.f_contiguous):
-        raise ValueError(f"bad solve shapes: system {system.shape}, rhs {x.shape}, "
-                         f"factor {factor.shape} {factor.dtype}")
+    if not (system.ndim == 2 and system.shape[0] == system.shape[1] == x.shape[0] >= 1
+            and x.ndim <= 2 and system.dtype == np.float64 and system.flags.c_contiguous
+            and system.flags.writeable):
+        raise ValueError(f"bad solve shapes: system {system.shape} {system.dtype}, rhs {x.shape}")
     n = ctypes.c_int(system.shape[0])
     info = ctypes.c_int()
-    for jitter in (0.0, _JITTER):
-        np.copyto(factor, system.T)
-        if jitter:
-            factor[np.diag_indices_from(factor)] += jitter
-        _DPOTRF(b"L", n, factor.ctypes.data, n, info)
-        if info.value == 0:
-            break
-    else:
-        raise NumericalError(f"kernel system not positive definite: {info.value}-th leading minor "
-                             "of the array is not positive definite")
-    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
-    _DPOTRS(b"L", n, nrhs, factor.ctypes.data, n, x.ctypes.data, n, info)
+    diagonal = system.diagonal().copy()
+    try:
+        for jitter in (0.0, _JITTER):
+            if jitter:
+                for i in range(n.value - 1):  # rebuild what the failed attempt wrote
+                    system[i, i + 1:] = system[i + 1:, i]
+                system[np.diag_indices_from(system)] = diagonal + jitter
+            _DPOTRF(b"L", n, system.ctypes.data, n, info)
+            if info.value == 0:
+                break
+        else:
+            raise NumericalError(f"kernel system not positive definite: {info.value}-th leading "
+                                 "minor of the array is not positive definite")
+        nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
+        _DPOTRS(b"L", n, nrhs, system.ctypes.data, n, x.ctypes.data, n, info)
+    finally:
+        system[np.diag_indices_from(system)] = diagonal
     return x
+
+
+def _lower_symmetric_product(system: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``system @ x`` from ``system``'s diagonal and lower triangle alone (BLAS
+    ``dsymm``, GIL released), for ``_spd_solve``'s arguments after it ran."""
+    product = np.zeros(x.shape, order="F")
+    m = ctypes.c_int(system.shape[0])
+    nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
+    one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
+    # the F-order view's upper triangle is system's lower one
+    _DSYMM(b"L", b"U", m, nrhs, one, system.ctypes.data, m, x.ctypes.data, m, zero,
+           product.ctypes.data, m)
+    return product
 
 
 def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:

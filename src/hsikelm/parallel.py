@@ -2,7 +2,7 @@
 and one BLAS policy.
 
 ``run_jobs`` runs independent jobs on one worker per CPU, ``run_row_blocks``
-splits a row range into fixed blocks that each borrow a workspace
+splits a row range into balanced blocks that each borrow a workspace
 (``lend``, ``mapped_array``), and ``single_threaded_blas`` keeps every
 OpenBLAS on one thread, so that no result depends on the CPU count or on
 the BLAS thread setting.
@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-BLOCK_ROWS = 2048
+BLOCK_ROWS = 512
 
 # (set, get) thread-count symbols: numpy's ILP64 copy, scipy's copy, a plain build
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -159,20 +159,24 @@ def run_jobs(job, count: int) -> None:
 
 
 def run_row_blocks(job, rows: int, scratch_cols: int) -> None:
-    """Call ``job(start, stop, scratch)`` for the ``BLOCK_ROWS``-row blocks of ``rows``.
+    """Call ``job(start, stop, scratch)`` for balanced blocks of ``rows``.
 
+    The rows split into ``count`` = ⌈rows / ``BLOCK_ROWS``⌉ blocks; block k
+    covers rows k·rows // count to (k + 1)·rows // count, so block sizes
+    differ by at most one row and none is a short tail (BLAS may take
+    another path for a block of a few rows, and change its last bits).
     The blocks run side by side on ``run_jobs``, so with BLAS on one thread.
     ``scratch`` is a (stop - start) x ``scratch_cols`` float64 array,
     C-contiguous, lent (``lend``) from the call's pool of ``mapped_array``
     workspaces and left as an earlier block wrote it. The blocks do not depend
     on the CPU count, so neither do the bits of a job that writes only its own rows.
     """
+    count = -(-rows // BLOCK_ROWS)
     pool = []
 
     def block(k):
-        start = k * BLOCK_ROWS
-        stop = min(start + BLOCK_ROWS, rows)
-        with lend(pool, lambda: mapped_array((min(BLOCK_ROWS, rows), scratch_cols))) as scratch:
+        start, stop = k * rows // count, (k + 1) * rows // count
+        with lend(pool, lambda: mapped_array((-(-rows // count), scratch_cols))) as scratch:
             job(start, stop, scratch[: stop - start])
 
-    run_jobs(block, -(-rows // BLOCK_ROWS))
+    run_jobs(block, count)

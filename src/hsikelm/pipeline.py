@@ -248,6 +248,7 @@ def build_features(config: PipelineConfig, labels: LabelRaster,
         check_companion(cube, labels)
     with _stage("group", timings):
         reduced = group_and_average(cube, config.mstv.k)
+        del cube  # only the grouped bands are used from here on
     with _stage("mstv", timings):
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
         spectral = kpca_reduce(stacked, config.mstv)

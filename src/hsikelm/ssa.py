@@ -320,17 +320,14 @@ def _workspace(splits) -> list[tuple]:
     """Scratch arrays for one evaluation of ``cv_objective``'s objective.
 
     ``splits`` holds the shape (m, t) of each fold's held-out block, with m
-    held-out and t training samples. Returns per fold the t x t system, its
-    F-order t x t Cholesky factor and the m x t held-out rows, all views of
-    one ``parallel.mapped_array``.
+    held-out and t training samples. Returns per fold the t x t system and
+    the m x t held-out rows, views of one ``parallel.mapped_array``.
     """
     t_max = max(t for _, t in splits)
     m_max = max(m for m, _ in splits)
-    sizes = np.array([t_max * t_max, t_max * t_max, m_max * t_max])
-    flat = parallel.mapped_array(int(sizes.sum()))
-    system, factor, held_rows = np.split(flat, np.cumsum(sizes)[:-1])
-    return [(system[: t * t].reshape(t, t), factor[: t * t].reshape(t, t).T,
-             held_rows[: m * t].reshape(m, t)) for m, t in splits]
+    flat = parallel.mapped_array(t_max * t_max + m_max * t_max)
+    system, held_rows = flat[: t_max * t_max], flat[t_max * t_max :]
+    return [(system[: t * t].reshape(t, t), held_rows[: m * t].reshape(m, t)) for m, t in splits]
 
 
 def cv_objective(train_x, train_labels, fold_of):
@@ -344,14 +341,16 @@ def cv_objective(train_x, train_labels, fold_of):
     distance matrix, which is not kept. An evaluation writes
     ``kelm.rbf_kernel`` of each block straight into its scratch and makes one
     regularized solve per fold, with the same arithmetic as ``kelm.train``
-    followed by ``kelm.predict``.
+    followed by ``kelm.predict``. The solve factors each fold's system in
+    place in the scratch (``kelm.solve_kernel_system``), where the next
+    fold's kernel overwrites it.
 
     The objective may be called from several threads at once, as
     ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
     objective's pool (``parallel.lend``), which holds one per call that ran at
     once. In float64 values, the fold blocks that all calls share hold
-    (F - 1)·n² at F folds; a workspace holds 2·t² + m·t for the largest
-    fold's t training and m held-out samples, 1.44·n² at 5 folds.
+    (F - 1)·n² at F folds; a workspace holds t² + m·t for the largest
+    fold's t training and m held-out samples, 0.8·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -373,10 +372,10 @@ def cv_objective(train_x, train_labels, fold_of):
         errors = []
         with parallel.lend(workspaces,
                            lambda: _workspace([h.shape for _, h, _, _ in plan])) as scratch:
-            for (train_dist, held_dist, train_targets, held_targets), (system, factor, held_rows) \
+            for (train_dist, held_dist, train_targets, held_targets), (system, held_rows) \
                     in zip(plan, scratch):
                 kelm.rbf_kernel(train_dist, hyper.gamma, out=system)
-                alpha = kelm.solve_kernel_system(system, train_targets, hyper.c, factor)
+                alpha = kelm.solve_kernel_system(system, train_targets, hyper.c)
                 scores = kelm.rbf_kernel(held_dist, hyper.gamma, out=held_rows) @ alpha
                 errors.append(kelm.mse_fitness(scores, held_targets))
         return float(np.mean(errors))

@@ -55,9 +55,17 @@ def openblas_at_two_threads():
         set_threads(count)
 
 
-# row counts around the block size of parallel.run_row_blocks, none included
+# row counts for the blocks of parallel.run_row_blocks, none included: around
+# 2048 rows (4 blocks of 512, 4 of 511 or 512, 5 of 409 or 410) and 6149 rows (13)
 BLOCK_ROWS = parallel.BLOCK_ROWS
-BLOCK_SIZES = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+BLOCK_SIZES = [0, 1, 2047, 2048, 2049, 6149]
+
+
+def row_blocks(rows):
+    """(start, stop) of the blocks parallel.run_row_blocks makes: ⌈rows /
+    BLOCK_ROWS⌉ of them, block k from k·rows // count to (k + 1)·rows // count."""
+    count = -(-rows // BLOCK_ROWS)
+    return [(k * rows // count, (k + 1) * rows // count) for k in range(count)]
 
 
 def clustered_samples(n=300, seed=0):

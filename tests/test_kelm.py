@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hsikelm.kelm import (
     train,
 )
 
-from conftest import BLOCK_SIZES, clustered_samples
+from conftest import BLOCK_SIZES, clustered_samples, row_blocks
 
 
 def oracle_scores(train_x, labels, c, gamma, query_x):
@@ -149,6 +150,24 @@ def test_residual_invariant():
     assert residual <= 1e-8 * 2
 
 
+def test_train_holds_one_n_by_n_array():
+    # the kernel is written over its distances and factored in place: n² doubles
+    # plus O(n·d), where a copy of the kernel or of its factor would add n² more
+    rng = np.random.default_rng(4)
+    n, d = 600, 10
+    x = rng.normal(size=(n, d))
+    y = np.arange(n) % 4 + 1
+    hyper = KelmHyperparams(c=10.0, gamma=0.05)
+    train(x[:20], y[:20], hyper)  # first-call setup outside the measurement
+    tracemalloc.start()
+    try:
+        train(x, y, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + 4 * n * d)
+
+
 def _kernel_system(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 5))
@@ -163,30 +182,81 @@ def test_spd_solve_bit_equal_to_scipy_cholesky(n, k):
     system, rng = _kernel_system(n, seed=n)
     rhs = rng.normal(size=(n, k))
     want = cho_solve(cho_factor(system, lower=True), rhs)
-    factor = np.empty((n, n), order="F")
-    for got in (kelm._spd_solve(system, rhs), kelm._spd_solve(system, rhs, factor)):
-        assert got.flags.f_contiguous and np.array_equal(got, want)
-    assert np.array_equal(np.tril(factor), np.tril(cho_factor(system, lower=True)[0]))
+    factor = cho_factor(system, lower=True)[0]
+    matrix = system.copy()
+    got = kelm._spd_solve(matrix, rhs)  # factors matrix in place
+    assert got.flags.f_contiguous and np.array_equal(got, want)
+    upper = np.triu_indices(n, 1)
+    assert np.array_equal(matrix[upper], factor.T[upper])  # the factor, transposed
+    lower = np.tril_indices(n)
+    assert np.array_equal(matrix[lower], system[lower])  # the system, diagonal included
+    # the product the residual gate takes reads only the diagonal and the lower triangle
+    assert np.allclose(kelm._lower_symmetric_product(matrix, got), rhs, rtol=0, atol=1e-9)
 
 
 def test_spd_solve_jitter_retry_and_indefinite():
-    singular = np.ones((3, 3))  # PSD, rank 1
     rhs = np.array([[1.0], [2.0], [3.0]])
-    with pytest.raises(LinAlgError):
-        cho_factor(singular, lower=True)
-    jittered = singular + kelm._JITTER * np.eye(3)
-    want = cho_solve(cho_factor(jittered, lower=True), rhs)
-    assert np.array_equal(kelm._spd_solve(singular, rhs), want)
+    for v in ([1.0, 1.0, 1.0], [2.0, 1.0, 3.0]):
+        singular = np.outer(v, v)  # PSD, rank 1
+        with pytest.raises(LinAlgError):
+            cho_factor(singular, lower=True)
+        jittered = singular + kelm._JITTER * np.eye(3)
+        want = cho_solve(cho_factor(jittered, lower=True), rhs)
+        factor = cho_factor(jittered, lower=True)[0]
+        matrix = singular.copy()
+        # the retry factors the system again, not what the failed attempt left
+        assert np.array_equal(kelm._spd_solve(matrix, rhs), want)
+        assert np.array_equal(np.tril(matrix), np.tril(singular))  # no jitter left on the diagonal
+        assert np.array_equal(np.triu(matrix, 1), np.triu(factor.T, 1))
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericalError, match="not positive definite"):
-        kelm._spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), rhs[:2])
+        kelm._spd_solve(indefinite, rhs[:2])
+    assert indefinite[1, 0] == 2.0 and np.diag(indefinite).tolist() == [1.0, 1.0]
+
+
+def test_solve_kernel_system_residual_gate_fires_on_a_corrupted_solution(monkeypatch):
+    omega, rng = _kernel_system(40, seed=3)
+    targets = rng.normal(size=(40, 3))
+    alpha = kelm.solve_kernel_system(omega.copy(), targets, 10.0)
+    system = omega + np.eye(40) / 10.0
+    assert np.array_equal(alpha, cho_solve(cho_factor(system, lower=True), targets))
+    spd_solve = kelm._spd_solve
+
+    def corrupted(matrix, rhs):
+        x = spd_solve(matrix, rhs)
+        x[7, 1] += 1e-6
+        return x
+
+    monkeypatch.setattr(kelm, "_spd_solve", corrupted)
+    with pytest.raises(NumericalError, match="residual too large"):
+        kelm.solve_kernel_system(omega.copy(), targets, 10.0)
 
 
 def test_spd_solve_rejects_shapes_lapack_cannot_take():
     system, rng = _kernel_system(4, seed=0)
+    spaced = np.zeros((8, 8))
+    spaced[::2, ::2] = system
+    for matrix, rhs in [
+        (system, np.ones((3, 2))),  # rhs rows
+        (np.asfortranarray(system[:, :3]), np.ones((4, 2))),  # not square
+        (np.asfortranarray(system + np.eye(4)), np.ones((4, 2))),  # F-order
+        (spaced[::2, ::2], np.ones((4, 2))),  # strided
+        (system.astype(np.float32), np.ones((4, 2))),
+        (np.empty((0, 0)), np.ones((0, 2))),  # LAPACK rejects a leading dimension of 0
+        (np.ones((4, 4, 1)), np.ones((4, 2))),
+    ]:
+        with pytest.raises(ValueError, match="bad solve shapes"):
+            kelm._spd_solve(matrix, rhs)
+    readonly = system.copy()
+    readonly.flags.writeable = False
     with pytest.raises(ValueError, match="bad solve shapes"):
-        kelm._spd_solve(system, np.ones((3, 2)))
-    with pytest.raises(ValueError, match="bad solve shapes"):
-        kelm._spd_solve(system, np.ones((4, 2)), factor=np.empty((4, 4)))  # C-order
+        kelm._spd_solve(readonly, np.ones(4))
+
+
+def test_train_without_samples_is_a_data_error_before_lapack(capfd):
+    with pytest.raises(DataError, match="no training samples"):
+        train(np.empty((0, 2)), [], KelmHyperparams(c=1.0, gamma=1.0))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_identity_kernel_limit():
@@ -433,8 +503,7 @@ def _serial_block_scores(model, x):
     """The parent formula on the same row blocks, one after the other."""
     scores = np.empty((x.shape[0], model.class_ids.size))
     with parallel.single_threaded_blas():
-        for start in range(0, x.shape[0], parallel.BLOCK_ROWS):
-            stop = start + parallel.BLOCK_ROWS
+        for start, stop in row_blocks(x.shape[0]):
             k = rbf_kernel(cdist(x[start:stop], model.train_x, "sqeuclidean"), model.hyper.gamma)
             scores[start:stop] = k @ model.alpha
     return scores

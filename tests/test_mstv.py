@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import eigh
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
@@ -26,7 +27,7 @@ from hsikelm.mstv import (
     scale_bands_unit,
 )
 
-from conftest import BLOCK_SIZES
+from conftest import BLOCK_SIZES, row_blocks
 
 
 def tv_oracle(img):
@@ -321,6 +322,29 @@ def test_eigenvalues_positive_descending():
     assert np.all(np.diff(model.eigenvalues) <= 0)
 
 
+def test_kpca_fit_centres_the_landmark_kernel_in_place():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2000, 6))
+    m = 400
+    kpca_fit(x, 4, 0.5, 30, seed=0)  # first-call setup outside the measurement
+    tracemalloc.start()
+    try:
+        model = kpca_fit(x, 4, 0.5, m, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kernel, eigh's copy of it and the eigenvectors; a centred copy would make 4·m²
+    assert peak < 3.5 * 8 * m * m
+    # the same bits as centring a copy, in the same operation order
+    k_mm = kelm.rbf_kernel(cdist(model.landmarks, model.landmarks, "sqeuclidean"), 0.5)
+    col_mean = k_mm.mean(axis=0)
+    centered = k_mm - col_mean[None, :] - col_mean[:, None] + float(k_mm.mean())
+    with parallel.single_threaded_blas():
+        eigenvalues, eigenvectors = eigh(centered)
+    assert np.array_equal(model.eigenvalues, eigenvalues[::-1][:4])
+    assert np.array_equal(model.coeffs, eigenvectors[:, ::-1][:, :4] / np.sqrt(model.eigenvalues))
+
+
 def test_kpca_reduce_shapes_and_determinism():
     rng = np.random.default_rng(8)
     cube = HyperCube(rng.normal(size=(8, 8, 6)).astype(np.float32))
@@ -347,14 +371,14 @@ def _serial_block_transform(model, x):
     """The parent formula on the same row blocks, one after the other."""
     out = np.empty((x.shape[0], model.coeffs.shape[1]))
     with parallel.single_threaded_blas():
-        for start in range(0, x.shape[0], parallel.BLOCK_ROWS):
-            block = x[start : start + parallel.BLOCK_ROWS]
+        for start, stop in row_blocks(x.shape[0]):
+            block = x[start:stop]
             if model.gamma == 0.0:
                 k = block @ model.landmarks.T
             else:
                 k = kelm.rbf_kernel(cdist(block, model.landmarks, "sqeuclidean"), model.gamma)
             centered = k - k.mean(axis=1, keepdims=True) - model.col_mean[None, :] + model.total_mean
-            out[start : start + parallel.BLOCK_ROWS] = centered @ model.coeffs
+            out[start:stop] = centered @ model.coeffs
     return out
 
 

@@ -9,6 +9,8 @@ import pytest
 from hsikelm import parallel
 from hsikelm.errors import NumericalError
 
+from conftest import row_blocks
+
 
 def test_run_jobs_pool_runs_each_job_once(cpus):
     # switching threads as often as the interpreter allows: a job run twice
@@ -113,3 +115,22 @@ def test_run_jobs_cancels_helpers_that_never_started(cpus):
         blocker.result(timeout=10)
     assert elapsed < 5
     assert runners == [(k, threading.get_ident()) for k in range(10)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 1023, 1025, 1541, 21025])
+def test_run_row_blocks_are_balanced_and_cover_the_rows(rows):
+    blocks = []
+    lock = threading.Lock()
+
+    def job(start, stop, scratch):
+        assert scratch.shape == (stop - start, 3) and scratch.flags.c_contiguous
+        with lock:
+            blocks.append((start, stop))
+
+    parallel.run_row_blocks(job, rows, 3)
+    blocks.sort()
+    sizes = [stop - start for start, stop in blocks]
+    assert len(blocks) == -(-rows // parallel.BLOCK_ROWS)
+    assert [r for start, stop in blocks for r in range(start, stop)] == list(range(rows))
+    assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= parallel.BLOCK_ROWS)
+    assert blocks == row_blocks(rows)  # the partition the tests' serial oracles use

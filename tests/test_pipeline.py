@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +193,27 @@ def test_load_config_overrides(tmp_path, small_scene):
     cfg = load_config(path, {"seed": 5, "train_fraction": 0.2})
     assert cfg.seed == 5
     assert cfg.train_fraction == 0.2
+
+
+def test_build_features_frees_the_cube_before_smoothing(small_scene, tmp_path, monkeypatch):
+    from hsikelm import datacube, mstv, pipeline as pl
+
+    loaded, alive = [], []
+
+    def load_cube(path):
+        cube = datacube.load_cube(path)
+        loaded.append(weakref.ref(cube))
+        return cube
+
+    def multiscale_stack(cube, scales):
+        alive.append(loaded[0]() is not None)
+        return mstv.multiscale_stack(cube, scales)
+
+    monkeypatch.setattr(pl, "load_cube", load_cube)
+    monkeypatch.setattr(pl, "multiscale_stack", multiscale_stack)
+    config = config_from_dict(fast_config_dict(small_scene, tmp_path / "out"))
+    fused = pl.build_features(config, small_scene["labels"])
+    assert alive == [False] and fused.shape[0] == 32 * 32
 
 
 # -- full run ------------------------------------------------------------------

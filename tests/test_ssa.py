@@ -393,11 +393,11 @@ def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
     oracle = _cv_objective(x, y, folds, seed=4)
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     values = [objective(z) for z in grid]
-    # serial calls share one workspace: system and factor at the largest t,
-    # held-out rows at the largest m
+    # serial calls share one workspace: the system, factored in place, at the
+    # largest t, held-out rows at the largest m
     held = np.bincount(stratified_fold_ids(y, folds, seed=4), minlength=folds)
     train = y.size - held
-    assert mapped == [2 * train.max() ** 2 + held.max() * train.max()]
+    assert mapped == [train.max() ** 2 + held.max() * train.max()]
     assert values == [oracle(z) for z in grid]
 
 
