@@ -44,8 +44,6 @@ def _config_from_args(args, out_is_output_dir: bool = False):
         overrides["output_dir"] = args.out
     if getattr(args, "train_fraction", None) is not None:
         overrides["train_fraction"] = args.train_fraction
-    if getattr(args, "canonical", False):
-        overrides["canonical"] = True
     return load_config(args.config, overrides)
 
 
@@ -161,10 +159,11 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _add_config_flags(sub):
+def _add_config_flags(sub, splits: bool = True):
     sub.add_argument("--config", required=True, help="path to the JSON config file")
     sub.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sub.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
+    if splits:  # features and predict take every labeled pixel, so no split fraction
+        sub.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,12 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="full pipeline: features, tune, train, evaluate")
     _add_config_flags(run)
     run.add_argument("--out", default=None, help="override the config's output directory")
-    run.add_argument("--canonical", action="store_true",
-                     help="zero timing fields in the report for golden-file comparisons")
     run.set_defaults(func=_cmd_run)
 
     features = subs.add_parser("features", help="export the fused feature matrix as a cube")
-    _add_config_flags(features)
+    _add_config_flags(features, splits=False)
     features.add_argument("--out", required=True, help="destination payload path")
     features.set_defaults(func=_cmd_features)
 
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=_cmd_train)
 
     predict = subs.add_parser("predict", help="predict labels for every labeled pixel")
-    _add_config_flags(predict)
+    _add_config_flags(predict, splits=False)
     predict.add_argument("--model", required=True)
     predict.add_argument("--out", required=True, help="directory for the prediction artifacts")
     predict.set_defaults(func=_cmd_predict)

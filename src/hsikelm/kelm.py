@@ -56,9 +56,11 @@ class KelmModel:
                     and (value.dtype.kind, value.dtype.itemsize) == (want.kind, want.itemsize)):
                 raise DataError(f"{name} must be a {ndim}-D {dtype} array, got "
                                 f"{getattr(value, 'dtype', type(value).__name__)} {np.shape(value)}")
-        if x.shape[0] != alpha.shape[0] or ids.size != alpha.shape[1]:
-            raise DataError(f"shapes do not match: train_x {x.shape}, alpha {alpha.shape}, "
-                            f"class_ids {ids.shape}")
+        if x.shape[0] != alpha.shape[0] or ids.size != alpha.shape[1] or 0 in alpha.shape:
+            raise DataError(f"shapes do not match or are empty: train_x {x.shape}, "
+                            f"alpha {alpha.shape}, class_ids {ids.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(alpha))):
+            raise DataError("non-finite value in train_x or alpha")
         # predict's tie goes to the first column, the lowest id only if the ids ascend
         if not (np.all(ids >= 1) and np.all(ids[1:] > ids[:-1])):
             raise DataError(f"class_ids must be strictly ascending and >= 1, got {ids.tolist()}")
@@ -110,10 +112,8 @@ def train(x, labels, hyper: KelmHyperparams) -> KelmModel:
     DataError. The solve runs with BLAS on one thread, whatever the
     environment sets.
     """
-    X = np.asarray(x, dtype=np.float64)
+    X = _features(x)
     y = np.asarray(labels).ravel()
-    if X.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {X.shape}")
     if X.shape[0] != y.size:
         raise DataError(f"{X.shape[0]} samples but {y.size} labels")
     if X.shape[0] == 0:  # LAPACK would reject the empty system's leading dimension
@@ -126,6 +126,16 @@ def train(x, labels, hyper: KelmHyperparams) -> KelmModel:
     return KelmModel(train_x=X, alpha=alpha, hyper=hyper, class_ids=class_ids)
 
 
+def _features(x) -> np.ndarray:
+    """``x`` as a 2-D float64 array; a NaN or an infinity is a DataError."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError(f"features must be 2-D, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("non-finite value in features")
+    return X
+
+
 def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
     """alpha with ``(omega + I/c) alpha = targets``, for a precomputed kernel matrix.
 
@@ -134,12 +144,12 @@ def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.
     its strict upper triangle by the transposed Cholesky factor
     (``_spd_solve``). Cholesky with one jitter retry; the solution is
     rejected when its residual, computed from the lower triangle, exceeds
-    ``RESIDUAL_TOL``.
+    ``RESIDUAL_TOL`` or is not finite.
     """
     omega[np.diag_indices_from(omega)] += 1.0 / c
     alpha = _spd_solve(omega, targets)
     residual = np.max(np.abs(_lower_symmetric_product(omega, alpha) - targets))
-    if residual > RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):
+    if not residual <= RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):  # NaN fails too
         raise NumericalError(f"kernel solve residual too large: {residual:.3e}")
     return alpha
 
@@ -234,9 +244,7 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
     (``parallel.run_row_blocks``), so the bits depend on neither the CPU
     count nor the BLAS thread setting.
     """
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {X.shape}")
+    X = _features(x)
     d = model.train_x.shape[1]
     if X.shape[1] != d:
         raise DataError(f"feature dimension {X.shape[1]} does not match model's {d}")
@@ -249,10 +257,7 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
         np.matmul(kernel, model.alpha, out=scores[start:stop])
 
     parallel.run_row_blocks(score_block, m, model.train_x.shape[0])
-    if m == 0:
-        return scores, np.empty(0, dtype=np.int64)
-    labels = model.class_ids[np.argmax(scores, axis=1)]
-    return scores, labels
+    return scores, model.class_ids[np.argmax(scores, axis=1)]
 
 
 def mse_fitness(scores: np.ndarray, y_one_hot: np.ndarray) -> float:

@@ -236,11 +236,12 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
         k_mm = _kernel(landmarks, landmarks, gamma)
         col_mean = k_mm.mean(axis=0)
         total_mean = float(k_mm.mean())
-        # centred in place, in the order of k - col_mean[None, :] - col_mean[:, None] + total_mean
-        k_mm -= col_mean[None, :]
+        # rows first, so that the F-order view k_mm.T, which eigh factors in place,
+        # holds the bits of k - col_mean[None, :] - col_mean[:, None] + total_mean
         k_mm -= col_mean[:, None]
+        k_mm -= col_mean[None, :]
         k_mm += total_mean
-        eigenvalues, eigenvectors = eigh(k_mm)
+        eigenvalues, eigenvectors = eigh(k_mm.T, overwrite_a=True)
     eigenvalues = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
     tol = max(eigenvalues[0], 0.0) * _EIG_RTOL

@@ -7,11 +7,11 @@ extracts spectral features (grouping + multi-scale smoothing + kernel
 PCA) and spatial features (per-pixel LBP codes), fuses them, tunes the
 classifier's (C, gamma) with the swarm optimizer unless fixed values are
 supplied, trains, evaluates on the held-out pixels, and writes a report JSON,
-confusion CSV, classification map PPM, and (when tuned) a convergence
-trace CSV into the output directory. Report artifact paths are relative
-to the output directory and the config echo omits it, so two runs with
-the same seed are byte-identical in canonical mode (which zeroes the
-timing fields) even when written to different directories.
+confusion CSV, classification map PPM, (when tuned) a convergence trace
+CSV and a JSON of the stage times into the output directory. The report
+holds no times, its artifact paths are relative to the output directory
+and the config echo omits it, so two runs with the same seed write the
+same report bytes, even into different directories.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ REPORT_NAME = "run_report.json"
 CONFUSION_NAME = "confusion.csv"
 MAP_NAME = "classification_map.ppm"
 TRACE_NAME = "ssa_trace.csv"
+TIMINGS_NAME = "timings.json"
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class PipelineConfig:
     mstv: MstvConfig = field(default_factory=MstvConfig)
     ssa: ssa.TuningConfig = field(default_factory=ssa.TuningConfig)
     fixed_hyperparams: kelm.KelmHyperparams | None = None
-    canonical: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -95,7 +95,7 @@ class PipelineConfig:
 def _convert(tp, value, path: str):
     """Check a JSON value against the field type ``tp`` and return it as that type.
 
-    Handles int, float (an int is widened), str, bool, ``X | None``,
+    Handles int, float (an int is widened), str, ``X | None``,
     ``tuple[X, ...]`` and fixed-length tuples (from a JSON list), and nested
     config dataclasses. A bool is never accepted as a number, nor NaN, an
     infinity (Python's JSON reader accepts both) or an int beyond a float's
@@ -119,7 +119,7 @@ def _convert(tp, value, path: str):
             if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints out of range
                 raise ConfigError(f"{path} must be a finite float, got {value!r}")
             value = float(value)
-        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        if isinstance(value, tp) and not isinstance(value, bool):
             return value
     raise ConfigError(f"{path} must be {expected}, got {value!r}")
 
@@ -327,9 +327,6 @@ class RunReport:
     oa: float
     aa: float
     kappa: float
-    train_time_s: float
-    total_time_s: float
-    per_stage_times_s: dict
     chosen_hyperparams: kelm.KelmHyperparams
     ssa_trace_path: str | None
     confusion_path: str
@@ -337,16 +334,10 @@ class RunReport:
     seed: int
     config_echo: dict
 
-    def to_json(self, canonical: bool = False) -> str:
-        doc = asdict(self)
-        if canonical:
-            doc.update(train_time_s=0.0, total_time_s=0.0,
-                       per_stage_times_s=dict.fromkeys(self.per_stage_times_s, 0.0))
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
 
 def run_full(config: PipelineConfig) -> RunReport:
-    """Execute every stage and write all artifacts into the output directory."""
+    """Execute every stage and write all artifacts into the output directory;
+    the stage times go to ``TIMINGS_NAME``, not into the report."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
@@ -382,14 +373,12 @@ def run_full(config: PipelineConfig) -> RunReport:
             ssa.write_trace_csv(out_dir / TRACE_NAME, tune_result.trace_best, tune_result.trace_mean)
             trace_path = TRACE_NAME
 
-    total = time.perf_counter() - t0
+    timing_doc = {"train_time_s": timings.get("tune", 0.0) + timings["train"],
+                  "total_time_s": time.perf_counter() - t0, "per_stage_times_s": timings}
     report = RunReport(
         oa=oa_v,
         aa=aa_v,
         kappa=kappa_v,
-        train_time_s=timings.get("tune", 0.0) + timings["train"],
-        total_time_s=total,
-        per_stage_times_s=timings,
         chosen_hyperparams=chosen,
         ssa_trace_path=trace_path,
         confusion_path=CONFUSION_NAME,
@@ -397,5 +386,6 @@ def run_full(config: PipelineConfig) -> RunReport:
         seed=config.seed,
         config_echo=config_echo_dict(config),
     )
-    (out_dir / REPORT_NAME).write_text(report.to_json(canonical=config.canonical))
+    for name, doc in ((REPORT_NAME, asdict(report)), (TIMINGS_NAME, timing_doc)):
+        (out_dir / name).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return report

@@ -62,6 +62,8 @@ class SwarmConfig:
         upper = np.asarray(self.upper, dtype=np.float64).ravel()
         if lower.size == 0 or lower.shape != upper.shape:
             raise ConfigError(f"bounds must be equal-length vectors, got {lower.shape} vs {upper.shape}")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ConfigError(f"bounds must be finite, got {lower.tolist()} and {upper.tolist()}")
         if np.any(lower > upper):
             raise ConfigError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lower)

@@ -131,7 +131,6 @@ def e2e_runs(tmp_path_factory):
             "train_fraction": 0.10,
             "seed": 0,
             "output_dir": str(out_dir),
-            "canonical": True,
         })
         return pipeline.run_full(config)
 
@@ -301,7 +300,7 @@ def test_criterion_10_determinism(e2e_runs):
         for name in names
     }
     ok = all(same.values())
-    report(10, "byte-identical canonical reruns", ok, str(same))
+    report(10, "byte-identical reruns", ok, str(same))
 
 
 _DATA_DIR = os.environ.get("HSIKELM_DATA_DIR", "")

@@ -65,14 +65,33 @@ def test_file_outputs_create_missing_directories(tmp_path):
 
 
 def test_run_subcommand(scene_config):
-    out = scene_config["tmp"] / "cli_out"
-    rc = main(["run", "--config", str(scene_config["config"]), "--out", str(out), "--canonical"])
-    assert rc == 0
-    assert (out / "run_report.json").exists()
-    assert (out / "confusion.csv").exists()
-    assert (out / "classification_map.ppm").exists()
-    doc = json.loads((out / "run_report.json").read_text())
-    assert doc["total_time_s"] == 0.0  # canonical mode zeroes timings
+    outs = [scene_config["tmp"] / "cli_out", scene_config["tmp"] / "cli_again"]
+    for out in outs:
+        assert main(["run", "--config", str(scene_config["config"]), "--out", str(out)]) == 0
+    assert (outs[0] / "confusion.csv").exists()
+    assert (outs[0] / "classification_map.ppm").exists()
+    # the times go to timings.json, so every run writes the same report
+    assert (outs[0] / "run_report.json").read_bytes() == (outs[1] / "run_report.json").read_bytes()
+    assert "total_time_s" not in json.loads((outs[0] / "run_report.json").read_text())
+    timings = json.loads((outs[0] / "timings.json").read_text())
+    assert sorted(timings) == ["per_stage_times_s", "total_time_s", "train_time_s"]
+    assert sorted(timings["per_stage_times_s"]) == sorted([
+        "load", "split", "group", "mstv", "lbp", "fuse", "tune", "train", "predict", "evaluate", "emit"])
+
+
+def test_run_canonical_flag_is_gone(scene_config):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(scene_config["config"]), "--canonical"])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["features", "predict"])
+def test_train_fraction_only_on_commands_that_split(command, scene_config):
+    argv = [command, "--config", str(scene_config["config"]), "--out", str(scene_config["tmp"] / "o"),
+            "--train-fraction", "0.5"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + (["--model", "m.bin"] if command == "predict" else []))
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("fixed", [None, {"c": 1e-6, "gamma": 1e-6}], ids=["tuned", "fixed"])
@@ -85,7 +104,7 @@ def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene)
     cfg_path.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "out", **extra)))
     cfg = str(cfg_path)
     run_dir = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--out", str(run_dir), "--canonical"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(run_dir)]) == 0
     report = json.loads((run_dir / "run_report.json").read_text())
 
     features_path = tmp_path / "features.f32"
@@ -179,6 +198,7 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
      "unknown mstv.scales[0] config key(s): ['epsilon_l']"),
     ({"folds": 1}, "folds must be >= 2, got 1"),
     ({"mstv": {"kpca_gamma": 0.5}}, "unknown mstv config key(s): ['kpca_gamma']"),
+    ({"canonical": True}, "unknown top-level config key(s): ['canonical']"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -331,7 +351,8 @@ def test_zip_archive_named_npy_exit_3(scene_config, capsys):
     assert f"{cube_path} holds a zip archive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["config-json", "npy", "truncated-archive"])
+@pytest.mark.parametrize("kind", ["config-json", "npy", "truncated-archive", "no-classes",
+                                  "nan-alpha"])
 def test_predict_with_a_file_that_is_not_a_model_exit_3(kind, scene_config, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_features", lambda *a: pytest.fail("features built"))
     model_path = scene_config["tmp"] / "model.bin"
@@ -340,10 +361,15 @@ def test_predict_with_a_file_that_is_not_a_model_exit_3(kind, scene_config, caps
     elif kind == "npy":
         with open(model_path, "wb") as fh:
             np.save(fh, np.eye(3))
-    else:
+    elif kind == "truncated-archive":
         model = kelm.train(np.eye(3), [1, 2, 2], kelm.KelmHyperparams(c=1.0, gamma=1.0))
         kelm.save_model(model, model_path)
         model_path.write_bytes(model_path.read_bytes()[:-30])
+    else:  # archives that train could never write
+        alpha = np.zeros((3, 0)) if kind == "no-classes" else np.full((3, 2), np.nan)
+        with open(model_path, "wb") as fh:
+            np.savez(fh, train_x=np.eye(3), alpha=alpha, hyper=np.array([1.0, 1.0]),
+                     class_ids=np.arange(1, alpha.shape[1] + 1))
     rc = main(["predict", "--config", str(scene_config["config"]), "--model", str(model_path),
                "--out", str(scene_config["tmp"] / "pred")])
     assert rc == 3

@@ -232,6 +232,24 @@ def test_solve_kernel_system_residual_gate_fires_on_a_corrupted_solution(monkeyp
         kelm.solve_kernel_system(omega.copy(), targets, 10.0)
 
 
+def test_solve_kernel_system_rejects_a_nan_residual():
+    omega, rng = _kernel_system(10, seed=1)
+    targets = rng.normal(size=(10, 2))
+    targets[4, 1] = np.nan
+    with pytest.raises(NumericalError, match="residual too large: nan"):
+        kelm.solve_kernel_system(omega, targets, 10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_and_predict_reject_non_finite_features(bad, monkeypatch):
+    model = train(np.array([[0.0], [1.0]]), [1, 2], KelmHyperparams(c=1.0, gamma=1.0))
+    monkeypatch.setattr(kelm, "cdist", lambda *a, **k: pytest.fail("a kernel was built"))
+    with pytest.raises(DataError, match="non-finite value in features"):
+        train(np.array([[0.0], [bad], [1.0]]), [1, 2, 2], KelmHyperparams(c=1.0, gamma=1.0))
+    with pytest.raises(DataError, match="non-finite value in features"):
+        predict(model, np.array([[0.5], [bad]]))
+
+
 def test_spd_solve_rejects_shapes_lapack_cannot_take():
     system, rng = _kernel_system(4, seed=0)
     spaced = np.zeros((8, 8))
@@ -302,9 +320,13 @@ def _model_fields():
     {"alpha": np.zeros(3)},
     {"train_x": np.zeros(3)},
     {"train_x": np.zeros((3, 2), dtype=np.int64)},
+    {"train_x": np.zeros((0, 2)), "alpha": np.zeros((0, 2))},
+    {"alpha": np.zeros((3, 0)), "class_ids": np.zeros(0, dtype=np.int64)},
+    {"train_x": np.array([[0.0, 0.0], [0.0, np.nan], [0.0, 0.0]])},
+    {"alpha": np.array([[0.0, 0.0], [0.0, 0.0], [np.inf, 0.0]])},
 ], ids=["descending", "repeated", "zero", "negative", "float", "int32", "uint64", "list", "2-d",
         "more-ids-than-columns", "alpha-rows", "float32-alpha", "1-d-alpha", "1-d-train-x",
-        "int-train-x"])
+        "int-train-x", "no-rows", "no-classes", "nan-train-x", "inf-alpha"])
 def test_model_validator_rejects(change):
     with pytest.raises(DataError):
         KelmModel(**{**_model_fields(), **change})

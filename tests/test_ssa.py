@@ -142,6 +142,10 @@ def test_config_validation():
         SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=1)
     with pytest.raises(ConfigError):
         SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
+    for lower, upper in [([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [np.inf]),
+                         ([0.0, -np.inf], [1.0, 0.0]), ([0.0], [np.inf])]:
+        with pytest.raises(ConfigError, match="bounds must be finite"):
+            SwarmConfig(lower=np.array(lower), upper=np.array(upper))
 
 
 def test_constant_objective():
@@ -505,7 +509,7 @@ def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_pat
         out = tmp_path / f"threads{threads}"
         subprocess.run(
             [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
-             "--out", str(out), "--canonical"],
+             "--out", str(out)],
             env=_blas_env(threads), capture_output=True, check=True, timeout=120,
             preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
         )
@@ -553,7 +557,7 @@ def test_run_agrees_across_openblas_kernels(small_scene, tmp_path):
         outs.append(tmp_path / (core or "default"))
         subprocess.run(
             [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
-             "--out", str(outs[-1]), "--canonical"],
+             "--out", str(outs[-1])],
             env=dict(env, OPENBLAS_CORETYPE=core) if core else env,
             capture_output=True, check=True, timeout=120,
         )
