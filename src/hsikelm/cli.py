@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kelm, metrics, ssa
-from .datacube import HyperCube, LabelRaster, save_cube, save_labels, load_labels
+from .datacube import LabelRaster, load_labels, save_cube, save_labels, save_raster
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     CONFUSION_NAME,
@@ -55,8 +55,7 @@ def _cmd_synth(args) -> int:
     try:
         save_labels(labels, args.out_labels)
     except BaseException:  # leave no cube without its labels
-        for path in (args.out_cube, f"{args.out_cube}.json"):
-            Path(path).unlink(missing_ok=True)
+        Path(args.out_cube).unlink(missing_ok=True)
         raise
     print(f"wrote {args.out_cube} ({cube.height}x{cube.width}x{cube.bands}) and {args.out_labels}")
     return 0
@@ -78,9 +77,8 @@ def _cmd_features(args) -> int:
     config = _config_from_args(args)
     labels = load_labels(config.label_path, config.num_classes)
     fused = build_features(config, labels)
-    feature_cube = HyperCube(fused.reshape(labels.height, labels.width, -1).astype(np.float32))
-    save_cube(feature_cube, args.out)
-    print(f"wrote {args.out}: {feature_cube.bands} features "
+    save_raster(fused.reshape(labels.height, labels.width, -1), args.out)
+    print(f"wrote {args.out}: {fused.shape[1]} features "
           f"({config.mstv.n_components} spectral + {config.mstv.k} spatial)")
     return 0
 
@@ -186,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="override the config's output directory")
     run.set_defaults(func=_cmd_run)
 
-    features = subs.add_parser("features", help="export the fused feature matrix as a cube")
+    features = subs.add_parser("features", help="export the fused feature matrix as a raster")
     _add_config_flags(features, splits=False)
-    features.add_argument("--out", required=True, help="destination payload path")
+    features.add_argument("--out", required=True,
+                          help="destination .npy file of the (H, W, F) float64 features")
     features.set_defaults(func=_cmd_features)
 
     tune = subs.add_parser("tune", help="search (C, gamma) on the training split")

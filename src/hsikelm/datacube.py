@@ -1,15 +1,12 @@
-"""Hyperspectral cube / label raster data model, binary I/O, and splits.
+"""Hyperspectral cube / label raster data model, file I/O, and splits.
 
-Canonical on-disk format: a raw little-endian payload file plus a JSON
-sidecar header at ``<payload path>.json``. Cubes are float32 stored
-band-sequentially (all of band 0 in row-major order, then band 1, ...);
-label rasters are uint16 with ``bands = 1``. Arrays of shape (H, W, B)
-or (H, W) saved with ``numpy.save`` are also accepted by the loaders.
+Every raster is one array in numpy's ``.npy`` format, under whatever file
+name it is given: a cube is an (H, W, B) array (float32 once loaded), a
+label raster an (H, W) array of class ids (uint16 once loaded).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,11 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-CUBE_ORDER = "row-major-band-sequential"
 # label rasters are stored as uint16, so class ids stop at its largest value
 MAX_CLASSES = np.iinfo(np.uint16).max
-# header dtype name -> little-endian payload dtype
-_DTYPES = {"f32": np.dtype("<f4"), "u16": np.dtype("<u2")}
 
 
 @dataclass(frozen=True)
@@ -117,115 +111,49 @@ class SampleSplit:
     test_idx: np.ndarray
 
 
-def _header_path(path: Path) -> Path:
-    return Path(str(path) + ".json")
-
-
-def read_json_object(path, error=DataError) -> dict:
-    """The JSON object in the file at ``path``.
-
-    A missing file, bytes that are not JSON (malformed or undecodable) and a
-    value that is not an object raise ``error``. The bytes are decoded as
-    ``json.loads`` detects (UTF-8, -16 or -32), whatever the locale.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise error(f"missing file: {path}")
+def _load_raster(path, ndim: int) -> np.ndarray:
+    """The numeric (H, W, B) (``ndim`` 3) or (H, W) (``ndim`` 2) array in the
+    .npy file at ``path``."""
     try:
-        value = json.loads(path.read_bytes())
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both derive from it
-        raise error(f"malformed JSON in {path}: {e}") from e
-    if not isinstance(value, dict):
-        raise error(f"{path} must hold a JSON object")
-    return value
+        with open(path, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError as e:
+        raise DataError(f"missing file: {path}") from e
+    except ValueError as e:  # a zip archive, raw bytes, a truncated file or an object array
+        raise DataError(f"{path} is not a .npy array file: {e}") from e
+    if arr.ndim != ndim:
+        raise DataError(f"expected {ndim}-D array in {path}, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{path} holds {arr.dtype} values, not numbers")
+    return arr
 
 
-def _read_header(path: Path, expect_dtype: str) -> dict:
-    hpath = _header_path(path)
-    header = read_json_object(hpath)
-    required = {"height", "width", "bands", "dtype", "order", "byteorder"}
-    missing = required - set(header)
-    if missing:
-        raise DataError(f"header {hpath} missing keys: {sorted(missing)}")
-    if header["dtype"] != expect_dtype:
-        raise DataError(f"header dtype {header['dtype']!r}, expected {expect_dtype!r}")
-    if header["order"] != CUBE_ORDER:
-        raise DataError(f"unsupported layout order {header['order']!r}")
-    if header["byteorder"] != "little":
-        raise DataError(f"unsupported byteorder {header['byteorder']!r}")
-    for key in ("height", "width", "bands"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise DataError(f"header field {key} must be a positive integer")
-    return header
-
-
-def _load_raster(path, dtype: str, ndim: int) -> np.ndarray:
-    """(H, W, B) array (``ndim`` 3) or one-band (H, W) array (``ndim`` 2) read
-    from a .npy file or from the header + band-sequential payload pair."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    if path.suffix == ".npy":
-        try:
-            arr = np.load(path)
-        except (ValueError, EOFError) as e:  # pickled, object or corrupt data
-            raise DataError(f"unreadable .npy file {path}: {e}") from e
-        if not isinstance(arr, np.ndarray):  # a zip archive loads as an open NpzFile
-            arr.close()
-            raise DataError(f"{path} holds a zip archive, not one array")
-        if arr.ndim != ndim:
-            raise DataError(f"expected {ndim}-D array in {path}, got shape {arr.shape}")
-        if arr.dtype.kind not in "biuf":
-            raise DataError(f"{path} holds {arr.dtype} values, not numbers")
-        return arr
-    header = _read_header(path, expect_dtype=dtype)
-    h, w, b = header["height"], header["width"], header["bands"]
-    if ndim == 2 and b != 1:
-        raise DataError(f"label raster must have bands=1, got {b}")
-    raw = path.read_bytes()
-    expected = h * w * b * _DTYPES[dtype].itemsize
-    if len(raw) != expected:
-        raise DataError(
-            f"payload length mismatch for {path}: expected {expected} bytes, got {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(b, h, w).transpose(1, 2, 0)
-    values = np.ascontiguousarray(values)
-    return values if ndim == 3 else values[:, :, 0]
-
-
-def _save_raster(values_hwb: np.ndarray, path, dtype: str) -> None:
-    """Write an (H, W, B) array as the band-sequential payload + header pair."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    h, w, b = values_hwb.shape
-    header = {"height": h, "width": w, "bands": b, "dtype": dtype,
-              "order": CUBE_ORDER, "byteorder": "little"}
-    payload = np.ascontiguousarray(values_hwb.transpose(2, 0, 1), dtype=_DTYPES[dtype])
-    path.write_bytes(payload.tobytes())  # first, so a failed write leaves no header behind
-    try:
-        _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
-    except BaseException:  # nor a payload without its header
-        path.unlink(missing_ok=True)
-        raise
+def save_raster(values: np.ndarray, path) -> None:
+    """Write ``values`` as a .npy file at exactly ``path``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:  # np.save would append .npy to a path
+        np.save(fh, values)
 
 
 def load_cube(path) -> HyperCube:
-    """Read a cube from the canonical format or from a (H, W, B) .npy file."""
-    return HyperCube(_load_raster(path, "f32", ndim=3))
+    """Read the (H, W, B) cube in the .npy file at ``path``."""
+    return HyperCube(_load_raster(path, ndim=3))
 
 
 def save_cube(cube: HyperCube, path) -> None:
-    """Write the canonical header + band-sequential payload pair."""
-    _save_raster(cube.values, path, "f32")
+    """Write the cube as a float32 (H, W, B) .npy file at ``path``."""
+    save_raster(cube.values, path)
 
 
 def load_labels(path, num_classes: int) -> LabelRaster:
-    """Read a label raster (canonical u16 or .npy); ids must lie in 0..num_classes."""
-    return LabelRaster(_load_raster(path, "u16", ndim=2), num_classes)
+    """Read the (H, W) label raster in the .npy file at ``path``; ids must lie
+    in 0..num_classes."""
+    return LabelRaster(_load_raster(path, ndim=2), num_classes)
 
 
 def save_labels(raster: LabelRaster, path) -> None:
-    _save_raster(raster.labels[:, :, None], path, "u16")
+    """Write the raster as a uint16 (H, W) .npy file at ``path``."""
+    save_raster(raster.labels, path)
 
 
 def check_companion(cube: HyperCube, labels: LabelRaster) -> None:

@@ -36,7 +36,6 @@ from .datacube import (
     check_companion,
     load_cube,
     load_labels,
-    read_json_object,
     stratified_split,
 )
 from .errors import ConfigError, DataError, HsiKelmError
@@ -168,7 +167,22 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    raw = read_json_object(path, ConfigError)
+    """The config in the JSON object at ``path``, with the non-None
+    ``overrides`` set on top.
+
+    A missing file, bytes that are not JSON (malformed or undecodable) and a
+    value that is not an object raise ``ConfigError``. The bytes are decoded
+    as ``json.loads`` detects (UTF-8, -16 or -32), whatever the locale.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"missing file: {path}")
+    try:
+        raw = json.loads(path.read_bytes())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError both derive from it
+        raise ConfigError(f"malformed JSON in {path}: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value

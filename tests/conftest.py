@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -87,13 +88,25 @@ def cpus(request, monkeypatch):
 
 @pytest.fixture
 def small_scene(tmp_path):
-    """A 32x32x20 3-class striped cube saved in the canonical format."""
+    """A 32x32x20 3-class striped cube and its labels saved as .npy files."""
     cube, labels = pipeline.make_synthetic_cube(32, 32, 20, 3, 0.1, seed=0)
     cube_path = tmp_path / "cube.f32"
     label_path = tmp_path / "labels.u16"
     datacube.save_cube(cube, cube_path)
     datacube.save_labels(labels, label_path)
     return {"cube": cube, "labels": labels, "cube_path": cube_path, "label_path": label_path}
+
+
+def write_old_format_raster(path, values):
+    """Write an (H, W, B) float32 or uint16 array in the retired on-disk format:
+    a raw little-endian band-sequential payload at ``path`` plus a JSON header
+    at ``<path>.json``. The loaders must reject it."""
+    h, w, b = values.shape
+    dtype = {"f": "f32", "u": "u16"}[values.dtype.kind]
+    header = {"height": h, "width": w, "bands": b, "dtype": dtype,
+              "order": "row-major-band-sequential", "byteorder": "little"}
+    Path(f"{path}.json").write_text(json.dumps(header, sort_keys=True) + "\n")
+    Path(path).write_bytes(np.ascontiguousarray(values.transpose(2, 0, 1)).tobytes())
 
 
 def fast_config_dict(scene, out_dir, **extra):

@@ -6,7 +6,7 @@ import pytest
 from hsikelm import cli, kelm, pipeline
 from hsikelm.cli import main
 from hsikelm.datacube import LabelRaster, load_cube, load_labels, save_labels
-from conftest import fast_config_dict
+from conftest import fast_config_dict, write_old_format_raster
 
 
 @pytest.fixture
@@ -107,10 +107,13 @@ def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene)
     assert main(["run", "--config", cfg, "--out", str(run_dir)]) == 0
     report = json.loads((run_dir / "run_report.json").read_text())
 
-    features_path = tmp_path / "features.f32"
+    features_path = tmp_path / "features.npy"
     assert main(["features", "--config", cfg, "--out", str(features_path)]) == 0
-    feats = load_cube(features_path)
-    assert feats.bands == 10  # 5 spectral + 5 spatial for the fast config
+    feats = np.load(features_path)
+    assert feats.shape == (32, 32, 10)  # 5 spectral + 5 spatial for the fast config
+    assert feats.dtype == np.float64  # the values run trains on, not a float32 rounding
+    expected = pipeline.build_features(pipeline.load_config(cfg_path), small_scene["labels"])
+    assert np.array_equal(feats, expected.reshape(32, 32, -1))
 
     if fixed is None:
         tune_dir = tmp_path / "tuned"
@@ -292,7 +295,7 @@ def test_synth_into_a_directory_exit_3_without_header(tmp_path, capsys):
                "--out-cube", str(cube_path), "--out-labels", str(tmp_path / "l.u16")])
     assert rc == 3
     _one_line_data_error_naming(cube_path, capsys.readouterr().err)
-    assert not (tmp_path / "taken.json").exists()  # the payload fails first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no labels either
 
 
 def test_synth_unwritable_labels_exit_3_without_cube(tmp_path, capsys):
@@ -302,27 +305,7 @@ def test_synth_unwritable_labels_exit_3_without_cube(tmp_path, capsys):
                "--out-cube", str(cube_path), "--out-labels", str(label_path)])
     assert rc == 3
     _one_line_data_error_naming(label_path, capsys.readouterr().err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no cube pair left
-
-
-def test_synth_unwritable_cube_header_exit_3_without_payload(tmp_path, capsys):
-    cube_path = tmp_path / "c.f32"
-    (tmp_path / "c.f32.json").mkdir()  # a directory where the header goes
-    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
-               "--out-cube", str(cube_path), "--out-labels", str(tmp_path / "l.u16")])
-    assert rc == 3
-    _one_line_data_error_naming(cube_path, capsys.readouterr().err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.f32.json"]  # no headerless payload
-
-
-def test_synth_unwritable_labels_header_exit_3_without_any_payload(tmp_path, capsys):
-    label_path = tmp_path / "l.u16"
-    (tmp_path / "l.u16.json").mkdir()
-    rc = main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--classes", "2",
-               "--out-cube", str(tmp_path / "c.f32"), "--out-labels", str(label_path)])
-    assert rc == 3
-    _one_line_data_error_naming(label_path, capsys.readouterr().err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.u16.json"]  # no cube, no labels
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]  # no cube left
 
 
 def test_undecodable_config_exit_2(tmp_path, capsys):
@@ -333,14 +316,6 @@ def test_undecodable_config_exit_2(tmp_path, capsys):
     assert err.startswith("config error: malformed JSON in ") and str(path) in err
 
 
-def test_undecodable_header_exit_3(scene_config, capsys):
-    header = scene_config["scene"]["cube_path"].with_name("cube.f32.json")
-    header.write_bytes(b'{"bands": 20, "note": "\xe9"}')  # Latin-1, not UTF-8
-    assert main(["run", "--config", str(scene_config["config"])]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: stage load: malformed JSON in ") and str(header) in err
-
-
 def test_zip_archive_named_npy_exit_3(scene_config, capsys):
     cube_path = scene_config["tmp"] / "cube.npy"
     with open(cube_path, "wb") as f:  # np.savez would append .npz to a path
@@ -348,7 +323,20 @@ def test_zip_archive_named_npy_exit_3(scene_config, capsys):
     raw = json.loads(scene_config["config"].read_text())
     scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
     assert main(["run", "--config", str(scene_config["config"])]) == 3
-    assert f"{cube_path} holds a zip archive" in capsys.readouterr().err
+    assert f"{cube_path} is not a .npy array file" in capsys.readouterr().err
+
+
+def test_old_format_cube_exit_3_at_load(scene_config, capsys, monkeypatch):
+    # a raw payload with its JSON header is not a .npy file, whatever the header says
+    _fail_if_smoothed(monkeypatch)
+    cube_path = scene_config["tmp"] / "old.f32"
+    write_old_format_raster(cube_path, scene_config["scene"]["cube"].values)
+    raw = json.loads(scene_config["config"].read_text())
+    scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
+    assert main(["run", "--config", str(scene_config["config"])]) == 3
+    err = capsys.readouterr().err
+    _one_line_data_error_naming(cube_path, err)
+    assert err.startswith("data error: stage load: ")
 
 
 @pytest.mark.parametrize("kind", ["config-json", "npy", "truncated-archive", "no-classes",

@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,20 +15,12 @@ from hsikelm.datacube import (
     train_count,
 )
 from hsikelm.errors import ConfigError, DataError
-
-
-def write_cube_file(path, height, width, bands, payload: bytes):
-    header = {
-        "height": height, "width": width, "bands": bands,
-        "dtype": "f32", "order": "row-major-band-sequential", "byteorder": "little",
-    }
-    (path.parent / (path.name + ".json")).write_text(json.dumps(header, sort_keys=True) + "\n")
-    path.write_bytes(payload)
+from conftest import write_old_format_raster
 
 
 def test_load_2x2x1_identity(tmp_path):
-    path = tmp_path / "tiny.f32"
-    write_cube_file(path, 2, 2, 1, struct.pack("<4f", 0.0, 1.0, 2.0, 3.0))
+    path = tmp_path / "tiny.npy"
+    np.save(path, np.array([0.0, 1.0, 2.0, 3.0], dtype=np.float32).reshape(2, 2, 1))
     cube = load_cube(path)
     assert (cube.height, cube.width, cube.bands) == (2, 2, 1)
     assert cube.values[0, 0, 0] == 0.0
@@ -40,21 +29,14 @@ def test_load_2x2x1_identity(tmp_path):
     assert cube.values[1, 1, 0] == 3.0
 
 
-def test_payload_one_byte_short(tmp_path):
-    path = tmp_path / "short.f32"
-    write_cube_file(path, 2, 2, 1, struct.pack("<4f", 0, 1, 2, 3)[:-1])
-    with pytest.raises(DataError, match="payload length mismatch"):
-        load_cube(path)
-
-
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing"):
         load_cube(tmp_path / "nope.f32")
 
 
 def test_non_finite_rejected_with_index(tmp_path):
-    path = tmp_path / "nan.f32"
-    write_cube_file(path, 2, 2, 1, struct.pack("<4f", 0, float("nan"), 2, 3))
+    path = tmp_path / "nan.npy"
+    np.save(path, np.array([0.0, np.nan, 2.0, 3.0], dtype=np.float32).reshape(2, 2, 1))
     with pytest.raises(DataError, match=r"row=0, col=1, band=0"):
         load_cube(path)
 
@@ -68,27 +50,28 @@ def test_round_trip_byte_identical(tmp_path):
     second = tmp_path / "b.f32"
     save_cube(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    assert (tmp_path / "a.f32.json").read_bytes() == (tmp_path / "b.f32.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.f32", "b.f32"]
 
 
-def test_band_sequential_layout(tmp_path):
-    # band 0 fully precedes band 1 in the payload
-    values = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
-    path = tmp_path / "c.f32"
-    save_cube(HyperCube(values), path)
-    flat = np.frombuffer(path.read_bytes(), dtype="<f4")
-    assert np.array_equal(flat[:4], values[:, :, 0].ravel())
-    assert np.array_equal(flat[4:], values[:, :, 1].ravel())
+def test_file_names_kept_as_given(tmp_path):
+    # the benchmark's fixtures are written as cube.f32 and labels.u16
+    cube = HyperCube(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    labels = LabelRaster(np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint16), num_classes=2)
+    save_cube(cube, tmp_path / "cube.f32")
+    save_labels(labels, tmp_path / "labels.u16")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.f32", "labels.u16"]
+    assert np.array_equal(load_cube(tmp_path / "cube.f32").values, cube.values)
+    assert np.array_equal(load_labels(tmp_path / "labels.u16", 2).labels, labels.labels)
 
 
-def _save_with_header(path, edit):
-    """A 1x2 raster (a cube for .f32, labels for .u16) whose header becomes edit(header)."""
-    if path.suffix == ".f32":
-        save_cube(HyperCube(np.zeros((1, 2, 1), dtype=np.float32)), path)
-    else:
-        save_labels(LabelRaster(np.ones((1, 2), dtype=np.uint16), num_classes=1), path)
-    hpath = path.parent / (path.name + ".json")
-    hpath.write_text(json.dumps(edit(json.loads(hpath.read_text()))))
+def test_old_format_conversion_recipe(tmp_path):
+    # the README's recipe turns a raw band-sequential payload into a .npy cube
+    values = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    p = tmp_path / "old.f32"
+    write_old_format_raster(p, values)
+    h, w, b = 2, 3, 4
+    np.save(tmp_path / "new.npy", np.fromfile(p, "<f4").reshape(b, h, w).transpose(1, 2, 0))
+    assert np.array_equal(load_cube(tmp_path / "new.npy").values, values)
 
 
 def _truncated_npy(path):
@@ -101,9 +84,8 @@ _MALFORMED = {
     "corrupt.npy": lambda p: p.write_bytes(b"not an array"),
     "truncated.npy": _truncated_npy,
     "text.npy": lambda p: np.save(p, np.full((1, 1, 1), "x")),
-    "bool_height.f32": lambda p: _save_with_header(p, lambda h: {**h, "height": True}),
-    "bool_bands.u16": lambda p: _save_with_header(p, lambda h: {**h, "bands": True}),
-    "number_header.f32": lambda p: _save_with_header(p, lambda h: 5),
+    "old_format.f32": lambda p: write_old_format_raster(p, np.zeros((1, 2, 1), dtype=np.float32)),
+    "old_format.u16": lambda p: write_old_format_raster(p, np.ones((1, 2, 1), dtype="<u2")),
 }
 
 
@@ -111,7 +93,7 @@ _MALFORMED = {
 def test_malformed_raster_is_data_error(tmp_path, name):
     path = tmp_path / name
     _MALFORMED[name](path)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="not a .npy array file|values, not numbers"):
         if path.suffix == ".u16":
             load_labels(path, num_classes=1)
         else:
