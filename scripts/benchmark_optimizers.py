@@ -26,8 +26,15 @@ def rastrigin(x):
 
 
 def shifted(fn):
-    """``fn`` with its optimum moved from the origin to 2.5 in every coordinate,
-    so that an optimizer drawn toward the origin gains nothing from it."""
+    """``fn`` with its optimum moved from the origin to 2.5 in every coordinate.
+
+    An optimizer drawn toward the origin gains nothing from it, but the
+    point lies on the diagonal that SSA's better-half joiner step moves
+    along (it adds one scalar to every coordinate), so SSA still gains from
+    that. Under a seeded random shift in [-2.5, 2.5]^10 the sphere medians
+    (10-D, 30x200, 20 seeds, two shift seeds) were SSA 1.7e-3 and 2.0e-3
+    against PSO 1.3e-5 and 2.6e-5.
+    """
     return lambda x: fn(x - 2.5)
 
 

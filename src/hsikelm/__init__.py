@@ -26,9 +26,7 @@ from .mstv import (
 from .pipeline import (
     PipelineConfig,
     RunReport,
-    fuse,
     make_synthetic_cube,
-    normalize_features,
     render_map,
     run_full,
 )
@@ -46,8 +44,7 @@ __all__ = [
     "ConfusionMatrix", "aa", "confusion", "kappa", "oa",
     "MstvConfig", "RtvParams", "group_and_average", "kpca_reduce",
     "multiscale_stack", "rtv_smooth",
-    "PipelineConfig", "RunReport", "fuse", "make_synthetic_cube",
-    "normalize_features", "render_map", "run_full",
+    "PipelineConfig", "RunReport", "make_synthetic_cube", "render_map", "run_full",
     "pso_minimize",
     "SsaResult", "SsaState", "SwarmConfig", "optimize", "tune_kelm",
     "__version__",

@@ -33,7 +33,7 @@ from .pipeline import (
     score_test_split,
 )
 
-PRED_NAME = "predicted_labels.u16"
+PRED_NAME = "predicted_labels.npy"
 
 
 def _config_from_args(args, out_is_output_dir: bool = False):

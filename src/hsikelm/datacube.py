@@ -3,6 +3,8 @@
 Every raster is one array in numpy's ``.npy`` format, under whatever file
 name it is given: a cube is an (H, W, B) array (float32 once loaded), a
 label raster an (H, W) array of class ids (uint16 once loaded).
+``HyperCube`` is the cube as loaded or synthesized; the feature stages past
+the loader take and return its plain ``values`` array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ MAX_CLASSES = np.iinfo(np.uint16).max
 
 @dataclass(frozen=True)
 class HyperCube:
-    """Immutable H x W x B raster of per-pixel spectra (float32 at rest)."""
+    """An H x W x B cube of per-pixel spectra as loaded: finite float32 values."""
 
     values: np.ndarray
 
@@ -49,14 +51,6 @@ class HyperCube:
     @property
     def bands(self) -> int:
         return self.values.shape[2]
-
-    @property
-    def pixels(self) -> int:
-        return self.height * self.width
-
-    def as_matrix(self) -> np.ndarray:
-        """Pixels-by-bands float64 view used by the linear algebra layers."""
-        return self.values.reshape(self.pixels, self.bands).astype(np.float64)
 
 
 @dataclass(frozen=True)

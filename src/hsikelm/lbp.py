@@ -1,4 +1,4 @@
-"""Per-pixel local binary pattern codes over each band of a cube.
+"""Per-pixel local binary pattern codes over each band of an (H, W, B) array.
 
 Each pixel is compared with its 3x3 ring; neighbor p contributes 2^p when
 its value is >= the center. Bit order is clockwise from the top-left
@@ -9,8 +9,6 @@ every pixel gets a code.
 from __future__ import annotations
 
 import numpy as np
-
-from .datacube import HyperCube
 
 # (row, col) offsets in bit order TL, T, TR, R, BR, B, BL, L
 NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
@@ -28,11 +26,11 @@ def _band_codes(band: np.ndarray) -> np.ndarray:
     return codes
 
 
-def lbp_features(cube: HyperCube) -> np.ndarray:
-    """Pixels-by-bands matrix of codes scaled to [0, 1] by MAX_CODE."""
-    h, w, b = cube.values.shape
+def lbp_features(cube: np.ndarray) -> np.ndarray:
+    """Pixels-by-bands float64 matrix of codes scaled to [0, 1] by MAX_CODE."""
+    h, w, b = cube.shape
     out = np.empty((h * w, b), dtype=np.float64)
     for band in range(b):
-        out[:, band] = _band_codes(cube.values[:, :, band]).ravel()
+        out[:, band] = _band_codes(cube[:, :, band]).ravel()
     out /= MAX_CODE
     return out

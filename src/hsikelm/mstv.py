@@ -1,5 +1,6 @@
 """Spectral feature extraction: band grouping, multi-scale relative-total-
-variation smoothing, and landmark kernel PCA fusion.
+variation smoothing, and landmark kernel PCA fusion. The stages take and
+return plain (H, W, B) float32 arrays; ``kpca_reduce`` returns float64 rows.
 
 The smoother minimizes a data-fidelity term plus a structure-aware penalty
 sum_p [Dx_p / (Lx_p + eps) + Dy_p / (Ly_p + eps)], where Dx/Dy aggregate
@@ -24,7 +25,6 @@ from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
 from . import kelm, parallel
-from .datacube import HyperCube
 from .errors import ConfigError, DataError, NumericalError
 
 # the standard RTV solver's rounds and stabilizers (Xu et al. 2012)
@@ -95,13 +95,13 @@ def band_grouping(num_bands: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def group_and_average(cube: HyperCube, k: int) -> HyperCube:
+def group_and_average(cube: np.ndarray, k: int) -> np.ndarray:
     """Reduce to k bands, each the mean of its contiguous source group."""
-    out = np.empty((cube.height, cube.width, k), dtype=np.float32)
-    for g, members in enumerate(band_grouping(cube.bands, k)):
+    out = np.empty((*cube.shape[:2], k), dtype=np.float32)
+    for g, members in enumerate(band_grouping(cube.shape[2], k)):
         # a float64 mean of the float32 slice, without a float64 copy of the cube
-        out[:, :, g] = cube.values[:, :, members[0] : members[-1] + 1].mean(axis=2, dtype=np.float64)
-    return HyperCube(out)
+        out[:, :, g] = cube[:, :, members[0] : members[-1] + 1].mean(axis=2, dtype=np.float64)
+    return out
 
 
 def min_max_scale(values: np.ndarray, axis) -> np.ndarray:
@@ -113,9 +113,9 @@ def min_max_scale(values: np.ndarray, axis) -> np.ndarray:
     return (vals - lo) / span
 
 
-def scale_bands_unit(cube: HyperCube) -> HyperCube:
-    """Min-max scale each band to [0, 1]; constant bands map to 0."""
-    return HyperCube(min_max_scale(cube.values, axis=(0, 1)).astype(np.float32))
+def scale_bands_unit(cube: np.ndarray) -> np.ndarray:
+    """Min-max scale each band to [0, 1] in float32; constant bands map to 0."""
+    return min_max_scale(cube, axis=(0, 1)).astype(np.float32)
 
 
 def _texture_weights(s, sigma):
@@ -176,7 +176,7 @@ def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
     return out
 
 
-def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
+def multiscale_stack(cube: np.ndarray, scales) -> np.ndarray:
     """Smooth every band at every scale; output band l*K + k is (scale l, band k).
 
     The (scale, band) pairs are independent and run side by side on
@@ -188,14 +188,14 @@ def multiscale_stack(cube: HyperCube, scales) -> HyperCube:
     scales = tuple(scales)
     if not scales:
         raise ConfigError("at least one smoothing scale is required")
-    k = cube.bands
-    out = np.empty((cube.height, cube.width, k * len(scales)), dtype=np.float32)
+    h, w, k = cube.shape
+    out = np.empty((h, w, k * len(scales)), dtype=np.float32)
 
     def smooth(j: int) -> None:
-        out[:, :, j] = rtv_smooth(cube.values[:, :, j % k], scales[j // k])
+        out[:, :, j] = rtv_smooth(cube[:, :, j % k], scales[j // k])
 
     parallel.run_jobs(smooth, out.shape[2])
-    return HyperCube(out)
+    return out
 
 
 @dataclass
@@ -283,10 +283,10 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def kpca_reduce(stacked: HyperCube, cfg: MstvConfig) -> np.ndarray:
-    """Project every pixel of the stacked cube onto the top components of an
-    RBF KPCA with gamma = 1 / feature count."""
-    x = stacked.as_matrix()
+def kpca_reduce(stacked: np.ndarray, cfg: MstvConfig) -> np.ndarray:
+    """Project every pixel of the (H, W, F) stacked cube onto the top
+    components of an RBF KPCA with gamma = 1 / F, one row per pixel."""
+    x = stacked.reshape(-1, stacked.shape[2]).astype(np.float64)
     model = kpca_fit(x, cfg.n_components, 1.0 / x.shape[1], cfg.landmark_count, cfg.seed)
     return kpca_transform(model, x)
 

@@ -214,27 +214,6 @@ def _stage(name: str, timings: dict):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def normalize_features(features: np.ndarray) -> np.ndarray:
-    """Min-max each column to [0, 1]; constant columns map to 0."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2:
-        raise DataError(f"feature matrix must be 2-D, got shape {f.shape}")
-    if f.size and not np.all(np.isfinite(f)):
-        raise DataError("non-finite value in feature matrix")
-    return min_max_scale(f, axis=0)
-
-
-def fuse(spectral: np.ndarray, spatial: np.ndarray) -> np.ndarray:
-    """Row-wise concatenation with the spectral block first."""
-    spectral = np.asarray(spectral, dtype=np.float64)
-    spatial = np.asarray(spatial, dtype=np.float64)
-    if spectral.shape[0] != spatial.shape[0]:
-        raise DataError(
-            f"pixel count mismatch: spectral {spectral.shape[0]} vs spatial {spatial.shape[0]}"
-        )
-    return np.hstack([spectral, spatial])
-
-
 def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = None):
     """Stages load and split, which need no feature: the label raster, the
     run's seeded train/test split of its labeled pixels, the class ids of the
@@ -254,14 +233,15 @@ def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = No
 
 def build_features(config: PipelineConfig, labels: LabelRaster,
                    timings: dict | None = None) -> np.ndarray:
-    """Load the cube and produce the fused feature matrix, one row per pixel
-    of the cube, which must match ``labels`` in shape."""
+    """Load the cube, which must match ``labels`` in shape, and produce the
+    fused float64 feature matrix: per pixel, the KPCA components (each min-max
+    scaled over the pixels), then the LBP codes of the grouped bands."""
     timings = {} if timings is None else timings
     with _stage("load", timings):
         cube = load_cube(config.cube_path)
         check_companion(cube, labels)
     with _stage("group", timings):
-        reduced = group_and_average(cube, config.mstv.k)
+        reduced = group_and_average(cube.values, config.mstv.k)
         del cube  # only the grouped bands are used from here on
     with _stage("mstv", timings):
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
@@ -269,7 +249,7 @@ def build_features(config: PipelineConfig, labels: LabelRaster,
     with _stage("lbp", timings):
         spatial = lbp_features(reduced)
     with _stage("fuse", timings):
-        return fuse(normalize_features(spectral), spatial)
+        return np.hstack([min_max_scale(spectral, axis=0), spatial])
 
 
 def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: LabelRaster) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hsikelm import kelm, metrics, pipeline, pso, ssa
-from hsikelm.datacube import HyperCube, load_cube, load_labels, save_cube, save_labels
+from hsikelm.datacube import load_cube, load_labels, save_cube, save_labels
 from hsikelm.lbp import lbp_features
 from hsikelm.mstv import RtvParams, kpca_fit, kpca_transform, rtv_smooth
 
@@ -184,14 +184,14 @@ def test_criterion_03_lbp_exactness():
     exact = True
     for _ in range(50):
         img = rng.integers(0, 256, size=(32, 32)).astype(np.float32)
-        got = (lbp_features(HyperCube(img[:, :, None]))[:, 0] * 255.0).round().astype(int)
+        got = (lbp_features(img[:, :, None])[:, 0] * 255.0).round().astype(int)
         exact = exact and np.array_equal(got.reshape(32, 32), lbp_oracle(img))
-    uniform = lbp_features(HyperCube(np.full((9, 9, 1), 3.0, dtype=np.float32)))
+    uniform = lbp_features(np.full((9, 9, 1), 3.0, dtype=np.float32))
     uniform_ok = np.all(uniform == 1.0)
     img = rng.integers(0, 256, size=(16, 16)).astype(np.float32)
-    base = lbp_features(HyperCube(img[:, :, None]))
-    shift_ok = np.array_equal(base, lbp_features(HyperCube((img + 100.0)[:, :, None])))
-    scale_ok = np.array_equal(base, lbp_features(HyperCube((img * 4.0)[:, :, None])))
+    base = lbp_features(img[:, :, None])
+    shift_ok = np.array_equal(base, lbp_features((img + 100.0)[:, :, None]))
+    scale_ok = np.array_equal(base, lbp_features((img * 4.0)[:, :, None]))
     ok = exact and uniform_ok and shift_ok and scale_ok
     report(3, "lbp oracle equivalence and invariances", ok,
            f"oracle={exact} uniform={uniform_ok} shift={shift_ok} scale={scale_ok}")

@@ -134,13 +134,13 @@ def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene)
     pred_dir = tmp_path / "pred"
     assert main(["predict", "--config", cfg, "--model", str(model_path),
                  "--out", str(pred_dir)]) == 0
-    pred = load_labels(pred_dir / "predicted_labels.u16", 3)
+    pred = load_labels(pred_dir / "predicted_labels.npy", 3)
     assert pred.labels.shape == (32, 32)
     assert ((pred_dir / "classification_map.ppm").read_bytes()
             == (run_dir / "classification_map.ppm").read_bytes())
 
     eval_dir = tmp_path / "eval"
-    assert main(["evaluate", "--config", cfg, "--pred", str(pred_dir / "predicted_labels.u16"),
+    assert main(["evaluate", "--config", cfg, "--pred", str(pred_dir / "predicted_labels.npy"),
                  "--out", str(eval_dir)]) == 0
     assert (eval_dir / "confusion.csv").read_bytes() == (run_dir / "confusion.csv").read_bytes()
     scored = json.loads((eval_dir / "metrics.json").read_text())

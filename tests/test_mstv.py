@@ -12,7 +12,6 @@ from scipy.sparse.linalg import spsolve
 from scipy.spatial.distance import cdist
 
 from hsikelm import kelm, mstv, parallel
-from hsikelm.datacube import HyperCube
 from hsikelm.errors import ConfigError, NumericalError
 from hsikelm.mstv import (
     MstvConfig,
@@ -82,61 +81,60 @@ def test_grouping_errors():
 
 def test_group_average_identity_when_k_equals_m():
     rng = np.random.default_rng(0)
-    cube = HyperCube(rng.normal(size=(4, 4, 6)).astype(np.float32))
+    cube = rng.normal(size=(4, 4, 6)).astype(np.float32)
     out = group_and_average(cube, 6)
-    assert np.array_equal(out.values, cube.values)
+    assert np.array_equal(out, cube)
 
 
 def test_group_average_two_band_mean():
-    cube = HyperCube(np.array([[[1.0, 3.0]]], dtype=np.float32))
+    cube = np.array([[[1.0, 3.0]]], dtype=np.float32)
     out = group_and_average(cube, 1)
-    assert out.values[0, 0, 0] == 2.0
+    assert out[0, 0, 0] == 2.0
 
 
 def test_group_average_counts():
-    cube = HyperCube(np.zeros((2, 2, 200), dtype=np.float32))
-    assert group_and_average(cube, 20).bands == 20
+    cube = np.zeros((2, 2, 200), dtype=np.float32)
+    assert group_and_average(cube, 20).shape[2] == 20
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    cube_vals=hnp.arrays(np.float32, (3, 3, 8), elements=st.floats(-50, 50, width=32)),
+    cube=hnp.arrays(np.float32, (3, 3, 8), elements=st.floats(-50, 50, width=32)),
     k=st.integers(1, 8),
 )
-def test_group_average_within_group_bounds(cube_vals, k):
-    cube = HyperCube(cube_vals)
+def test_group_average_within_group_bounds(cube, k):
     out = group_and_average(cube, k)
     for g, members in enumerate(band_grouping(8, k)):
-        src = cube.values[:, :, list(members)]
-        assert np.all(out.values[:, :, g] >= src.min(axis=2) - 1e-6)
-        assert np.all(out.values[:, :, g] <= src.max(axis=2) + 1e-6)
+        src = cube[:, :, list(members)]
+        assert np.all(out[:, :, g] >= src.min(axis=2) - 1e-6)
+        assert np.all(out[:, :, g] <= src.max(axis=2) + 1e-6)
 
 
 @pytest.mark.parametrize("shape, k", [((7, 9, 103), 20), ((5, 6, 200), 2), ((4, 3, 7), 3)])
 def test_group_average_bit_equal_to_float64_copy(shape, k):
-    cube = HyperCube(np.random.default_rng(shape[2]).normal(size=shape).astype(np.float32))
-    vals = cube.values.astype(np.float64)
+    cube = np.random.default_rng(shape[2]).normal(size=shape).astype(np.float32)
+    vals = cube.astype(np.float64)
     want = np.stack([vals[:, :, list(members)].mean(axis=2)
                      for members in band_grouping(shape[2], k)], axis=2)
-    assert np.array_equal(group_and_average(cube, k).values, want.astype(np.float32))
+    assert np.array_equal(group_and_average(cube, k), want.astype(np.float32))
 
 
 def test_group_average_makes_no_float64_copy_of_the_cube():
-    cube = HyperCube(np.random.default_rng(0).normal(size=(64, 64, 200)).astype(np.float32))
+    cube = np.random.default_rng(0).normal(size=(64, 64, 200)).astype(np.float32)
     tracemalloc.start()
     try:
         group_and_average(cube, 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < cube.values.nbytes // 4  # a float64 copy would be twice the cube
+    assert peak < cube.nbytes // 4  # a float64 copy would be twice the cube
 
 
 def test_scale_bands_unit():
-    cube = HyperCube(np.array([[[2.0, 5.0]], [[4.0, 5.0]], [[6.0, 5.0]]], dtype=np.float32))
+    cube = np.array([[[2.0, 5.0]], [[4.0, 5.0]], [[6.0, 5.0]]], dtype=np.float32)
     out = scale_bands_unit(cube)
-    assert np.allclose(out.values[:, 0, 0], [0.0, 0.5, 1.0])
-    assert np.all(out.values[:, 0, 1] == 0.0)  # constant band pinned to 0
+    assert np.allclose(out[:, 0, 0], [0.0, 0.5, 1.0])
+    assert np.all(out[:, 0, 1] == 0.0)  # constant band pinned to 0
 
 
 # -- smoothing ----------------------------------------------------------------
@@ -229,42 +227,42 @@ def test_rtv_params_validated():
 
 def test_stack_identity_single_scale_lambda_zero():
     rng = np.random.default_rng(3)
-    cube = HyperCube(rng.normal(size=(6, 6, 3)).astype(np.float32))
+    cube = rng.normal(size=(6, 6, 3)).astype(np.float32)
     out = multiscale_stack(cube, [RtvParams(lam=0.0, sigma=1.0)])
-    assert np.allclose(out.values, cube.values, atol=1e-6)
+    assert np.allclose(out, cube, atol=1e-6)
 
 
 def test_stack_band_count_and_order():
     rng = np.random.default_rng(4)
-    cube = HyperCube(rng.normal(size=(5, 5, 2)).astype(np.float32))
+    cube = rng.normal(size=(5, 5, 2)).astype(np.float32)
     scales = [RtvParams(lam=0.0, sigma=1.0), RtvParams(lam=0.0, sigma=2.0)]
     out = multiscale_stack(cube, scales)
-    assert out.bands == 4
+    assert out.shape[2] == 4
     # scale-major: [s0b0, s0b1, s1b0, s1b1]
-    assert np.allclose(out.values[:, :, 0], cube.values[:, :, 0], atol=1e-6)
-    assert np.allclose(out.values[:, :, 1], cube.values[:, :, 1], atol=1e-6)
-    assert np.allclose(out.values[:, :, 2], cube.values[:, :, 0], atol=1e-6)
-    assert np.allclose(out.values[:, :, 3], cube.values[:, :, 1], atol=1e-6)
+    assert np.allclose(out[:, :, 0], cube[:, :, 0], atol=1e-6)
+    assert np.allclose(out[:, :, 1], cube[:, :, 1], atol=1e-6)
+    assert np.allclose(out[:, :, 2], cube[:, :, 0], atol=1e-6)
+    assert np.allclose(out[:, :, 3], cube[:, :, 1], atol=1e-6)
 
 
 def test_stack_k20_l3_gives_60_bands():
-    cube = HyperCube(np.random.default_rng(5).normal(size=(4, 4, 20)).astype(np.float32))
+    cube = np.random.default_rng(5).normal(size=(4, 4, 20)).astype(np.float32)
     scales = [RtvParams(lam=0.0, sigma=s) for s in (1.0, 2.0, 3.0)]
-    assert multiscale_stack(cube, scales).bands == 60
+    assert multiscale_stack(cube, scales).shape[2] == 60
 
 
 def test_stack_pool_matches_serial_loop():
     rng = np.random.default_rng(7)
-    cube = HyperCube(rng.uniform(size=(40, 56, 3)).astype(np.float32))
+    cube = rng.uniform(size=(40, 56, 3)).astype(np.float32)
     scales = [RtvParams(lam=0.01, sigma=1.0), RtvParams(lam=0.005, sigma=2.0)]
     out = multiscale_stack(cube, scales)
     with parallel.single_threaded_blas():
-        serial = [rtv_smooth(cube.values[:, :, b], p) for p in scales for b in range(3)]
-    assert np.array_equal(out.values, np.stack(serial, axis=2).astype(np.float32))
+        serial = [rtv_smooth(cube[:, :, b], p) for p in scales for b in range(3)]
+    assert np.array_equal(out, np.stack(serial, axis=2).astype(np.float32))
 
 
 def test_stack_residual_gate_fails_fast_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
-    cube = HyperCube(np.random.default_rng(8).uniform(size=(24, 24, 10)).astype(np.float32))
+    cube = np.random.default_rng(8).uniform(size=(24, 24, 10)).astype(np.float32)
     scales = [RtvParams(sigma=1.0), RtvParams(sigma=2.0)]
     controls = openblas_at_two_threads
     calls = []  # BLAS thread counts seen by each call
@@ -277,7 +275,7 @@ def test_stack_residual_gate_fails_fast_and_blas_threads_restored(monkeypatch, o
     monkeypatch.setattr(mstv, "rtv_smooth", counted)
     with pytest.raises(NumericalError, match="residual"):
         multiscale_stack(cube, scales)
-    assert len(calls) < cube.bands * len(scales)
+    assert len(calls) < cube.shape[2] * len(scales)
     assert calls[0] == [1] * len(controls)
     assert [get() for _, get in controls] == [2] * len(controls)
 
@@ -348,7 +346,7 @@ def test_kpca_fit_centres_the_landmark_kernel_in_place():
 
 def test_kpca_reduce_shapes_and_determinism():
     rng = np.random.default_rng(8)
-    cube = HyperCube(rng.normal(size=(8, 8, 6)).astype(np.float32))
+    cube = rng.normal(size=(8, 8, 6)).astype(np.float32)
     cfg = MstvConfig(k=3, scales=(RtvParams(lam=0.0),), n_components=3,
                      landmark_count=40, seed=2)
     a = kpca_reduce(cube, cfg)

@@ -12,14 +12,21 @@ from hsikelm import metrics
 from hsikelm.datacube import LabelRaster, save_cube, save_labels
 from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
+from hsikelm.lbp import lbp_features
+from hsikelm.mstv import (
+    group_and_average,
+    kpca_reduce,
+    min_max_scale,
+    multiscale_stack,
+    scale_bands_unit,
+)
 from hsikelm.pipeline import (
     PALETTE,
+    build_features,
     config_echo_dict,
     config_from_dict,
-    fuse,
     load_config,
     make_synthetic_cube,
-    normalize_features,
     render_map,
     run_full,
 )
@@ -29,54 +36,45 @@ from conftest import fast_config_dict, read_confusion_csv
 # -- normalization and fusion -------------------------------------------------
 
 def test_normalize_basic_column():
-    out = normalize_features(np.array([[2.0], [4.0], [6.0]]))
+    out = min_max_scale(np.array([[2.0], [4.0], [6.0]]), axis=0)
     assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
 
 def test_normalize_constant_column_to_zero():
-    out = normalize_features(np.array([[5.0], [5.0], [5.0]]))
+    out = min_max_scale(np.array([[5.0], [5.0], [5.0]]), axis=0)
     assert np.all(out == 0.0)
 
 
 def test_normalize_unit_column_unchanged():
     col = np.array([[0.0], [0.25], [1.0]])
-    assert np.array_equal(normalize_features(col), col)
+    assert np.array_equal(min_max_scale(col, axis=0), col)
 
 
 @settings(max_examples=30, deadline=None)
 @given(f=hnp.arrays(np.float64, (6, 3), elements=st.floats(-100, 100)))
 def test_normalize_range_property(f):
-    out = normalize_features(f)
+    out = min_max_scale(f, axis=0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-def test_fuse_ordering():
-    spectral = np.array([[1.0, 2.0]])
-    spatial = np.array([[3.0, 4.0, 5.0]])
-    fused = fuse(spectral, spatial)
-    assert fused.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0]]
-
-
-def test_fuse_empty_spatial():
-    spectral = np.array([[1.0], [2.0]])
-    fused = fuse(spectral, np.empty((2, 0)))
-    assert np.array_equal(fused, spectral)
-
-
-def test_fuse_pixel_mismatch():
-    with pytest.raises(DataError, match="mismatch"):
-        fuse(np.zeros((2, 1)), np.zeros((3, 1)))
-
-
-def test_fused_width_for_default_dims():
-    assert fuse(np.zeros((10, 20)), np.zeros((10, 20))).shape == (10, 40)
+def test_build_features_scaled_kpca_block_then_lbp_block(small_scene, tmp_path):
+    # n_components != k, so the two blocks cannot trade places unnoticed
+    config = config_from_dict(fast_config_dict(
+        small_scene, tmp_path, mstv={"k": 5, "n_components": 4, "landmark_count": 256}))
+    n, k = config.mstv.n_components, config.mstv.k
+    fused = build_features(config, small_scene["labels"])
+    reduced = group_and_average(small_scene["cube"].values, k)
+    stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
+    assert fused.dtype == np.float64 and fused.shape == (32 * 32, n + k)
+    assert np.array_equal(fused[:, :n], min_max_scale(kpca_reduce(stacked, config.mstv), axis=0))
+    assert np.array_equal(fused[:, n:], lbp_features(reduced))
 
 
 # -- synthetic fixture ---------------------------------------------------------
 
 def test_synthetic_nearest_centroid_noiseless():
     cube, labels = make_synthetic_cube(16, 16, 10, 2, noise_sigma=0.0, seed=0)
-    x = cube.as_matrix()
+    x = cube.values.reshape(-1, cube.bands)
     y = labels.labels.ravel()
     centroids = np.stack([x[y == c].mean(axis=0) for c in (1, 2)])
     pred = 1 + np.argmin(((x[:, None, :] - centroids[None]) ** 2).sum(-1), axis=1)
