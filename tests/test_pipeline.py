@@ -14,6 +14,7 @@ from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
 from hsikelm.lbp import lbp_features
 from hsikelm.mstv import (
+    MstvConfig,
     group_and_average,
     kpca_reduce,
     min_max_scale,
@@ -57,7 +58,8 @@ def test_normalize_range_property(f):
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-def test_build_features_scaled_kpca_block_then_lbp_block(small_scene, tmp_path):
+def test_fuse_ordering(small_scene, tmp_path):
+    # build_features' fuse stage: the scaled KPCA block, then the LBP block;
     # n_components != k, so the two blocks cannot trade places unnoticed
     config = config_from_dict(fast_config_dict(
         small_scene, tmp_path, mstv={"k": 5, "n_components": 4, "landmark_count": 256}))
@@ -68,6 +70,15 @@ def test_build_features_scaled_kpca_block_then_lbp_block(small_scene, tmp_path):
     assert fused.dtype == np.float64 and fused.shape == (32 * 32, n + k)
     assert np.array_equal(fused[:, :n], min_max_scale(kpca_reduce(stacked, config.mstv), axis=0))
     assert np.array_equal(fused[:, n:], lbp_features(reduced))
+
+
+def test_fused_width_for_default_dims(small_scene, tmp_path):
+    # default k = n_components = 20 on the 20-band scene: 20 + 20 columns
+    config = config_from_dict(fast_config_dict(
+        small_scene, tmp_path, mstv={"landmark_count": 256}))
+    assert (config.mstv.k, config.mstv.n_components) == (MstvConfig().k, MstvConfig().n_components)
+    fused = build_features(config, small_scene["labels"])
+    assert fused.shape == (32 * 32, MstvConfig().n_components + MstvConfig().k) == (32 * 32, 40)
 
 
 # -- synthetic fixture ---------------------------------------------------------
