@@ -1,3 +1,4 @@
+import os
 import time
 import tracemalloc
 
@@ -207,6 +208,59 @@ def test_one_round_matches_default_ordering_oracle(monkeypatch):
     expected = spsolve(system, img.ravel()).reshape(img.shape)  # scipy's default ordering
     out = rtv_smooth(img, params)
     assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(img)))
+
+
+def rtv_oracle(img, params):
+    """All RTV_ROUNDS rounds, each solved by spsolve's default ordering."""
+    out, sigma = img.copy(), params.sigma
+    for _ in range(mstv.RTV_ROUNDS):
+        wx, wy = mstv._texture_weights(out, sigma)
+        out = spsolve(edge_list_system(wx, wy, params.lam), img.ravel()).reshape(img.shape)
+        sigma = max(sigma / 2.0, 0.5)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 56), (61, 34)])
+def test_all_rounds_match_default_ordering_oracle(shape, monkeypatch):
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    img = np.where(np.arange(w)[None, :] < (w * 23) // 56, 1.0, 0.2) + 0.1 * rng.normal(size=shape)
+    params = RtvParams(lam=0.01, sigma=2.0)
+    original, solves = mstv.spsolve, []
+
+    def counted(*args):
+        solves.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(mstv, "spsolve", counted)
+    out = rtv_smooth(img, params)
+    assert solves == [(h * w, h * w)] * mstv.RTV_ROUNDS
+    assert np.max(np.abs(out - rtv_oracle(img, params))) <= 1e-12 * (1.0 + np.max(np.abs(img)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_elimination_order_computed_once_per_shape(workers, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    original_splu = mstv.splu
+
+    def slow_ordering_splu(a, permc_spec=None, **kwargs):
+        if permc_spec != "NATURAL":
+            time.sleep(0.05)  # two workers that both miss the cache would both get here
+        return original_splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(mstv, "splu", slow_ordering_splu)
+    mstv._rtv_order.cache_clear()
+    scales = [RtvParams(lam=0.01, sigma=1.0), RtvParams(lam=0.005, sigma=2.0)]
+    rng = np.random.default_rng(9)
+    multiscale_stack(rng.uniform(size=(12, 9, 3)).astype(np.float32), scales)
+    assert mstv._rtv_order.cache_info().misses == 1
+    multiscale_stack(rng.uniform(size=(9, 12, 3)).astype(np.float32), scales)
+    assert mstv._rtv_order.cache_info().misses == 2
+    for h, w in [(12, 9), (9, 12)]:
+        order = mstv._rtv_order(h, w)
+        assert np.array_equal(np.sort(order), np.arange(h * w))
+        assert not order.flags.writeable
+    assert mstv._rtv_order.cache_info().misses == 2
 
 
 def test_rtv_rejects_non_finite():
