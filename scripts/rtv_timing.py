@@ -8,13 +8,13 @@ up to 4 classes, noise 0.1, seed 0), min-max scaled as the pipeline scales
 it, and smoothed at the default scale (lambda 0.005, sigma 3). Per shape the
 table gives the time of the elimination order (computed once per shape and
 then cached), the time of the smoothing after it, the median of its four
-solves, and how far the process's peak RSS (``ru_maxrss``) rose over both:
-the LU factors of one solve set that rise.
+solves, and how far the process's peak RSS (``ru_maxrss``, in MB of 10^6
+bytes, as the benchmark reports it) rose over both: the LU factors of one
+solve set that rise.
 """
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from hsikelm import mstv
-from hsikelm.pipeline import make_synthetic_cube
+from hsikelm.pipeline import make_synthetic_cube, peak_rss_mb
 
 DEFAULT_SHAPES = "64x64,145x145,610x340"
 
@@ -36,10 +36,6 @@ def shapes(text: str) -> list[tuple[int, int]]:
     if not out or any(len(s) != 2 or min(s) < 1 for s in out):
         raise argparse.ArgumentTypeError(f"expected HxW[,HxW...] with H, W >= 1, got {text!r}")
     return out
-
-
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
 def measure(h: int, w: int) -> dict:

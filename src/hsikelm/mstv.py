@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.ndimage import gaussian_filter
 from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 from scipy.spatial.distance import cdist
 
 from . import kelm, parallel
@@ -165,13 +165,15 @@ def _rtv_order(h: int, w: int) -> np.ndarray:
     A^T + A with its elimination-tree postorder, which roughly halves the fill
     against the default COLAMD. It depends only on the pattern, so one
     unit-weight system with ``_texture_weights``' zero last column and row
-    serves every solve of that shape. Read-only."""
+    serves every solve of that shape. SuperLU computes the order before it
+    factors, so an incomplete LU that drops every entry it can gives the same
+    order as ``splu`` at a fraction of the time and memory. Read-only."""
     wx, wy = np.ones((h, w)), np.ones((h, w))
     wx[:, -1] = 0.0
     wy[-1, :] = 0.0
-    lu = splu(_rtv_system(wx, wy, 1.0).tocsc(), permc_spec="MMD_AT_PLUS_A",
-              panel_size=SUPERLU_PANEL_SIZE)
-    order = np.argsort(lu.perm_c)
+    ilu = spilu(_rtv_system(wx, wy, 1.0).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                drop_tol=1.0, fill_factor=1.0)
+    order = np.argsort(ilu.perm_c)
     order.setflags(write=False)
     return order
 

@@ -5,7 +5,8 @@ and one BLAS policy.
 splits a row range into balanced blocks that each borrow a workspace
 (``lend``, ``mapped_array``), and ``single_threaded_blas`` keeps every
 OpenBLAS on one thread, so that no result depends on the CPU count or on
-the BLAS thread setting.
+the BLAS thread setting. ``release_free_memory`` hands the heap pages that
+parallel work freed back to the system.
 """
 
 from __future__ import annotations
@@ -77,12 +78,39 @@ def single_threaded_blas():
             set_threads(count)
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has no such call
+    (it is a glibc extension: not in musl, macOS or Windows)."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: Windows loads no library by None
+        return None
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def release_free_memory() -> None:
+    """Hand the free pages of every malloc arena back to the system.
+
+    glibc gives each thread that allocates its own arena and keeps what is
+    freed there for later allocations of that thread, so memory that a
+    helper thread freed would otherwise stay resident under every later
+    stage. A few milliseconds; without ``malloc_trim`` this does nothing.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def mapped_array(shape) -> np.ndarray:
     """A float64 array of ``shape`` in its own anonymous memory map.
 
     The pages go back to the system once the array is freed. Heap arrays
-    allocated in pool threads would stay in glibc's per-thread arenas and
-    raise the peak memory of the later stages.
+    allocated in pool threads would stay in glibc's per-thread arenas until
+    ``release_free_memory``, and raise the peak memory until then.
     """
     size = int(np.prod(shape))
     buffer = mmap.mmap(-1, 8 * max(size, 1))  # a map cannot be empty
@@ -131,6 +159,8 @@ def run_jobs(job, count: int) -> None:
     helper that has started is waited for. All jobs before a failed one
     have then started and finished; the exception of the first failed job
     in job order is raised. The whole call runs with BLAS on one thread.
+    A call that started helpers releases the memory freed meanwhile
+    (``release_free_memory``) before it returns or raises.
     """
     workers = min(len(os.sched_getaffinity(0)), count)
     jobs = iter(range(count))
@@ -154,6 +184,8 @@ def run_jobs(job, count: int) -> None:
     for helper in helpers:
         if not helper.cancel():
             helper.result()
+    if helpers:
+        release_free_memory()
     if failures:
         raise failures[min(failures)]
 

@@ -17,6 +17,7 @@ same report bytes, even into different directories.
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 import types
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kelm, metrics, ssa
+from . import kelm, metrics, parallel, ssa
 from .datacube import (
     MAX_CLASSES,
     HyperCube,
@@ -63,6 +64,9 @@ CONFUSION_NAME = "confusion.csv"
 MAP_NAME = "classification_map.ppm"
 TRACE_NAME = "ssa_trace.csv"
 TIMINGS_NAME = "timings.json"
+# the keys of timings.json that hold one value per stage
+TIMES_KEY = "per_stage_times_s"
+PEAKS_KEY = "per_stage_peak_rss_mb"
 
 
 @dataclass(frozen=True)
@@ -203,15 +207,28 @@ def config_echo_dict(config: PipelineConfig) -> dict:
     return {key: value for key, value in _echo(config).items() if key != "output_dir"}
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 @contextmanager
 def _stage(name: str, timings: dict):
+    """Run the body as stage ``name``: an ``HsiKelmError`` gets the stage in its
+    message. When the body ends, also on error, the memory it freed is released
+    (``parallel.release_free_memory``), its time is added to
+    ``timings[TIMES_KEY][name]`` and the peak RSS so far is recorded in
+    ``timings[PEAKS_KEY][name]``."""
     start = time.perf_counter()
     try:
         yield
     except HsiKelmError as e:
         raise type(e)(f"stage {name}: {e}") from e
     finally:
-        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+        parallel.release_free_memory()
+        times = timings.setdefault(TIMES_KEY, {})
+        times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
+        timings.setdefault(PEAKS_KEY, {})[name] = peak_rss_mb()
 
 
 def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = None):
@@ -367,8 +384,9 @@ def run_full(config: PipelineConfig) -> RunReport:
             ssa.write_trace_csv(out_dir / TRACE_NAME, tune_result.trace_best, tune_result.trace_mean)
             trace_path = TRACE_NAME
 
-    timing_doc = {"train_time_s": timings.get("tune", 0.0) + timings["train"],
-                  "total_time_s": time.perf_counter() - t0, "per_stage_times_s": timings}
+    stage_s = timings[TIMES_KEY]
+    timing_doc = {**timings, "train_time_s": stage_s.get("tune", 0.0) + stage_s["train"],
+                  "total_time_s": time.perf_counter() - t0}
     report = RunReport(
         oa=oa_v,
         aa=aa_v,

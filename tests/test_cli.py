@@ -74,7 +74,8 @@ def test_run_subcommand(scene_config):
     assert (outs[0] / "run_report.json").read_bytes() == (outs[1] / "run_report.json").read_bytes()
     assert "total_time_s" not in json.loads((outs[0] / "run_report.json").read_text())
     timings = json.loads((outs[0] / "timings.json").read_text())
-    assert sorted(timings) == ["per_stage_times_s", "total_time_s", "train_time_s"]
+    assert sorted(timings) == [
+        "per_stage_peak_rss_mb", "per_stage_times_s", "total_time_s", "train_time_s"]
     assert sorted(timings["per_stage_times_s"]) == sorted([
         "load", "split", "group", "mstv", "lbp", "fuse", "tune", "train", "predict", "evaluate", "emit"])
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh
 from scipy.sparse import coo_matrix, identity
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 from scipy.spatial.distance import cdist
 
 from hsikelm import kelm, mstv, parallel
@@ -238,17 +238,27 @@ def test_all_rounds_match_default_ordering_oracle(shape, monkeypatch):
     assert np.max(np.abs(out - rtv_oracle(img, params))) <= 1e-12 * (1.0 + np.max(np.abs(img)))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 56), (61, 34), (145, 145)])
+def test_elimination_order_is_superlu_full_factorization_order(shape):
+    # the order comes from an incomplete LU of a unit-weight system; a full
+    # LU of a system with other weights must order the columns the same way
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    wx, wy = rng.uniform(0.5, 2.0, size=shape), rng.uniform(0.5, 2.0, size=shape)
+    lu = splu(edge_list_system(wx, wy, 0.005).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(mstv._rtv_order(h, w), np.argsort(lu.perm_c))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_elimination_order_computed_once_per_shape(workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    original_splu = mstv.splu
+    original_spilu = mstv.spilu
 
-    def slow_ordering_splu(a, permc_spec=None, **kwargs):
-        if permc_spec != "NATURAL":
-            time.sleep(0.05)  # two workers that both miss the cache would both get here
-        return original_splu(a, permc_spec=permc_spec, **kwargs)
+    def slow_spilu(*args, **kwargs):
+        time.sleep(0.05)  # two workers that both miss the cache would both get here
+        return original_spilu(*args, **kwargs)
 
-    monkeypatch.setattr(mstv, "splu", slow_ordering_splu)
+    monkeypatch.setattr(mstv, "spilu", slow_spilu)
     mstv._rtv_order.cache_clear()
     scales = [RtvParams(lam=0.01, sigma=1.0), RtvParams(lam=0.005, sigma=2.0)]
     rng = np.random.default_rng(9)

@@ -1,4 +1,6 @@
+import gc
 import os
+import platform
 import sys
 import threading
 import time
@@ -6,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from hsikelm import parallel
+from hsikelm import mstv, parallel
 from hsikelm.errors import NumericalError
 
 from conftest import row_blocks
@@ -134,3 +136,64 @@ def test_run_row_blocks_are_balanced_and_cover_the_rows(rows):
     assert [r for start, stop in blocks for r in range(start, stop)] == list(range(rows))
     assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= parallel.BLOCK_ROWS)
     assert blocks == row_blocks(rows)  # the partition the tests' serial oracles use
+
+
+def test_run_jobs_releases_free_memory_once_after_helpers_ran(cpus, monkeypatch):
+    calls = []
+    monkeypatch.setattr(parallel, "release_free_memory", lambda: calls.append(1))
+    seen = []  # the release count each job saw
+    parallel.run_jobs(lambda k: seen.append(len(calls)), 4)
+    assert seen == [0] * 4  # never inside a job
+    assert len(calls) == (1 if cpus > 1 else 0)  # helpers take part only with 2 or more CPUs
+    parallel.run_jobs(lambda k: seen.append(len(calls)), 1)  # one job: no helper
+    assert len(calls) == (1 if cpus > 1 else 0)
+
+    def failing(k):
+        raise ValueError("job failed")
+
+    with pytest.raises(ValueError, match="job failed"):
+        parallel.run_jobs(failing, 4)
+    assert len(calls) == (2 if cpus > 1 else 0)
+
+
+def test_release_without_malloc_trim_does_nothing(monkeypatch):
+    # a C library without malloc_trim, as on musl, macOS or Windows; other
+    # libraries (OpenBLAS) still load
+    load = parallel.ctypes.CDLL
+    monkeypatch.setattr(parallel.ctypes, "CDLL",
+                        lambda name, *args, **kwargs: object() if name is None else load(name, *args, **kwargs))
+    parallel._malloc_trim.cache_clear()
+    try:
+        assert parallel._malloc_trim() is None
+        parallel.release_free_memory()
+        calls = np.zeros(8, dtype=np.int64)
+
+        def job(k):
+            calls[k] += 1
+
+        parallel.run_jobs(job, calls.size)
+        assert np.all(calls == 1)
+    finally:
+        parallel._malloc_trim.cache_clear()
+
+
+def resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 1e6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs glibc's malloc_trim and at least 2 CPUs")
+def test_smoothing_on_helper_threads_leaves_no_freed_memory_resident():
+    # the helper thread that smooths the second band frees its LU factors
+    # into its own malloc arena; without the release they stay resident
+    # (about 15 MB at this shape on 2 CPUs)
+    cube = np.random.default_rng(0).uniform(size=(145, 145, 2)).astype(np.float32)
+    scales = [mstv.RtvParams()]
+    mstv._rtv_order(145, 145)  # cached for the process
+    mstv.multiscale_stack(cube[:16, :16], scales)  # the helpers and first-call allocations
+    gc.collect()
+    before = resident_mb()
+    mstv.multiscale_stack(cube, scales)
+    gc.collect()
+    assert resident_mb() - before <= 5.0

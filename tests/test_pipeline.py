@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hsikelm
-from hsikelm import metrics
+from hsikelm import metrics, parallel, pipeline
 from hsikelm.datacube import LabelRaster, save_cube, save_labels
 from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
@@ -265,6 +265,31 @@ def test_run_stage_times_positive_and_cover_total(small_run):
     assert timings["train_time_s"] > 0
     stage_sum = sum(timings["per_stage_times_s"].values())
     assert abs(stage_sum - timings["total_time_s"]) <= 0.1 * timings["total_time_s"]
+
+
+def test_run_records_peak_rss_at_each_stage_end(small_run):
+    timings = json.loads((small_run["out"] / "timings.json").read_text())
+    peaks = timings["per_stage_peak_rss_mb"]
+    assert sorted(peaks) == sorted(timings["per_stage_times_s"])
+    # a peak never falls; "load" runs twice, so its value is the second one
+    in_order = [peaks[s] for s in ["split", "load", "group", "mstv", "lbp", "fuse", "tune",
+                                   "train", "predict", "evaluate", "emit"]]
+    assert 0 < in_order[0] and in_order == sorted(in_order)
+    assert in_order[-1] <= pipeline.peak_rss_mb()
+
+
+def test_stage_releases_free_memory_when_it_ends_also_on_error(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parallel, "release_free_memory", lambda: calls.append(1))
+    timings = {}
+    with pipeline._stage("a", timings):
+        assert not calls
+    assert len(calls) == 1
+    with pytest.raises(DataError, match="stage b: bad input"):
+        with pipeline._stage("b", timings):
+            raise DataError("bad input")
+    assert len(calls) == 2
+    assert sorted(timings["per_stage_times_s"]) == sorted(timings["per_stage_peak_rss_mb"]) == ["a", "b"]
 
 
 def test_run_report_json_artifact(small_run):
