@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from hsikelm import cli
+from hsikelm import cli, parallel
 from hsikelm.datacube import save_cube, save_labels
 from hsikelm.pipeline import CONFUSION_NAME, MAP_NAME, REPORT_NAME, TRACE_NAME, make_synthetic_cube
 
@@ -63,16 +63,9 @@ def run_fixture(spec: dict, workdir: Path) -> Path:
 
 def numeric_versions() -> dict:
     """numpy's and scipy's versions and the build and core of every OpenBLAS
-    loaded so far (none where ``/proc/self/maps`` does not exist)."""
-    try:
-        maps = Path("/proc/self/maps").read_text().splitlines()
-    except OSError:
-        maps = []
-    paths = sorted({line.split()[-1] for line in maps
-                    if "openblas" in line.rsplit("/", 1)[-1] and ".so" in line})
+    loaded so far."""
     configs = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
+    for lib in parallel.loaded_openblas():
         for name in _OPENBLAS_CONFIG_SYMBOLS:
             if hasattr(lib, name):
                 get_config = getattr(lib, name)

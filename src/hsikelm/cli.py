@@ -87,7 +87,7 @@ def _cmd_tune(args) -> int:
     config = _config_from_args(args)
     labels, split, train_y, fold_of = load_and_split(config, tune=True)
     train_x = build_features(config, labels)[split.train_idx]
-    result = ssa.tune_kelm(train_x, train_y, config.ssa, fold_of)
+    result = ssa.tune_kelm(train_x, train_y, config.ssa.swarm(config.seed), fold_of)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "chosen_hyperparams.json").write_text(
@@ -159,7 +159,7 @@ def _cmd_evaluate(args) -> int:
 
 def _add_config_flags(sub, splits: bool = True):
     sub.add_argument("--config", required=True, help="path to the JSON config file")
-    sub.add_argument("--seed", type=int, default=None, help="override the master seed")
+    sub.add_argument("--seed", type=int, default=None, help="override the run's seed")
     if splits:  # features and predict take every labeled pixel, so no split fraction
         sub.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
 

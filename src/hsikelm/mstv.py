@@ -69,7 +69,6 @@ class MstvConfig:
     scales: tuple[RtvParams, ...] = field(default_factory=default_scales)
     n_components: int = 20
     landmark_count: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(self.scales))
@@ -85,8 +84,6 @@ class MstvConfig:
             raise ConfigError(
                 f"landmark_count {self.landmark_count} < n_components {self.n_components}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def band_grouping(num_bands: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -324,10 +321,11 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def kpca_reduce(stacked: np.ndarray, cfg: MstvConfig) -> np.ndarray:
+def kpca_reduce(stacked: np.ndarray, cfg: MstvConfig, seed: int) -> np.ndarray:
     """Project every pixel of the (H, W, F) stacked cube onto the top
-    components of an RBF KPCA with gamma = 1 / F, one row per pixel."""
+    components of an RBF KPCA with gamma = 1 / F, one row per pixel; ``seed``
+    draws the landmark pixels (``kpca_fit``)."""
     x = stacked.reshape(-1, stacked.shape[2]).astype(np.float64)
-    model = kpca_fit(x, cfg.n_components, 1.0 / x.shape[1], cfg.landmark_count, cfg.seed)
+    model = kpca_fit(x, cfg.n_components, 1.0 / x.shape[1], cfg.landmark_count, seed)
     return kpca_transform(model, x)
 

@@ -31,21 +31,24 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-@functools.cache
-def openblas_thread_controls() -> tuple[tuple, ...]:
-    """(set, get) thread-count functions of every OpenBLAS loaded when this is first called."""
+def loaded_openblas() -> list[ctypes.CDLL]:
+    """Every OpenBLAS library loaded in this process now (none where
+    ``/proc/self/maps`` does not exist)."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return ()
+        return []
     paths = sorted({f[5].strip() for f in fields if len(f) == 6})
+    named = [(path, path.rsplit("/", 1)[-1]) for path in paths]
+    return [ctypes.CDLL(path) for path, name in named if "openblas" in name and ".so" in name]
+
+
+@functools.cache
+def openblas_thread_controls() -> tuple[tuple, ...]:
+    """(set, get) thread-count functions of every OpenBLAS loaded when this is first called."""
     controls = []
-    for path in paths:
-        name = path.rsplit("/", 1)[-1]
-        if "openblas" not in name or ".so" not in name:
-            continue
-        lib = ctypes.CDLL(path)
+    for lib in loaded_openblas():
         for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 setter, getter = getattr(lib, set_name), getattr(lib, get_name)

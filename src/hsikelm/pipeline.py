@@ -127,47 +127,32 @@ def _convert(tp, value, path: str):
     raise ConfigError(f"{path} must be {expected}, got {value!r}")
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _build(cls, raw, where: str, **given):
-    """Instantiate the config dataclass ``cls`` from the JSON object ``raw``.
-
-    Every init field comes from ``raw`` (type-checked), else from ``given``,
-    else from its default; the fields in ``given`` are not keys of ``raw``.
-    """
+def _build(cls, raw, where: str):
+    """Instantiate the config dataclass ``cls`` from the JSON object ``raw``
+    found at path ``where``: every init field comes from ``raw``
+    (type-checked), else from its default."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'the config'} must be an object, got {raw!r}")
     hints = typing.get_type_hints(cls)
     init_fields = [f for f in fields(cls) if f.init]
-    unknown = set(_object(raw, where)) - ({f.name for f in init_fields} - set(given))
+    unknown = set(raw) - {f.name for f in init_fields}
     if unknown:
         raise ConfigError(f"unknown {where or 'top-level'} config key(s): {sorted(unknown)}")
+    given = {}
     for f in init_fields:
         path = f"{where}.{f.name}" if where else f.name
         if f.name in raw:
             given[f.name] = _convert(hints[f.name], raw[f.name], path)
-        elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required config key: {path}")
     return cls(**given)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a validated config from a JSON-style dict; unknown keys and wrong types fail.
-
-    The sections ``mstv`` and ``ssa`` inherit the master ``seed`` unless they
-    set their own.
-    """
-    raw = dict(raw)
-    seed = _convert(int, raw.get("seed", 0), "seed")
-    mstv_raw = {"seed": seed, **_object(raw.pop("mstv", {}), "mstv")}
-    ssa_raw = {"seed": seed, **_object(raw.pop("ssa", {}), "ssa")}
-    return _build(
-        PipelineConfig, raw, "",
-        mstv=_build(MstvConfig, mstv_raw, "mstv"),
-        ssa=_build(ssa.TuningConfig, ssa_raw, "ssa"),
-    )
+    """Build a validated config from a JSON-style dict; unknown keys and wrong
+    types fail. The sections parse as nested dataclasses; the top-level
+    ``seed`` is the run's only seed."""
+    return _build(PipelineConfig, raw, "")
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
@@ -244,7 +229,7 @@ def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = No
         if split.test_idx.size == 0:
             raise DataError("empty test split")
         train_y = labels.labels.ravel()[split.train_idx].astype(np.int64)
-        fold_of = ssa.stratified_fold_ids(train_y, config.folds, config.ssa.seed) if tune else None
+        fold_of = ssa.stratified_fold_ids(train_y, config.folds, config.seed) if tune else None
     return labels, split, train_y, fold_of
 
 
@@ -262,7 +247,7 @@ def build_features(config: PipelineConfig, labels: LabelRaster,
         del cube  # only the grouped bands are used from here on
     with _stage("mstv", timings):
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
-        spectral = kpca_reduce(stacked, config.mstv)
+        spectral = kpca_reduce(stacked, config.mstv, config.seed)
     with _stage("lbp", timings):
         spatial = lbp_features(reduced)
     with _stage("fuse", timings):
@@ -364,7 +349,7 @@ def run_full(config: PipelineConfig) -> RunReport:
         chosen = config.fixed_hyperparams
     else:
         with _stage("tune", timings):
-            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa, fold_of)
+            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa.swarm(config.seed), fold_of)
             chosen = tune_result.hyper
 
     with _stage("train", timings):

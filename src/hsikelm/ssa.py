@@ -31,7 +31,7 @@ is dispatched. Draw order per role:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +89,13 @@ def scout_count(pop_size: int) -> int:
 
 
 @dataclass(frozen=True)
-class TuningConfig(SwarmConfig):
-    """SSA over (log10 C, log10 gamma); ``lower`` and ``upper`` derive from the axes' pairs."""
+class TuningConfig:
+    """A run's SSA search over (log10 C, log10 gamma): the swarm's size and
+    iterations and one (lower, upper) pair per axis. It holds no seed: the
+    run's seed goes to ``swarm(seed)``, the optimizer's config."""
 
-    lower: np.ndarray = field(init=False)
-    upper: np.ndarray = field(init=False)
+    pop_size: int = 30
+    max_iter: int = 20
     log10_c_bounds: tuple[float, float] = (-2.0, 4.0)
     log10_gamma_bounds: tuple[float, float] = (-3.0, 3.0)
 
@@ -104,10 +106,14 @@ class TuningConfig(SwarmConfig):
                 scale = 10.0 ** np.asarray(bounds, dtype=np.float64)
             if not np.all(np.isfinite(scale) & (scale > 0)):
                 raise ConfigError(f"{name} must keep 10**bound a finite float > 0, got {bounds}")
+            if bounds[0] > bounds[1]:
+                raise ConfigError(f"{name} must be [lower, upper] with lower <= upper, got {bounds}")
+        self.swarm(0)  # the swarm's own checks, so that a bad config fails at load time
+
+    def swarm(self, seed: int) -> SwarmConfig:
         lower, upper = np.array([self.log10_c_bounds, self.log10_gamma_bounds], dtype=np.float64).T
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        super().__post_init__()
+        return SwarmConfig(lower=lower, upper=upper, pop_size=self.pop_size,
+                           max_iter=self.max_iter, seed=seed)
 
 
 @dataclass

@@ -203,6 +203,8 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"folds": 1}, "folds must be >= 2, got 1"),
     ({"mstv": {"kpca_gamma": 0.5}}, "unknown mstv config key(s): ['kpca_gamma']"),
     ({"canonical": True}, "unknown top-level config key(s): ['canonical']"),
+    ({"ssa": {"log10_c_bounds": [4, -2]}},
+     "log10_c_bounds must be [lower, upper] with lower <= upper, got (4.0, -2.0)"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -275,6 +277,33 @@ def test_unknown_config_key_exit_2(tmp_path, small_scene):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("section", ["mstv", "ssa"])
+def test_section_seed_is_an_unknown_key_exit_2(section, tmp_path, small_scene, capsys):
+    # the top-level seed is the run's only seed
+    raw = fast_config_dict(small_scene, tmp_path / "o")
+    raw[section] = {**raw[section], "seed": 3}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown {section} config key(s): ['seed']\n"
+
+
+def test_seed_flag_is_the_seed_key(tmp_path, small_scene):
+    # run --seed 3 on a seed-0 config writes what "seed": 3 in the file writes,
+    # and so does tune --seed 3 for its trace
+    flagged, keyed = tmp_path / "flagged.json", tmp_path / "keyed.json"
+    flagged.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "o")))
+    keyed.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "o", seed=3)))
+    assert main(["run", "--config", str(flagged), "--seed", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", str(keyed), "--out", str(tmp_path / "b")]) == 0
+    assert main(["tune", "--config", str(flagged), "--seed", "3", "--out", str(tmp_path / "t")]) == 0
+    for name in (pipeline.REPORT_NAME, pipeline.CONFUSION_NAME, pipeline.MAP_NAME,
+                 pipeline.TRACE_NAME):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    trace = (tmp_path / "b" / pipeline.TRACE_NAME).read_bytes()
+    assert (tmp_path / "t" / pipeline.TRACE_NAME).read_bytes() == trace
 
 
 def test_missing_cube_exit_3(tmp_path, small_scene):

@@ -411,12 +411,13 @@ def test_kpca_fit_centres_the_landmark_kernel_in_place():
 def test_kpca_reduce_shapes_and_determinism():
     rng = np.random.default_rng(8)
     cube = rng.normal(size=(8, 8, 6)).astype(np.float32)
-    cfg = MstvConfig(k=3, scales=(RtvParams(lam=0.0),), n_components=3,
-                     landmark_count=40, seed=2)
-    a = kpca_reduce(cube, cfg)
-    b = kpca_reduce(cube, cfg)
+    cfg = MstvConfig(k=3, scales=(RtvParams(lam=0.0),), n_components=3, landmark_count=40)
+    a = kpca_reduce(cube, cfg, seed=2)
+    b = kpca_reduce(cube, cfg, seed=2)
     assert a.shape == (64, 3)
     assert np.array_equal(a, b)
+    # the seed draws 40 of the 64 pixels as landmarks
+    assert not np.array_equal(a, kpca_reduce(cube, cfg, seed=3))
 
 
 def test_mstv_config_validated():

@@ -68,7 +68,8 @@ def test_fuse_ordering(small_scene, tmp_path):
     reduced = group_and_average(small_scene["cube"].values, k)
     stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
     assert fused.dtype == np.float64 and fused.shape == (32 * 32, n + k)
-    assert np.array_equal(fused[:, :n], min_max_scale(kpca_reduce(stacked, config.mstv), axis=0))
+    spectral = kpca_reduce(stacked, config.mstv, config.seed)
+    assert np.array_equal(fused[:, :n], min_max_scale(spectral, axis=0))
     assert np.array_equal(fused[:, n:], lbp_features(reduced))
 
 
@@ -140,27 +141,18 @@ def test_config_rejects_unknown_keys():
                           "mstv": {"bogus": 3}})
 
 
-def test_config_master_seed_flows_to_sections():
-    cfg = config_from_dict({"cube_path": "a", "label_path": "b", "num_classes": 2, "seed": 11})
-    assert cfg.mstv.seed == 11
-    assert cfg.ssa.seed == 11
-    explicit = config_from_dict({"cube_path": "a", "label_path": "b", "num_classes": 2,
-                                 "seed": 11, "mstv": {"seed": 3}})
-    assert explicit.mstv.seed == 3
-
-
 _EVERY_KEY = {
     "cube_path": "cube.f32", "label_path": "labels.u16", "num_classes": 4,
     "train_fraction": 0.25, "folds": 3, "seed": 7,
     "mstv": {
-        "k": 6, "n_components": 9, "landmark_count": 300, "seed": 2,
+        "k": 6, "n_components": 9, "landmark_count": 300,
         "scales": [
             {"lam": 0.01, "sigma": 1.5},
             {"lam": 0.02, "sigma": 2.5},
         ],
     },
     "ssa": {
-        "pop_size": 12, "max_iter": 4, "seed": 5,
+        "pop_size": 12, "max_iter": 4,
         "log10_c_bounds": [-1.0, 3.0], "log10_gamma_bounds": [-2.0, 2.0],
     },
     "fixed_hyperparams": {"c": 10.0, "gamma": 0.25},

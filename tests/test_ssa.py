@@ -369,7 +369,7 @@ def _cv_objective(x, y, folds, seed):
 
 def test_tune_kelm_separable_blobs():
     x, y = _blobs()
-    cfg = TuningConfig(seed=0, pop_size=10, max_iter=8)
+    cfg = TuningConfig(pop_size=10, max_iter=8).swarm(0)
     result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 3, seed=0))
     assert result.best_fitness < 0.05
     # independent grid oracle: a sub-0.05 region exists inside the same bounds
@@ -481,7 +481,7 @@ from hsikelm.ssa import TuningConfig, stratified_fold_ids, tune_kelm
 rng = np.random.default_rng(5)
 y = np.repeat([1, 2, 3], 100)
 x = rng.normal(size=(y.size, 8)) + 0.4 * y[:, None]
-r = tune_kelm(x, y, TuningConfig(seed=0, pop_size=4, max_iter=2), stratified_fold_ids(y, 2, 0))
+r = tune_kelm(x, y, TuningConfig(pop_size=4, max_iter=2).swarm(0), stratified_fold_ids(y, 2, 0))
 print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 """
 
