@@ -41,7 +41,7 @@ def shapes(text: str) -> list[tuple[int, int]]:
 def measure(h: int, w: int) -> dict:
     """One cold smoothing of an h x w band in this process."""
     cube, _ = make_synthetic_cube(h, w, 4, min(h, 4), 0.1, 0)
-    band = mstv.scale_bands_unit(cube.values)[:, :, 0]
+    band = mstv.scale_bands_unit(cube)[:, :, 0]
     del cube
     solve_s = []
     solve = mstv.spsolve

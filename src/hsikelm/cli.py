@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kelm, metrics, ssa
-from .datacube import LabelRaster, load_labels, save_cube, save_labels, save_raster
+from .datacube import LabelRaster, load_labels, save_cube, save_labels
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     CONFUSION_NAME,
@@ -57,7 +57,8 @@ def _cmd_synth(args) -> int:
     except BaseException:  # leave no cube without its labels
         Path(args.out_cube).unlink(missing_ok=True)
         raise
-    print(f"wrote {args.out_cube} ({cube.height}x{cube.width}x{cube.bands}) and {args.out_labels}")
+    height, width, bands = cube.shape
+    print(f"wrote {args.out_cube} ({height}x{width}x{bands}) and {args.out_labels}")
     return 0
 
 
@@ -77,7 +78,7 @@ def _cmd_features(args) -> int:
     config = _config_from_args(args)
     labels = load_labels(config.label_path, config.num_classes)
     fused = build_features(config, labels)
-    save_raster(fused.reshape(labels.height, labels.width, -1), args.out)
+    save_cube(fused.reshape(labels.height, labels.width, -1), args.out)
     print(f"wrote {args.out}: {fused.shape[1]} features "
           f"({config.mstv.n_components} spectral + {config.mstv.k} spatial)")
     return 0

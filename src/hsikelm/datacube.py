@@ -1,10 +1,10 @@
 """Hyperspectral cube / label raster data model, file I/O, and splits.
 
 Every raster is one array in numpy's ``.npy`` format, under whatever file
-name it is given: a cube is an (H, W, B) array (float32 once loaded), a
-label raster an (H, W) array of class ids (uint16 once loaded).
-``HyperCube`` is the cube as loaded or synthesized; the feature stages past
-the loader take and return its plain ``values`` array.
+name it is given: a cube is an (H, W, B) array, a label raster an (H, W)
+array of class ids. ``load_cube`` returns the cube as a plain float32
+ndarray of finite values, the array every feature stage takes;
+``load_labels`` returns a ``LabelRaster`` of uint16 ids.
 """
 
 from __future__ import annotations
@@ -18,39 +18,6 @@ from .errors import ConfigError, DataError
 
 # label rasters are stored as uint16, so class ids stop at its largest value
 MAX_CLASSES = np.iinfo(np.uint16).max
-
-
-@dataclass(frozen=True)
-class HyperCube:
-    """An H x W x B cube of per-pixel spectra as loaded: finite float32 values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 3:
-            raise DataError(f"cube values must be 3-D (H, W, B), got shape {v.shape}")
-        if any(s < 1 for s in v.shape):
-            raise DataError(f"cube dimensions must all be >= 1, got {v.shape}")
-        if v.dtype != np.float32:
-            v = v.astype(np.float32)
-        bad = np.argwhere(~np.isfinite(v))
-        if bad.size:
-            r, c, b = (int(x) for x in bad[0])
-            raise DataError(f"non-finite value at (row={r}, col={c}, band={b})")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -122,21 +89,30 @@ def _load_raster(path, ndim: int) -> np.ndarray:
     return arr
 
 
-def save_raster(values: np.ndarray, path) -> None:
-    """Write ``values`` as a .npy file at exactly ``path``."""
+def load_cube(path) -> np.ndarray:
+    """Read the (H, W, B) cube in the .npy file at ``path`` as a float32 array
+    of finite values; a float32 file is not copied."""
+    values = _load_raster(path, ndim=3)
+    if any(s < 1 for s in values.shape):
+        raise DataError(f"cube dimensions must all be >= 1, got {values.shape}")
+    with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf
+        cube = values.astype(np.float32, copy=False)
+    bad = np.argwhere(~np.isfinite(cube))
+    if bad.size:
+        r, c, b = (int(x) for x in bad[0])
+        if np.isfinite(values[r, c, b]):
+            raise DataError(f"value {values[r, c, b]} at (row={r}, col={c}, band={b}) "
+                            f"is out of float32 range")
+        raise DataError(f"non-finite value at (row={r}, col={c}, band={b})")
+    return cube
+
+
+def save_cube(values: np.ndarray, path) -> None:
+    """Write the array ``values`` (a cube, a label raster or a feature matrix)
+    as a .npy file at exactly ``path``, keeping its dtype."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:  # np.save would append .npy to a path
         np.save(fh, values)
-
-
-def load_cube(path) -> HyperCube:
-    """Read the (H, W, B) cube in the .npy file at ``path``."""
-    return HyperCube(_load_raster(path, ndim=3))
-
-
-def save_cube(cube: HyperCube, path) -> None:
-    """Write the cube as a float32 (H, W, B) .npy file at ``path``."""
-    save_raster(cube.values, path)
 
 
 def load_labels(path, num_classes: int) -> LabelRaster:
@@ -147,15 +123,15 @@ def load_labels(path, num_classes: int) -> LabelRaster:
 
 def save_labels(raster: LabelRaster, path) -> None:
     """Write the raster as a uint16 (H, W) .npy file at ``path``."""
-    save_raster(raster.labels, path)
+    save_cube(raster.labels, path)
 
 
-def check_companion(cube: HyperCube, labels: LabelRaster) -> None:
+def check_companion(cube: np.ndarray, labels: LabelRaster) -> None:
     """Reject a cube/label pair whose spatial dimensions disagree."""
-    if (cube.height, cube.width) != (labels.height, labels.width):
+    if cube.shape[:2] != labels.labels.shape:
         raise DataError(
             f"label raster {labels.height}x{labels.width} does not match "
-            f"cube {cube.height}x{cube.width}"
+            f"cube {cube.shape[0]}x{cube.shape[1]}"
         )
 
 

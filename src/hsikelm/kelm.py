@@ -35,9 +35,9 @@ class KelmHyperparams:
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0):
-            raise ConfigError(f"regularization coefficient must be > 0, got {self.c}")
+            raise ConfigError(f"regularization coefficient must be finite and > 0, got {self.c}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"kernel gamma must be > 0, got {self.gamma}")
+            raise ConfigError(f"kernel gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass

@@ -51,10 +51,10 @@ class RtvParams:
     sigma: float = 3.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 <= self.lam < np.inf:  # NaN fails too
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 def default_scales() -> tuple[RtvParams, ...]:

@@ -31,7 +31,6 @@ import numpy as np
 from . import kelm, metrics, parallel, ssa
 from .datacube import (
     MAX_CLASSES,
-    HyperCube,
     LabelRaster,
     SampleSplit,
     check_companion,
@@ -243,7 +242,7 @@ def build_features(config: PipelineConfig, labels: LabelRaster,
         cube = load_cube(config.cube_path)
         check_companion(cube, labels)
     with _stage("group", timings):
-        reduced = group_and_average(cube.values, config.mstv.k)
+        reduced = group_and_average(cube, config.mstv.k)
         del cube  # only the grouped bands are used from here on
     with _stage("mstv", timings):
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
@@ -274,9 +273,10 @@ def score_test_split(truth: LabelRaster, pred: np.ndarray, split: SampleSplit):
 
 def make_synthetic_cube(
     height: int, width: int, bands: int, num_classes: int, noise_sigma: float, seed: int
-) -> tuple[HyperCube, LabelRaster]:
-    """Class-striped fixture: smooth per-class spectra, a per-class
-    checkerboard texture modulation, and i.i.d. Gaussian noise."""
+) -> tuple[np.ndarray, LabelRaster]:
+    """Class-striped fixture: a float32 (H, W, B) cube of smooth per-class
+    spectra with a per-class checkerboard texture modulation and i.i.d.
+    Gaussian noise, and its label raster."""
     if min(height, width, bands) < 1:
         raise ConfigError(f"invalid dimensions {height}x{width}x{bands}")
     if not 1 <= num_classes <= height:
@@ -298,7 +298,7 @@ def make_synthetic_cube(
     values = signatures[stripe][:, None, :] * (1.0 + amplitude[stripe][:, None] * checker)[:, :, None]
     if noise_sigma > 0:
         values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    return HyperCube(values.astype(np.float32)), LabelRaster(labels.copy(), num_classes)
+    return values.astype(np.float32), LabelRaster(labels.copy(), num_classes)
 
 
 def render_map(pred_labels: np.ndarray, path) -> None:

@@ -331,7 +331,7 @@ def _run_real_dataset(stem, num_classes, tmp_path):
 def test_criterion_11a_indian_pines(tmp_path):
     cube = load_cube(_dataset_paths("indian_pines_corrected")[0])
     labels = load_labels(_dataset_paths("indian_pines_corrected")[1], 16)
-    dims_ok = (cube.height, cube.width) == (145, 145)
+    dims_ok = cube.shape[:2] == (145, 145)
     labeled_ok = labels.labeled_indices().size == 10249
     rep = _run_real_dataset("indian_pines_corrected", 16, tmp_path)
     ok = dims_ok and labeled_ok and abs(rep.oa * 100.0 - 98.78) <= 1.5

@@ -27,7 +27,7 @@ def test_synth_writes_canonical_pair(tmp_path):
     assert rc == 0
     cube = load_cube(cube_path)
     labels = load_labels(label_path, 3)
-    assert (cube.height, cube.width, cube.bands) == (16, 12, 8)
+    assert cube.shape == (16, 12, 8)
     assert labels.num_classes == 3
 
 
@@ -57,7 +57,7 @@ def test_file_outputs_create_missing_directories(tmp_path):
                                                     mstv={"k": 4, "n_components": 3})))
     features_path = fresh / "features" / "f.f32"
     assert main(["features", "--config", str(cfg_path), "--out", str(features_path)]) == 0
-    assert load_cube(features_path).bands == 7  # 3 spectral + 4 spatial
+    assert load_cube(features_path).shape[2] == 7  # 3 spectral + 4 spatial
     model_path = fresh / "model" / "m.bin"
     assert main(["train", "--config", str(cfg_path), "--c", "10", "--gamma", "0.5",
                  "--out", str(model_path)]) == 0
@@ -349,7 +349,7 @@ def test_undecodable_config_exit_2(tmp_path, capsys):
 def test_zip_archive_named_npy_exit_3(scene_config, capsys):
     cube_path = scene_config["tmp"] / "cube.npy"
     with open(cube_path, "wb") as f:  # np.savez would append .npz to a path
-        np.savez(f, values=scene_config["scene"]["cube"].values)
+        np.savez(f, values=scene_config["scene"]["cube"])
     raw = json.loads(scene_config["config"].read_text())
     scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
     assert main(["run", "--config", str(scene_config["config"])]) == 3
@@ -360,7 +360,7 @@ def test_old_format_cube_exit_3_at_load(scene_config, capsys, monkeypatch):
     # a raw payload with its JSON header is not a .npy file, whatever the header says
     _fail_if_smoothed(monkeypatch)
     cube_path = scene_config["tmp"] / "old.f32"
-    write_old_format_raster(cube_path, scene_config["scene"]["cube"].values)
+    write_old_format_raster(cube_path, scene_config["scene"]["cube"])
     raw = json.loads(scene_config["config"].read_text())
     scene_config["config"].write_text(json.dumps({**raw, "cube_path": str(cube_path)}))
     assert main(["run", "--config", str(scene_config["config"])]) == 3
@@ -411,11 +411,11 @@ def test_run_unwritable_artifact_exit_3(scene_config, capsys):
 
 def test_degenerate_cube_exit_4(tmp_path, small_scene):
     # a constant cube has no positive kernel-PCA eigenvalues
-    from hsikelm.datacube import HyperCube, LabelRaster, save_cube, save_labels
+    from hsikelm.datacube import LabelRaster, save_cube, save_labels
 
     cube_path = tmp_path / "flat.f32"
     label_path = tmp_path / "flat_labels.u16"
-    save_cube(HyperCube(np.ones((8, 8, 6), dtype=np.float32)), cube_path)
+    save_cube(np.ones((8, 8, 6), dtype=np.float32), cube_path)
     labels = np.ones((8, 8), dtype=np.uint16)
     labels[4:] = 2
     save_labels(LabelRaster(labels, 2), label_path)

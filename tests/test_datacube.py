@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsikelm import datacube
 from hsikelm.datacube import (
-    HyperCube,
     LabelRaster,
     check_companion,
     load_cube,
@@ -22,11 +24,11 @@ def test_load_2x2x1_identity(tmp_path):
     path = tmp_path / "tiny.npy"
     np.save(path, np.array([0.0, 1.0, 2.0, 3.0], dtype=np.float32).reshape(2, 2, 1))
     cube = load_cube(path)
-    assert (cube.height, cube.width, cube.bands) == (2, 2, 1)
-    assert cube.values[0, 0, 0] == 0.0
-    assert cube.values[0, 1, 0] == 1.0
-    assert cube.values[1, 0, 0] == 2.0
-    assert cube.values[1, 1, 0] == 3.0
+    assert cube.shape == (2, 2, 1) and cube.dtype == np.float32
+    assert cube[0, 0, 0] == 0.0
+    assert cube[0, 1, 0] == 1.0
+    assert cube[1, 0, 0] == 2.0
+    assert cube[1, 1, 0] == 3.0
 
 
 def test_missing_file(tmp_path):
@@ -41,9 +43,27 @@ def test_non_finite_rejected_with_index(tmp_path):
         load_cube(path)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_finite_value_beyond_float32_range_rejected_with_index(tmp_path, value):
+    # finite, but it casts to float32 infinity: named as out of range, without a cast warning
+    path = tmp_path / "big.npy"
+    np.save(path, np.array([0.0, 1.0, value, value]).reshape(2, 2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"value -?1e\+39 at \(row=1, col=0, band=0\) "
+                                            r"is out of float32 range"):
+            load_cube(path)
+
+
+def test_float32_cube_loads_without_a_copy(tmp_path, monkeypatch):
+    values = np.zeros((2, 2, 1), dtype=np.float32)
+    monkeypatch.setattr(datacube, "_load_raster", lambda path, ndim: values)
+    assert load_cube(tmp_path / "any.npy") is values
+
+
 def test_round_trip_byte_identical(tmp_path):
     rng = np.random.default_rng(5)
-    cube = HyperCube(rng.normal(size=(7, 5, 3)).astype(np.float32))
+    cube = rng.normal(size=(7, 5, 3)).astype(np.float32)
     first = tmp_path / "a.f32"
     save_cube(cube, first)
     loaded = load_cube(first)
@@ -55,12 +75,12 @@ def test_round_trip_byte_identical(tmp_path):
 
 def test_file_names_kept_as_given(tmp_path):
     # the benchmark's fixtures are written as cube.f32 and labels.u16
-    cube = HyperCube(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    cube = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
     labels = LabelRaster(np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint16), num_classes=2)
     save_cube(cube, tmp_path / "cube.f32")
     save_labels(labels, tmp_path / "labels.u16")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.f32", "labels.u16"]
-    assert np.array_equal(load_cube(tmp_path / "cube.f32").values, cube.values)
+    assert np.array_equal(load_cube(tmp_path / "cube.f32"), cube)
     assert np.array_equal(load_labels(tmp_path / "labels.u16", 2).labels, labels.labels)
 
 
@@ -71,7 +91,7 @@ def test_old_format_conversion_recipe(tmp_path):
     write_old_format_raster(p, values)
     h, w, b = 2, 3, 4
     np.save(tmp_path / "new.npy", np.fromfile(p, "<f4").reshape(b, h, w).transpose(1, 2, 0))
-    assert np.array_equal(load_cube(tmp_path / "new.npy").values, values)
+    assert np.array_equal(load_cube(tmp_path / "new.npy"), values)
 
 
 def _truncated_npy(path):
@@ -104,8 +124,7 @@ def test_npy_reader(tmp_path):
     arr = np.zeros((145, 145, 200), dtype=np.float32)
     path = tmp_path / "scene.npy"
     np.save(path, arr)
-    cube = load_cube(path)
-    assert (cube.height, cube.width, cube.bands) == (145, 145, 200)
+    assert load_cube(path).shape == (145, 145, 200)
 
 
 def test_labels_round_trip(tmp_path):
@@ -161,7 +180,7 @@ def test_single_pixel_single_class_valid():
 
 
 def test_companion_dims_must_match():
-    cube = HyperCube(np.zeros((3, 4, 2), dtype=np.float32))
+    cube = np.zeros((3, 4, 2), dtype=np.float32)
     good = LabelRaster(np.ones((3, 4), dtype=np.uint16), num_classes=1)
     check_companion(cube, good)
     bad = LabelRaster(np.ones((4, 4), dtype=np.uint16), num_classes=1)

@@ -122,10 +122,14 @@ def test_far_query_scores_zero_and_takes_the_lowest_class():
 
 
 def test_hyperparams_validated():
-    with pytest.raises(ConfigError):
-        KelmHyperparams(c=0.0, gamma=1.0)
-    with pytest.raises(ConfigError):
-        KelmHyperparams(c=1.0, gamma=-2.0)
+    for c, gamma, message in [
+        (0.0, 1.0, "regularization coefficient must be finite and > 0, got 0.0"),
+        (float("inf"), 1.0, "regularization coefficient must be finite and > 0, got inf"),
+        (1.0, -2.0, "kernel gamma must be finite and > 0, got -2.0"),
+        (1.0, float("nan"), "kernel gamma must be finite and > 0, got nan"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            KelmHyperparams(c=c, gamma=gamma)
 
 
 def test_two_point_hand_case():

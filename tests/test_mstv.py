@@ -281,10 +281,17 @@ def test_rtv_rejects_non_finite():
 
 
 def test_rtv_params_validated():
-    with pytest.raises(ConfigError):
-        RtvParams(lam=-0.1)
-    with pytest.raises(ConfigError):
-        RtvParams(sigma=0.0)
+    # NaN and infinity come through the API too; the config parser rejects them earlier
+    for params, message in [
+        ({"lam": -0.1}, "lambda must be finite and >= 0, got -0.1"),
+        ({"lam": float("nan")}, "lambda must be finite and >= 0, got nan"),
+        ({"lam": float("inf")}, "lambda must be finite and >= 0, got inf"),
+        ({"sigma": 0.0}, "sigma must be finite and > 0, got 0.0"),
+        ({"sigma": float("nan")}, "sigma must be finite and > 0, got nan"),
+        ({"sigma": float("inf")}, "sigma must be finite and > 0, got inf"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            RtvParams(**params)
 
 
 # -- multi-scale stack --------------------------------------------------------

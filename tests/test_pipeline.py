@@ -65,7 +65,7 @@ def test_fuse_ordering(small_scene, tmp_path):
         small_scene, tmp_path, mstv={"k": 5, "n_components": 4, "landmark_count": 256}))
     n, k = config.mstv.n_components, config.mstv.k
     fused = build_features(config, small_scene["labels"])
-    reduced = group_and_average(small_scene["cube"].values, k)
+    reduced = group_and_average(small_scene["cube"], k)
     stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
     assert fused.dtype == np.float64 and fused.shape == (32 * 32, n + k)
     spectral = kpca_reduce(stacked, config.mstv, config.seed)
@@ -86,7 +86,7 @@ def test_fused_width_for_default_dims(small_scene, tmp_path):
 
 def test_synthetic_nearest_centroid_noiseless():
     cube, labels = make_synthetic_cube(16, 16, 10, 2, noise_sigma=0.0, seed=0)
-    x = cube.values.reshape(-1, cube.bands)
+    x = cube.reshape(-1, cube.shape[2])
     y = labels.labels.ravel()
     centroids = np.stack([x[y == c].mean(axis=0) for c in (1, 2)])
     pred = 1 + np.argmin(((x[:, None, :] - centroids[None]) ** 2).sum(-1), axis=1)
@@ -96,7 +96,7 @@ def test_synthetic_nearest_centroid_noiseless():
 def test_synthetic_deterministic():
     a, _ = make_synthetic_cube(12, 12, 8, 3, 0.2, seed=9)
     b, _ = make_synthetic_cube(12, 12, 8, 3, 0.2, seed=9)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
 
 
 def test_synthetic_validation():
