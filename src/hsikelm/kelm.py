@@ -23,7 +23,6 @@ from . import parallel
 from .errors import ConfigError, DataError, HsiKelmError, NumericalError
 
 RESIDUAL_TOL = 1e-8
-_JITTER = 1e-10
 # exponents below this give kernel values under sqrt(tiny), which rbf_kernel sets to 0
 _LOG_FLOOR = 0.5 * np.log(np.finfo(np.float64).tiny)
 
@@ -142,9 +141,9 @@ def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.
     ``omega``, a C-contiguous float64 array, is overwritten: its diagonal
     and lower triangle by the system matrix (1/c added to the diagonal),
     its strict upper triangle by the transposed Cholesky factor
-    (``_spd_solve``). Cholesky with one jitter retry; the solution is
-    rejected when its residual, computed from the lower triangle, exceeds
-    ``RESIDUAL_TOL`` or is not finite.
+    (``_spd_solve``). One Cholesky attempt: a system it cannot factor is a
+    NumericalError. The solution is rejected when its residual, computed
+    from the lower triangle, exceeds ``RESIDUAL_TOL`` or is not finite.
     """
     omega[np.diag_indices_from(omega)] += 1.0 / c
     alpha = _spd_solve(omega, targets)
@@ -188,9 +187,10 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     in several threads run side by side. The factor L lands in the view's
     lower triangle, which is ``system``'s upper one: on return the strict
     upper triangle holds L.T, and the diagonal (written back) and the lower
-    triangle still hold the system. A failed factorization is retried once
-    with jitter on the diagonal, after the upper triangle is rebuilt from
-    the lower one. x is F-order, as ``cho_solve`` returns it.
+    triangle still hold the system. The factorization is tried once: a
+    failed one is a NumericalError naming the leading minor, and the
+    diagonal and the lower triangle still hold the system then too. x is
+    F-order, as ``cho_solve`` returns it.
     """
     x = np.array(rhs, dtype=np.float64, order="F")
     # LAPACK gets bare pointers: the shapes and the layout must be right here
@@ -202,15 +202,8 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     info = ctypes.c_int()
     diagonal = system.diagonal().copy()
     try:
-        for jitter in (0.0, _JITTER):
-            if jitter:
-                for i in range(n.value - 1):  # rebuild what the failed attempt wrote
-                    system[i, i + 1:] = system[i + 1:, i]
-                system[np.diag_indices_from(system)] = diagonal + jitter
-            _DPOTRF(b"L", n, system.ctypes.data, n, info)
-            if info.value == 0:
-                break
-        else:
+        _DPOTRF(b"L", n, system.ctypes.data, n, info)
+        if info.value != 0:
             raise NumericalError(f"kernel system not positive definite: {info.value}-th leading "
                                  "minor of the array is not positive definite")
         nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])

@@ -431,6 +431,19 @@ def test_degenerate_cube_exit_4(tmp_path, small_scene):
     assert main(["run", "--config", str(path)]) == 4
 
 
+def test_failed_cholesky_exit_4(scene_config, capsys):
+    # at this gamma every kernel value is exactly 1 and 1/C vanishes next to it:
+    # the system is the all-ones matrix, whose second leading minor is 0
+    model_path = scene_config["tmp"] / "m.bin"
+    rc = main(["train", "--config", str(scene_config["config"]), "--c", "1e300",
+               "--gamma", "1e-300", "--out", str(model_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "2-th leading minor of the array is not positive definite" in err
+    assert not model_path.exists()
+
+
 def test_bad_fraction_exit_2(scene_config):
     rc = main(["run", "--config", str(scene_config["config"]), "--train-fraction", "1.0"])
     assert rc == 2

@@ -198,24 +198,39 @@ def test_spd_solve_bit_equal_to_scipy_cholesky(n, k):
     assert np.allclose(kelm._lower_symmetric_product(matrix, got), rhs, rtol=0, atol=1e-9)
 
 
-def test_spd_solve_jitter_retry_and_indefinite():
+def test_spd_solve_one_attempt_fails_on_singular_and_indefinite():
+    # one factorization, no retry: a singular PSD system is a NumericalError,
+    # and the diagonal and the lower triangle still hold the system afterwards
     rhs = np.array([[1.0], [2.0], [3.0]])
     for v in ([1.0, 1.0, 1.0], [2.0, 1.0, 3.0]):
-        singular = np.outer(v, v)  # PSD, rank 1
+        singular = np.outer(v, v)  # PSD, rank 1: the second pivot is exactly 0
         with pytest.raises(LinAlgError):
             cho_factor(singular, lower=True)
-        jittered = singular + kelm._JITTER * np.eye(3)
-        want = cho_solve(cho_factor(jittered, lower=True), rhs)
-        factor = cho_factor(jittered, lower=True)[0]
         matrix = singular.copy()
-        # the retry factors the system again, not what the failed attempt left
-        assert np.array_equal(kelm._spd_solve(matrix, rhs), want)
-        assert np.array_equal(np.tril(matrix), np.tril(singular))  # no jitter left on the diagonal
-        assert np.array_equal(np.triu(matrix, 1), np.triu(factor.T, 1))
+        with pytest.raises(NumericalError, match="2-th leading minor"):
+            kelm._spd_solve(matrix, rhs)
+        assert np.array_equal(np.tril(matrix), np.tril(singular))  # the diagonal included
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NumericalError, match="not positive definite"):
         kelm._spd_solve(indefinite, rhs[:2])
     assert indefinite[1, 0] == 2.0 and np.diag(indefinite).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("same_label", [True, False], ids=["same-label", "other-label"])
+@pytest.mark.parametrize("log10_gamma", [-3.0, 3.0])
+@pytest.mark.parametrize("log10_c", [-2.0, 4.0])
+def test_train_with_a_duplicated_sample_at_the_corners_of_the_tuning_box(log10_c, log10_gamma,
+                                                                         same_label):
+    # inside log10 C <= 4 the system's smallest eigenvalue is at least 1/C >= 1e-4,
+    # far above Cholesky's backward error: one attempt factors it even when two
+    # training samples coincide, and the residual gate passes
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, size=(400, 20))
+    x[1] = x[0]
+    labels = rng.integers(1, 4, size=400)
+    labels[1] = labels[0] if same_label else labels[0] % 3 + 1
+    model = train(x, labels, KelmHyperparams(c=10.0 ** log10_c, gamma=10.0 ** log10_gamma))
+    assert np.all(np.isfinite(model.alpha))
 
 
 def test_solve_kernel_system_residual_gate_fires_on_a_corrupted_solution(monkeypatch):
