@@ -2,7 +2,6 @@
 texture features and a swarm-tuned kernel extreme learning machine."""
 
 from .datacube import (
-    LabelRaster,
     SampleSplit,
     load_cube,
     load_labels,
@@ -35,8 +34,8 @@ from .ssa import SsaResult, SsaState, SwarmConfig, optimize, tune_kelm
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabelRaster", "SampleSplit", "load_cube", "load_labels",
-    "save_cube", "save_labels", "stratified_split",
+    "SampleSplit", "load_cube", "load_labels", "save_cube", "save_labels",
+    "stratified_split",
     "ConfigError", "DataError", "HsiKelmError", "NumericalError",
     "KelmHyperparams", "KelmModel", "mse_fitness", "predict", "rbf_kernel", "train",
     "lbp_features",

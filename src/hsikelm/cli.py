@@ -13,10 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import kelm, metrics, ssa
-from .datacube import LabelRaster, load_labels, save_cube, save_labels
+from .datacube import load_labels, save_cube, save_labels
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     CONFUSION_NAME,
@@ -78,7 +76,7 @@ def _cmd_features(args) -> int:
     config = _config_from_args(args)
     labels = load_labels(config.label_path, config.num_classes)
     fused = build_features(config, labels)
-    save_cube(fused.reshape(labels.height, labels.width, -1), args.out)
+    save_cube(fused.reshape(*labels.shape, -1), args.out)
     print(f"wrote {args.out}: {fused.shape[1]} features "
           f"({config.mstv.n_components} spectral + {config.mstv.k} spatial)")
     return 0
@@ -127,11 +125,15 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _config_from_args(args)
     model = kelm.load_model(args.model)
+    top = int(model.class_ids.max())
+    if top > config.num_classes:  # checked before the features, which take minutes on a scene
+        raise DataError(f"model {args.model}: class id {top} exceeds "
+                        f"num_classes={config.num_classes}")
     labels = load_labels(config.label_path, config.num_classes)
     raster = predict_raster(model, build_features(config, labels), labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_labels(LabelRaster(raster.astype(np.uint16), config.num_classes), out_dir / PRED_NAME)
+    save_labels(raster, out_dir / PRED_NAME)
     render_map(raster, out_dir / MAP_NAME)
     print(f"wrote {out_dir / PRED_NAME} and {out_dir / MAP_NAME}")
     return 0
@@ -141,12 +143,12 @@ def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     truth, split, _, _ = load_and_split(config, tune=False)
     pred = load_labels(args.pred, config.num_classes)
-    if (truth.height, truth.width) != (pred.height, pred.width):
+    if truth.shape != pred.shape:
         raise DataError(
-            f"prediction raster {pred.height}x{pred.width} does not match "
-            f"ground truth {truth.height}x{truth.width}"
+            f"prediction raster {pred.shape[0]}x{pred.shape[1]} does not match "
+            f"ground truth {truth.shape[0]}x{truth.shape[1]}"
         )
-    cm, oa_v, aa_v, kappa_v = score_test_split(truth, pred.labels, split)
+    cm, oa_v, aa_v, kappa_v = score_test_split(truth, pred, split, config.num_classes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_confusion_csv(cm, out_dir / CONFUSION_NAME)

@@ -1,10 +1,10 @@
-"""Hyperspectral cube / label raster data model, file I/O, and splits.
+"""Hyperspectral cube and label raster file I/O, and splits.
 
 Every raster is one array in numpy's ``.npy`` format, under whatever file
 name it is given: a cube is an (H, W, B) array, a label raster an (H, W)
-array of class ids. ``load_cube`` returns the cube as a plain float32
-ndarray of finite values, the array every feature stage takes;
-``load_labels`` returns a ``LabelRaster`` of uint16 ids.
+array of class ids. Both load as plain ndarrays: ``load_cube`` returns the
+cube as float32 of finite values, the array every feature stage takes, and
+``load_labels`` the label raster as validated uint16 ids.
 """
 
 from __future__ import annotations
@@ -18,50 +18,6 @@ from .errors import ConfigError, DataError
 
 # label rasters are stored as uint16, so class ids stop at its largest value
 MAX_CLASSES = np.iinfo(np.uint16).max
-
-
-@dataclass(frozen=True)
-class LabelRaster:
-    """Per-pixel class ids; 0 means unlabeled, labeled ids run 1..num_classes.
-
-    A class may be absent, as in a prediction raster; ``stratified_split``
-    rejects a ground truth that lacks one.
-    """
-
-    labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels)
-        if lab.ndim != 2:
-            raise DataError(f"label raster must be 2-D, got shape {lab.shape}")
-        if any(s < 1 for s in lab.shape):
-            raise DataError(f"label raster dimensions must be >= 1, got {lab.shape}")
-        if not np.issubdtype(lab.dtype, np.integer):
-            if not np.all(np.isfinite(lab)):
-                raise DataError("label raster contains non-finite values")
-            if not np.all(lab == np.round(lab)):
-                raise DataError("label raster contains non-integer values")
-        if not 1 <= self.num_classes <= MAX_CLASSES:
-            raise DataError(f"num_classes must lie in 1..{MAX_CLASSES}, got {self.num_classes}")
-        if lab.min() < 0:
-            raise DataError("label raster contains negative values")
-        top = int(lab.max())
-        if top > self.num_classes:
-            raise DataError(f"label {top} exceeds num_classes={self.num_classes}")
-        object.__setattr__(self, "labels", lab.astype(np.uint16))
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    def labeled_indices(self) -> np.ndarray:
-        """Flat (row-major) indices of all labeled pixels."""
-        return np.flatnonzero(self.labels.ravel() > 0)
 
 
 @dataclass(frozen=True)
@@ -115,22 +71,47 @@ def save_cube(values: np.ndarray, path) -> None:
         np.save(fh, values)
 
 
-def load_labels(path, num_classes: int) -> LabelRaster:
-    """Read the (H, W) label raster in the .npy file at ``path``; ids must lie
-    in 0..num_classes."""
-    return LabelRaster(_load_raster(path, ndim=2), num_classes)
+def load_labels(path, num_classes: int) -> np.ndarray:
+    """Read the (H, W) label raster in the .npy file at ``path`` as a uint16
+    array of class ids: 0 means unlabeled, labeled ids run 1..num_classes.
+
+    A class may be absent, as in a prediction raster; ``stratified_split``
+    rejects a ground truth that lacks one. Float ids are range-checked before
+    the cast, so no id wraps.
+    """
+    lab = _load_raster(path, ndim=2)
+    if any(s < 1 for s in lab.shape):
+        raise DataError(f"label raster dimensions must be >= 1, got {lab.shape}")
+    if not np.issubdtype(lab.dtype, np.integer):
+        if not np.all(np.isfinite(lab)):
+            raise DataError("label raster contains non-finite values")
+        if not np.all(lab == np.round(lab)):
+            raise DataError("label raster contains non-integer values")
+    if not 1 <= num_classes <= MAX_CLASSES:
+        raise DataError(f"num_classes must lie in 1..{MAX_CLASSES}, got {num_classes}")
+    if lab.min() < 0:
+        raise DataError("label raster contains negative values")
+    top = int(lab.max())
+    if top > num_classes:
+        raise DataError(f"label {top} exceeds num_classes={num_classes}")
+    return lab.astype(np.uint16)
 
 
-def save_labels(raster: LabelRaster, path) -> None:
-    """Write the raster as a uint16 (H, W) .npy file at ``path``."""
-    save_cube(raster.labels, path)
+def save_labels(labels: np.ndarray, path) -> None:
+    """Write the (H, W) class ids ``labels`` as a uint16 .npy file at ``path``.
+    The array must be of an integer dtype with ids in 0..65535; any other is
+    a DataError, never cast or wrapped."""
+    if labels.size and not (np.issubdtype(labels.dtype, np.integer)
+                            and 0 <= labels.min() and labels.max() <= MAX_CLASSES):
+        raise DataError(f"label ids must be integers in 0..{MAX_CLASSES}")
+    save_cube(labels.astype(np.uint16, copy=False), path)
 
 
-def check_companion(cube: np.ndarray, labels: LabelRaster) -> None:
+def check_companion(cube: np.ndarray, labels: np.ndarray) -> None:
     """Reject a cube/label pair whose spatial dimensions disagree."""
-    if cube.shape[:2] != labels.labels.shape:
+    if cube.shape[:2] != labels.shape:
         raise DataError(
-            f"label raster {labels.height}x{labels.width} does not match "
+            f"label raster {labels.shape[0]}x{labels.shape[1]} does not match "
             f"cube {cube.shape[0]}x{cube.shape[1]}"
         )
 
@@ -140,19 +121,21 @@ def train_count(class_size: int, fraction: float) -> int:
     return max(1, int(np.floor(fraction * class_size + 0.5)))
 
 
-def stratified_split(labels: LabelRaster, fraction: float, seed: int) -> SampleSplit:
+def stratified_split(labels: np.ndarray, num_classes: int, fraction: float,
+                     seed: int) -> SampleSplit:
     """Seeded per-class split of the labeled pixels into train and test.
 
     Each class contributes ``train_count`` pixels drawn uniformly without
     replacement; the remainder goes to the test side. Deterministic for a
-    fixed seed. A class without labeled pixels is a DataError.
+    fixed seed. A class of 1..num_classes without labeled pixels is a
+    DataError.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    flat = labels.labels.ravel()
+    flat = labels.ravel()
     train_parts, test_parts = [], []
-    for c in range(1, labels.num_classes + 1):
+    for c in range(1, num_classes + 1):
         idx = np.flatnonzero(flat == c)
         if idx.size == 0:
             raise DataError(f"class {c} has zero labeled pixels")

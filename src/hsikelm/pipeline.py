@@ -31,7 +31,6 @@ import numpy as np
 from . import kelm, metrics, parallel, ssa
 from .datacube import (
     MAX_CLASSES,
-    LabelRaster,
     SampleSplit,
     check_companion,
     load_cube,
@@ -224,15 +223,15 @@ def load_and_split(config: PipelineConfig, tune: bool, timings: dict | None = No
     with _stage("load", timings):
         labels = load_labels(config.label_path, config.num_classes)
     with _stage("split", timings):
-        split = stratified_split(labels, config.train_fraction, config.seed)
+        split = stratified_split(labels, config.num_classes, config.train_fraction, config.seed)
         if split.test_idx.size == 0:
             raise DataError("empty test split")
-        train_y = labels.labels.ravel()[split.train_idx].astype(np.int64)
+        train_y = labels.ravel()[split.train_idx].astype(np.int64)
         fold_of = ssa.stratified_fold_ids(train_y, config.folds, config.seed) if tune else None
     return labels, split, train_y, fold_of
 
 
-def build_features(config: PipelineConfig, labels: LabelRaster,
+def build_features(config: PipelineConfig, labels: np.ndarray,
                    timings: dict | None = None) -> np.ndarray:
     """Load the cube, which must match ``labels`` in shape, and produce the
     fused float64 feature matrix: per pixel, the KPCA components (each min-max
@@ -253,30 +252,30 @@ def build_features(config: PipelineConfig, labels: LabelRaster,
         return np.hstack([min_max_scale(spectral, axis=0), spatial])
 
 
-def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: LabelRaster) -> np.ndarray:
-    """Predicted class id of every labeled pixel, 0 elsewhere, in the label
-    raster's shape."""
-    labeled = labels.labeled_indices()
+def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Predicted class id of every labeled (nonzero) pixel of ``labels``, 0
+    elsewhere, in the label raster's shape."""
+    labeled = np.flatnonzero(labels)
     _, pred_labeled = kelm.predict(model, fused[labeled])
-    raster = np.zeros(labels.labels.size, dtype=np.int64)
+    raster = np.zeros(labels.size, dtype=np.int64)
     raster[labeled] = pred_labeled
-    return raster.reshape(labels.labels.shape)
+    return raster.reshape(labels.shape)
 
 
-def score_test_split(truth: LabelRaster, pred: np.ndarray, split: SampleSplit):
+def score_test_split(truth: np.ndarray, pred: np.ndarray, split: SampleSplit, num_classes: int):
     """Confusion matrix, OA, AA and kappa of a prediction raster on the test pixels."""
-    t = truth.labels.ravel()[split.test_idx].astype(np.int64)
-    p = np.asarray(pred).ravel()[split.test_idx].astype(np.int64)
-    cm = metrics.confusion(t, p, truth.num_classes)
+    t = truth.ravel()[split.test_idx].astype(np.int64)
+    p = pred.ravel()[split.test_idx].astype(np.int64)
+    cm = metrics.confusion(t, p, num_classes)
     return cm, metrics.oa(cm), metrics.aa(cm), metrics.kappa(cm)
 
 
 def make_synthetic_cube(
     height: int, width: int, bands: int, num_classes: int, noise_sigma: float, seed: int
-) -> tuple[np.ndarray, LabelRaster]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Class-striped fixture: a float32 (H, W, B) cube of smooth per-class
     spectra with a per-class checkerboard texture modulation and i.i.d.
-    Gaussian noise, and its label raster."""
+    Gaussian noise, and its uint16 (H, W) label raster."""
     if min(height, width, bands) < 1:
         raise ConfigError(f"invalid dimensions {height}x{width}x{bands}")
     if not 1 <= num_classes <= height:
@@ -298,7 +297,7 @@ def make_synthetic_cube(
     values = signatures[stripe][:, None, :] * (1.0 + amplitude[stripe][:, None] * checker)[:, :, None]
     if noise_sigma > 0:
         values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    return values.astype(np.float32), LabelRaster(labels.copy(), num_classes)
+    return values.astype(np.float32), labels
 
 
 def render_map(pred_labels: np.ndarray, path) -> None:
@@ -359,7 +358,7 @@ def run_full(config: PipelineConfig) -> RunReport:
         pred_map = predict_raster(model, fused, labels)
 
     with _stage("evaluate", timings):
-        cm, oa_v, aa_v, kappa_v = score_test_split(labels, pred_map, split)
+        cm, oa_v, aa_v, kappa_v = score_test_split(labels, pred_map, split, config.num_classes)
 
     with _stage("emit", timings):
         metrics.write_confusion_csv(cm, out_dir / CONFUSION_NAME)

@@ -94,7 +94,8 @@ def small_scene(tmp_path):
     label_path = tmp_path / "labels.u16"
     datacube.save_cube(cube, cube_path)
     datacube.save_labels(labels, label_path)
-    return {"cube": cube, "labels": labels, "cube_path": cube_path, "label_path": label_path}
+    return {"cube": cube, "labels": labels, "num_classes": 3,
+            "cube_path": cube_path, "label_path": label_path}
 
 
 def write_old_format_raster(path, values):
@@ -114,7 +115,7 @@ def fast_config_dict(scene, out_dir, **extra):
     base = {
         "cube_path": str(scene["cube_path"]),
         "label_path": str(scene["label_path"]),
-        "num_classes": scene["labels"].num_classes,
+        "num_classes": scene["num_classes"],
         "train_fraction": 0.1,
         "seed": 0,
         "folds": 2,

@@ -5,7 +5,7 @@ import pytest
 
 from hsikelm import cli, kelm, pipeline
 from hsikelm.cli import main
-from hsikelm.datacube import LabelRaster, load_cube, load_labels, save_labels
+from hsikelm.datacube import load_cube, load_labels, save_labels
 from conftest import fast_config_dict, write_old_format_raster
 
 
@@ -28,7 +28,8 @@ def test_synth_writes_canonical_pair(tmp_path):
     cube = load_cube(cube_path)
     labels = load_labels(label_path, 3)
     assert cube.shape == (16, 12, 8)
-    assert labels.num_classes == 3
+    assert labels.dtype == np.uint16 and labels.shape == (16, 12)
+    assert sorted(np.unique(labels)) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -51,7 +52,7 @@ def test_file_outputs_create_missing_directories(tmp_path):
     cube_path, label_path = fresh / "cube" / "c.f32", fresh / "labels" / "l.u16"
     assert main(["synth", "--height", "16", "--width", "16", "--bands", "8", "--classes", "2",
                  "--out-cube", str(cube_path), "--out-labels", str(label_path)]) == 0
-    scene = {"cube_path": cube_path, "label_path": label_path, "labels": load_labels(label_path, 2)}
+    scene = {"cube_path": cube_path, "label_path": label_path, "num_classes": 2}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(fast_config_dict(scene, tmp_path / "out", train_fraction=0.3,
                                                     mstv={"k": 4, "n_components": 3})))
@@ -136,7 +137,7 @@ def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene)
     assert main(["predict", "--config", cfg, "--model", str(model_path),
                  "--out", str(pred_dir)]) == 0
     pred = load_labels(pred_dir / "predicted_labels.npy", 3)
-    assert pred.labels.shape == (32, 32)
+    assert pred.shape == (32, 32)
     assert ((pred_dir / "classification_map.ppm").read_bytes()
             == (run_dir / "classification_map.ppm").read_bytes())
 
@@ -149,7 +150,7 @@ def test_feature_tune_train_predict_evaluate_chain(fixed, tmp_path, small_scene)
     if fixed is None:
         assert scored["oa"] > 0.9
     else:
-        assert 3 not in pred.labels
+        assert 3 not in pred
 
 
 def test_train_without_hyperparams_is_config_error(scene_config, tmp_path):
@@ -262,7 +263,7 @@ def test_one_labeled_pixel_per_class_exit_3_before_the_smoothing(command, tmp_pa
     raster = np.zeros((32, 32), dtype=np.uint16)
     raster[[0, 15, 31], 0] = [1, 2, 3]
     label_path = tmp_path / "sparse.u16"
-    save_labels(LabelRaster(raster, 3), label_path)
+    save_labels(raster, label_path)
     raw = fast_config_dict(small_scene, tmp_path / "o", label_path=str(label_path),
                            fixed_hyperparams={"c": 1.0, "gamma": 1.0})
     path = tmp_path / "cfg.json"
@@ -395,6 +396,24 @@ def test_predict_with_a_file_that_is_not_a_model_exit_3(kind, scene_config, caps
     assert not (scene_config["tmp"] / "pred").exists()
 
 
+@pytest.mark.parametrize("class_ids", [[1, 2, 65537], [1, 5, 70000]], ids=["65537", "70000"])
+def test_predict_with_class_ids_beyond_num_classes_exit_3_before_features(
+        class_ids, scene_config, capsys, monkeypatch):
+    # a uint16 cast of the predictions once wrote 65537 as class 1 and named 70000 as 4464
+    monkeypatch.setattr(cli, "build_features", lambda *a: pytest.fail("features built"))
+    model_path = scene_config["tmp"] / "model.bin"
+    with open(model_path, "wb") as fh:
+        np.savez(fh, train_x=np.eye(3), alpha=np.zeros((3, 3)), hyper=np.array([1.0, 1.0]),
+                 class_ids=np.array(class_ids, dtype=np.int64))
+    rc = main(["predict", "--config", str(scene_config["config"]), "--model", str(model_path),
+               "--out", str(scene_config["tmp"] / "pred")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    _one_line_data_error_naming(model_path, err)
+    assert f"class id {class_ids[-1]} exceeds num_classes=3" in err
+    assert not (scene_config["tmp"] / "pred").exists()
+
+
 def test_run_out_under_a_file_exit_3(scene_config, capsys):
     out = scene_config["tmp"] / "a_file" / "out"
     out.parent.write_text("")
@@ -411,14 +430,14 @@ def test_run_unwritable_artifact_exit_3(scene_config, capsys):
 
 def test_degenerate_cube_exit_4(tmp_path, small_scene):
     # a constant cube has no positive kernel-PCA eigenvalues
-    from hsikelm.datacube import LabelRaster, save_cube, save_labels
+    from hsikelm.datacube import save_cube
 
     cube_path = tmp_path / "flat.f32"
     label_path = tmp_path / "flat_labels.u16"
     save_cube(np.ones((8, 8, 6), dtype=np.float32), cube_path)
     labels = np.ones((8, 8), dtype=np.uint16)
     labels[4:] = 2
-    save_labels(LabelRaster(labels, 2), label_path)
+    save_labels(labels, label_path)
     raw = {
         "cube_path": str(cube_path), "label_path": str(label_path), "num_classes": 2,
         "folds": 2,  # 3 training samples per class: the fold plan passes and the run reaches KPCA

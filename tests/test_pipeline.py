@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import hsikelm
 from hsikelm import metrics, parallel, pipeline
-from hsikelm.datacube import LabelRaster, save_cube, save_labels
+from hsikelm.datacube import save_cube, save_labels
 from hsikelm.errors import ConfigError, DataError
 from hsikelm.kelm import KelmHyperparams
 from hsikelm.lbp import lbp_features
@@ -87,7 +87,7 @@ def test_fused_width_for_default_dims(small_scene, tmp_path):
 def test_synthetic_nearest_centroid_noiseless():
     cube, labels = make_synthetic_cube(16, 16, 10, 2, noise_sigma=0.0, seed=0)
     x = cube.reshape(-1, cube.shape[2])
-    y = labels.labels.ravel()
+    y = labels.ravel()
     centroids = np.stack([x[y == c].mean(axis=0) for c in (1, 2)])
     pred = 1 + np.argmin(((x[:, None, :] - centroids[None]) ** 2).sum(-1), axis=1)
     assert np.all(pred == y)
@@ -228,7 +228,8 @@ def small_run(tmp_path_factory):
     cube_path, label_path = tmp / "cube.f32", tmp / "labels.u16"
     save_cube(cube, cube_path)
     save_labels(labels, label_path)
-    scene = {"cube": cube, "labels": labels, "cube_path": cube_path, "label_path": label_path}
+    scene = {"cube": cube, "labels": labels, "num_classes": 3,
+             "cube_path": cube_path, "label_path": label_path}
     out = tmp / "out"
     config = config_from_dict(fast_config_dict(scene, out))
     report = run_full(config)
@@ -317,7 +318,7 @@ def test_harder_synthetic_quality_floor(tmp_path):
     # quality regression shows; measured OA 0.8549, AA 0.8549, kappa 0.8417
     cube, labels = make_synthetic_cube(48, 48, 30, 12, 0.4, seed=0)
     scene = {"cube_path": tmp_path / "cube.f32", "label_path": tmp_path / "labels.u16",
-             "labels": labels}
+             "num_classes": 12}
     save_cube(cube, scene["cube_path"])
     save_labels(labels, scene["label_path"])
     report = run_full(config_from_dict(fast_config_dict(
@@ -335,12 +336,11 @@ def test_class_with_one_training_sample_tunes_on_held_out_error(seed, tmp_path):
     # scored on training error ran to the box corner (4, 3) on these seeds, at
     # OA 0.06 and 0.05, while 3 held-out folds measured OA 0.87 and 0.90
     cube, labels = make_synthetic_cube(48, 48, 30, 12, 0.4, seed=seed)
-    raster = labels.labels.copy()
-    raster.ravel()[np.flatnonzero(raster.ravel() == 1)[20:]] = 0
+    labels.ravel()[np.flatnonzero(labels.ravel() == 1)[20:]] = 0
     scene = {"cube_path": tmp_path / "cube.f32", "label_path": tmp_path / "labels.u16",
-             "labels": LabelRaster(raster, labels.num_classes)}
+             "num_classes": 12}
     save_cube(cube, scene["cube_path"])
-    save_labels(scene["labels"], scene["label_path"])
+    save_labels(labels, scene["label_path"])
     report = run_full(config_from_dict(fast_config_dict(
         scene, tmp_path / "out", train_fraction=0.05, folds=3, seed=seed,
         mstv={"k": 10, "n_components": 10, "landmark_count": 300,
