@@ -81,14 +81,25 @@ def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None)
     exp runs in place, so a call allocates at most one array of d's size,
     plus a boolean mask of d's shape when the floor applies.
     """
-    kernel = np.multiply(sq_dist, -gamma, out=out)
-    if not (kernel.size and kernel.min() < _LOG_FLOOR):
-        return np.exp(kernel, out=kernel)
+    return floored_exp(np.multiply(sq_dist, -gamma, out=out))
+
+
+def floored_exp(exponents: np.ndarray, lowest: float = -np.inf) -> np.ndarray:
+    """exp of ``exponents`` in place, 0 where an exponent lies below ``_LOG_FLOOR``:
+    ``rbf_kernel``'s floor, for exponents already written.
+
+    ``lowest`` is a lower bound of the exponents that the caller knows; at or
+    above ``_LOG_FLOOR`` the floor cannot fire, and the pass that finds the
+    smallest exponent is skipped. Rounding is monotone, so ``d_max * -gamma``
+    bounds ``d * -gamma`` for every ``d <= d_max``.
+    """
+    if lowest >= _LOG_FLOOR or not (exponents.size and exponents.min() < _LOG_FLOOR):
+        return np.exp(exponents, out=exponents)
     # no per-element branch, and exp never takes its slow path for subnormal outputs
-    keep = kernel >= _LOG_FLOOR
-    np.maximum(kernel, _LOG_FLOOR - 1.0, out=kernel)
-    np.exp(kernel, out=kernel)
-    return np.multiply(kernel, keep, out=kernel)
+    keep = exponents >= _LOG_FLOOR
+    np.maximum(exponents, _LOG_FLOOR - 1.0, out=exponents)
+    np.exp(exponents, out=exponents)
+    return np.multiply(exponents, keep, out=exponents)
 
 
 def one_hot(labels, class_ids) -> np.ndarray:
@@ -145,7 +156,7 @@ def solve_kernel_system(omega: np.ndarray, targets: np.ndarray, c: float) -> np.
     NumericalError. The solution is rejected when its residual, computed
     from the lower triangle, exceeds ``RESIDUAL_TOL`` or is not finite.
     """
-    omega[np.diag_indices_from(omega)] += 1.0 / c
+    omega.reshape(-1)[:: omega.shape[0] + 1] += 1.0 / c  # the diagonal, as a strided view
     alpha = _spd_solve(omega, targets)
     residual = np.max(np.abs(_lower_symmetric_product(omega, alpha) - targets))
     if not residual <= RESIDUAL_TOL * (1.0 + np.max(np.abs(targets))):  # NaN fails too
@@ -209,7 +220,7 @@ def _spd_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         nrhs = ctypes.c_int(1 if x.ndim == 1 else x.shape[1])
         _DPOTRS(b"L", n, nrhs, system.ctypes.data, n, x.ctypes.data, n, info)
     finally:
-        system[np.diag_indices_from(system)] = diagonal
+        system.reshape(-1)[:: system.shape[0] + 1] = diagonal
     return x
 
 

@@ -344,47 +344,69 @@ def cv_objective(train_x, train_labels, fold_of):
     The objective is the mean held-out error over the folds that
     ``fold_of`` assigns the samples to, as ``stratified_fold_ids`` makes
     them; each distinct id is one fold. Only C and gamma change between
-    evaluations, so each fold's squared distances (training x training and
-    held-out x training) and one-hot targets are cut here once from one
-    distance matrix, which is not kept. An evaluation writes
-    ``kelm.rbf_kernel`` of each block straight into its scratch and makes one
+    evaluations, so one squared-distance matrix and the one-hot targets are
+    computed here once, with the samples in fold-major order (ascending
+    fold id, then ascending index): fold f owns the rows and columns
+    ``[a, b)``. Its training x training block is then the matrix without
+    that range, at most four rectangular views, and its held-out x training
+    block the rows ``[a, b)`` without those columns, at most two. Nothing
+    is cut out or copied for a fold.
+
+    An evaluation writes ``-gamma`` times those views straight into its
+    scratch, then ``kelm.floored_exp`` over each whole block, and makes one
     regularized solve per fold, with the same arithmetic as ``kelm.train``
-    followed by ``kelm.predict``. The solve factors each fold's system in
-    place in the scratch (``kelm.solve_kernel_system``), where the next
-    fold's kernel overwrites it.
+    followed by ``kelm.predict`` on the samples in that order. The floor's
+    pass over the smallest exponent is skipped when ``-gamma`` times the
+    matrix's largest entry shows that it cannot fire. The solve factors each
+    fold's system in place in the scratch (``kelm.solve_kernel_system``),
+    where the next fold's kernel overwrites it.
 
     The objective may be called from several threads at once, as
     ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
     objective's pool (``parallel.lend``), which holds one per call that ran at
-    once. In float64 values, the fold blocks that all calls share hold
-    (F - 1)·n² at F folds; a workspace holds t² + m·t for the largest
-    fold's t training and m held-out samples, 0.8·n² at 5 folds.
+    once. In float64 values, the matrix that all calls share holds n²; a
+    workspace holds t² + m·t for the largest fold's t training and m
+    held-out samples, 0.8·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
     fold_of = np.asarray(fold_of).ravel()
     if not x.shape[0] == y.size == fold_of.size:
         raise DataError(f"{x.shape[0]} samples but {y.size} labels and {fold_of.size} fold ids")
-    targets = kelm.one_hot(y, np.unique(y))
+    n = y.size
+    order = np.argsort(fold_of, kind="stable")
+    x = x[order]
+    targets = kelm.one_hot(y[order], np.unique(y))
     sq_dist = kelm.cdist(x, x, "sqeuclidean")
-    plan = []
-    for f in np.unique(fold_of):
-        train, held = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
-        plan.append((sq_dist[np.ix_(train, train)], sq_dist[np.ix_(held, train)],
-                     targets[train], targets[held]))
-    del sq_dist  # only the folds' blocks are kept
+    d_max = float(sq_dist.max(initial=0.0))
+    ends = np.cumsum(np.unique(fold_of, return_counts=True)[1]).tolist()
+    plan = []  # per fold: its samples [a, b), its training ranges and each side's targets
+    for a, b in zip([0] + ends[:-1], ends):
+        # the training samples [0, a) and [b, n), each with its positions in the training side
+        ranges = [(src, dst) for src, dst in ((slice(0, a), slice(0, a)),
+                                              (slice(b, n), slice(a, n - b + a)))
+                  if src.stop > src.start]
+        plan.append((a, b, ranges, np.concatenate([targets[src] for src, _ in ranges]),
+                     targets[a:b]))
+    splits = [(b - a, n - b + a) for a, b, _, _, _ in plan]
     workspaces = []
 
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
+        scale = -hyper.gamma
+        lowest = d_max * scale  # no exponent lies below this
         errors = []
-        with parallel.lend(workspaces,
-                           lambda: _workspace([h.shape for _, h, _, _ in plan])) as scratch:
-            for (train_dist, held_dist, train_targets, held_targets), (system, held_rows) \
+        with parallel.lend(workspaces, lambda: _workspace(splits)) as scratch:
+            for (a, b, ranges, train_targets, held_targets), (system, held_rows) \
                     in zip(plan, scratch):
-                kelm.rbf_kernel(train_dist, hyper.gamma, out=system)
+                for rows, system_rows in ranges:
+                    for cols, system_cols in ranges:
+                        np.multiply(sq_dist[rows, cols], scale, out=system[system_rows, system_cols])
+                kelm.floored_exp(system, lowest)
                 alpha = kelm.solve_kernel_system(system, train_targets, hyper.c)
-                scores = kelm.rbf_kernel(held_dist, hyper.gamma, out=held_rows) @ alpha
+                for cols, system_cols in ranges:
+                    np.multiply(sq_dist[a:b, cols], scale, out=held_rows[:, system_cols])
+                scores = kelm.floored_exp(held_rows, lowest) @ alpha
                 errors.append(kelm.mse_fitness(scores, held_targets))
         return float(np.mean(errors))
 

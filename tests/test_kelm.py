@@ -75,6 +75,10 @@ def test_rbf_kernel_floor():
     assert rbf_kernel(sq_dist, 1.0, out=out) is out and np.array_equal(out, want)
     assert np.array_equal(sq_dist, before)
     assert rbf_kernel(sq_dist, 1.0, out=sq_dist) is sq_dist and np.array_equal(sq_dist, want)
+    # the floor on exponents already written: a bound below it leaves the check to the
+    # min pass; a bound at or above it is trusted, so the plain exp runs
+    assert np.array_equal(kelm.floored_exp(-1.0 * before, lowest=floor - 1.0), want)
+    assert np.array_equal(kelm.floored_exp(-1.0 * before, lowest=floor), plain)
     # an empty block, and a gamma broadcast against the distances
     assert rbf_kernel(np.empty((0, 3)), 500.0).shape == (0, 3)
     assert rbf_kernel(np.empty(0), 500.0, out=np.empty(0)).size == 0

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -347,8 +348,16 @@ def _blobs(n_per_class=20, seed=0):
     return x, y
 
 
+def _fold_major(fold_of):
+    """The samples in ``cv_objective``'s order: by fold id, then by index."""
+    return np.argsort(fold_of, kind="stable")
+
+
 def _cv_objective(x, y, folds, seed):
     fold_of = stratified_fold_ids(y, folds, seed)
+    # the same samples in cv_objective's order, so that each fold solves the same system
+    order = _fold_major(fold_of)
+    x, y, fold_of = x[order], y[order], fold_of[order]
     class_ids = np.unique(y)
 
     def objective(z):
@@ -408,17 +417,19 @@ def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
 def test_cv_objective_where_the_kernel_floor_fires_equals_the_unfloored_oracle():
     """At log10 gamma near 2 ``kelm.rbf_kernel`` zeroes the kernel entries
     below sqrt(tiny); the objective keeps its bits. The oracle uses plain
-    ``np.exp`` and scipy's Cholesky."""
+    ``np.exp`` and scipy's Cholesky, on the samples in the objective's
+    fold-major order."""
     x, y = clustered_samples()
     fold_of = stratified_fold_ids(y, 5, seed=0)
-    targets = kelm.one_hot(y, [1, 2, 3])
-    sq_dist = cdist(x, x, "sqeuclidean")
+    order = _fold_major(fold_of)
+    targets = kelm.one_hot(y[order], [1, 2, 3])
+    sq_dist = cdist(x[order], x[order], "sqeuclidean")
 
     def oracle(z):
         c, gamma = 10.0 ** z[0], 10.0 ** z[1]
         errors = []
         for f in range(5):
-            train, held = fold_of != f, fold_of == f
+            train, held = fold_of[order] != f, fold_of[order] == f
             omega = np.exp(-gamma * sq_dist[np.ix_(train, train)])
             assert np.any((omega > 0) & (omega < np.sqrt(np.finfo(np.float64).tiny)))
             alpha = cho_solve(cho_factor(omega + np.eye(omega.shape[0]) / c, lower=True),
@@ -447,6 +458,45 @@ def test_cv_objective_pooled_equals_serial():
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = list(pool.map(objective, grid[::-1]))[::-1]
     assert [v.hex() for v in pooled] == [v.hex() for v in serial]
+
+
+def test_cv_objective_depends_on_the_samples_not_their_order():
+    x, y = clustered_samples()
+    fold_of = stratified_fold_ids(y, 5, seed=0)
+    # positions where the kernel floor fires (log10 gamma 1.8 and 2.1) and where it cannot
+    grid = [np.array([lc, lg]) for lc in (-1.0, 1.0, 3.0) for lg in (-2.0, 0.0, 1.8, 2.1)]
+    values = [cv_objective(x, y, fold_of)(z) for z in grid]
+    # in fold-major order already: the same systems, so the same bits
+    p = _fold_major(fold_of)
+    objective = cv_objective(x[p], y[p], fold_of[p])
+    assert [objective(z).hex() for z in grid] == [v.hex() for v in values]
+    # shuffled inside the folds too: each system is a symmetric permutation of today's
+    q = np.random.default_rng(8).permutation(y.size)
+    objective = cv_objective(x[q], y[q], fold_of[q])
+    np.testing.assert_allclose([objective(z) for z in grid], values, rtol=1e-10, atol=0)
+
+
+def test_cv_objective_holds_one_n_by_n_array():
+    # the folds' blocks are views of one distance matrix: n² doubles plus O(n·d)
+    # held and at the peak, where each fold block cut out of it would add t² + m·t.
+    # The workspace is a memory map, which tracemalloc does not see; a product of
+    # a strided view allocates one numpy buffer of at most getbufsize() elements
+    rng = np.random.default_rng(4)
+    n, d = 600, 10
+    x = rng.normal(size=(n, d))
+    y = np.arange(n) % 4 + 1
+    fold_of = stratified_fold_ids(y, 5, seed=0)
+    z = np.array([1.0, -1.3])
+    cv_objective(x[:40], y[:40], fold_of[:40])(z)  # first-call setup outside the measurement
+    tracemalloc.start()
+    try:
+        objective = cv_objective(x, y, fold_of)
+        held, _ = tracemalloc.get_traced_memory()
+        objective(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(held, peak) <= 8 * (n * n + 4 * n * d + 2 * np.getbufsize())
 
 
 def test_cv_objective_rejects_mismatched_counts():
