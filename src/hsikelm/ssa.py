@@ -343,11 +343,11 @@ def cv_objective(train_x, train_labels, fold_of):
 
     The objective is the mean held-out error over the folds that
     ``fold_of`` assigns the samples to, as ``stratified_fold_ids`` makes
-    them; each distinct id is one fold. Only C and gamma change between
-    evaluations, so one squared-distance matrix and the one-hot targets are
-    computed here once, with the samples in fold-major order (ascending
-    fold id, then ascending index): fold f owns the rows and columns
-    ``[a, b)``. Its training x training block is then the matrix without
+    them; each distinct id is one fold, and fewer than two is a ConfigError.
+    Only C and gamma change between evaluations, so one squared-distance
+    matrix and the one-hot targets are computed here once, with the
+    samples in fold-major order (ascending fold id, then ascending index):
+    fold f owns the rows and columns ``[a, b)``. Its training x training block is then the matrix without
     that range, at most four rectangular views, and its held-out x training
     block the rows ``[a, b)`` without those columns, at most two. Nothing
     is cut out or copied for a fold.
@@ -373,13 +373,16 @@ def cv_objective(train_x, train_labels, fold_of):
     fold_of = np.asarray(fold_of).ravel()
     if not x.shape[0] == y.size == fold_of.size:
         raise DataError(f"{x.shape[0]} samples but {y.size} labels and {fold_of.size} fold ids")
+    fold_sizes = np.unique(fold_of, return_counts=True)[1]
+    if fold_sizes.size < 2:  # one fold would leave its training side empty
+        raise ConfigError(f"fold ids must name >= 2 distinct folds, got {fold_sizes.size}")
     n = y.size
     order = np.argsort(fold_of, kind="stable")
     x = x[order]
     targets = kelm.one_hot(y[order], np.unique(y))
     sq_dist = kelm.cdist(x, x, "sqeuclidean")
     d_max = float(sq_dist.max(initial=0.0))
-    ends = np.cumsum(np.unique(fold_of, return_counts=True)[1]).tolist()
+    ends = np.cumsum(fold_sizes).tolist()
     plan = []  # per fold: its samples [a, b), its training ranges and each side's targets
     for a, b in zip([0] + ends[:-1], ends):
         # the training samples [0, a) and [b, n), each with its positions in the training side

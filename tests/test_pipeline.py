@@ -1,5 +1,10 @@
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,5 +357,20 @@ def test_class_with_one_training_sample_tunes_on_held_out_error(seed, tmp_path):
     assert report.oa >= 0.5
 
 
-def test_package_exports_resolve():
-    assert all(hasattr(hsikelm, name) for name in hsikelm.__all__)
+def test_each_module_imports_on_its_own():
+    # each module in a fresh interpreter, so none relies on the package or another
+    # module having been imported first; the ones that need no scipy load none
+    modules = sorted(info.name for info in pkgutil.iter_modules(hsikelm.__path__))
+    assert len(modules) == 11
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import importlib, sys; importlib.import_module(sys.argv[1]); print('scipy' in sys.modules)"
+    runs = {name: subprocess.Popen([sys.executable, "-c", probe, f"hsikelm.{name}"], env=env,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for name in modules}
+    outputs = {name: run.communicate(timeout=60) for name, run in runs.items()}
+    for name, run in runs.items():
+        out, err = outputs[name]
+        assert run.returncode == 0, f"hsikelm.{name}: {err}"
+        if name in {"errors", "datacube", "metrics", "lbp", "parallel"}:
+            assert out.strip() == "False", f"hsikelm.{name} loads scipy"

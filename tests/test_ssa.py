@@ -508,6 +508,16 @@ def test_cv_objective_rejects_mismatched_counts():
         cv_objective(x, y, fold_of[:-1])
 
 
+@pytest.mark.parametrize("fold_of", [np.zeros(8, dtype=int), np.zeros(0, dtype=int)])
+def test_cv_objective_rejects_fewer_than_two_folds(fold_of, monkeypatch):
+    x, y = _blobs(n_per_class=4)
+    x, y = x[:fold_of.size], y[:fold_of.size]
+    # the check comes before the distance matrix
+    monkeypatch.setattr(kelm, "cdist", None)
+    with pytest.raises(ConfigError, match=f">= 2 distinct folds, got {np.unique(fold_of).size}"):
+        cv_objective(x, y, fold_of)
+
+
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
     x, y = _blobs(n_per_class=8, seed=3)
     cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
