@@ -8,9 +8,9 @@ up to 4 classes, noise 0.1, seed 0), min-max scaled as the pipeline scales
 it, and smoothed at the default scale (lambda 0.005, sigma 3). Per shape the
 table gives the time of the elimination order (computed once per shape and
 then cached), the time of the smoothing after it, the median of its four
-solves, and how far the process's peak RSS (``ru_maxrss``, in MB of 10^6
-bytes, as the benchmark reports it) rose over both: the LU factors of one
-solve set that rise.
+solves, and how far the process's own peak RSS (``pipeline.peak_rss_mb``,
+in MB of 10^6 bytes, as the benchmark reports it) rose over both: the LU
+factors of one solve set that rise.
 """
 
 import argparse

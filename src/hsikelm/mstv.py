@@ -260,15 +260,16 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
     """Center the landmark kernel, eigendecompose, keep the top components.
 
     Raises NumericalError when fewer than ``n_components`` strictly positive
-    eigenvalues exist (the message reports the achievable count).
+    eigenvalues exist (the message reports the achievable count). Only the
+    landmark rows of x are cast to float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     n = x.shape[0]
     m = min(landmark_count, n)
     if m < n_components:
         raise ConfigError(f"landmark count {m} < n_components {n_components}")
     rng = np.random.default_rng(seed)
-    landmarks = x[rng.choice(n, size=m, replace=False)]
+    landmarks = x[rng.choice(n, size=m, replace=False)].astype(np.float64, copy=False)
     # on more BLAS threads, eigh may return a component with the opposite sign
     with parallel.single_threaded_blas():
         k_mm = _kernel(landmarks, landmarks, gamma)
@@ -305,13 +306,15 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
 
     The rows are projected in blocks side by side (``parallel.run_row_blocks``),
     each block's kernel centered in place in its borrowed scratch, so the
-    bits depend on neither the CPU count nor the BLAS thread setting.
+    bits depend on neither the CPU count nor the BLAS thread setting. Each
+    block casts its own rows of x to float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     out = np.empty((x.shape[0], model.coeffs.shape[1]), dtype=np.float64)
 
     def project_block(start, stop, kernel):
-        _kernel(x[start:stop], model.landmarks, model.gamma, out=kernel)
+        rows = x[start:stop].astype(np.float64, copy=False)
+        _kernel(rows, model.landmarks, model.gamma, out=kernel)
         kernel -= kernel.mean(axis=1, keepdims=True)
         kernel -= model.col_mean
         kernel += model.total_mean
@@ -324,8 +327,10 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
 def kpca_reduce(stacked: np.ndarray, cfg: MstvConfig, seed: int) -> np.ndarray:
     """Project every pixel of the (H, W, F) stacked cube onto the top
     components of an RBF KPCA with gamma = 1 / F, one row per pixel; ``seed``
-    draws the landmark pixels (``kpca_fit``)."""
-    x = stacked.reshape(-1, stacked.shape[2]).astype(np.float64)
+    draws the landmark pixels (``kpca_fit``). The pixels are passed on as a
+    view of the stack: only the landmarks and each projected block are cast
+    to float64, which is exact from float32."""
+    x = stacked.reshape(-1, stacked.shape[2])
     model = kpca_fit(x, cfg.n_components, 1.0 / x.shape[1], cfg.landmark_count, seed)
     return kpca_transform(model, x)
 

@@ -191,8 +191,21 @@ def config_echo_dict(config: PipelineConfig) -> dict:
 
 
 def peak_rss_mb() -> float:
-    """The process's peak resident memory so far, in MB (ru_maxrss is in KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    """The process's own peak resident memory so far, in MB of 10^6 bytes.
+
+    It is ``VmHWM`` of ``/proc/self/status``. Linux carries ``ru_maxrss``
+    over fork and exec from the launching process, so that a process started
+    by a larger one reads the launcher's peak there; ``ru_maxrss`` (KiB on
+    Linux) is the fallback where there is no ``/proc``.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            kib = next((line.split()[1] for line in fh if line.startswith("VmHWM:")), None)
+    except OSError:
+        kib = None
+    if kib is None:
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(kib) * 1024 / 1e6
 
 
 @contextmanager
@@ -235,7 +248,9 @@ def build_features(config: PipelineConfig, labels: np.ndarray,
                    timings: dict | None = None) -> np.ndarray:
     """Load the cube, which must match ``labels`` in shape, and produce the
     fused float64 feature matrix: per pixel, the KPCA components (each min-max
-    scaled over the pixels), then the LBP codes of the grouped bands."""
+    scaled over the pixels), then the LBP codes of the grouped bands. Each
+    intermediate array is deleted in the stage that last reads it, so that
+    the release at that stage's end returns its memory."""
     timings = {} if timings is None else timings
     with _stage("load", timings):
         cube = load_cube(config.cube_path)
@@ -246,10 +261,14 @@ def build_features(config: PipelineConfig, labels: np.ndarray,
     with _stage("mstv", timings):
         stacked = multiscale_stack(scale_bands_unit(reduced), config.mstv.scales)
         spectral = kpca_reduce(stacked, config.mstv, config.seed)
+        del stacked
     with _stage("lbp", timings):
         spatial = lbp_features(reduced)
+        del reduced
     with _stage("fuse", timings):
-        return np.hstack([min_max_scale(spectral, axis=0), spatial])
+        fused = np.hstack([min_max_scale(spectral, axis=0), spatial])
+        del spectral, spatial
+    return fused
 
 
 def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: np.ndarray) -> np.ndarray:

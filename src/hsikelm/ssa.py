@@ -324,49 +324,42 @@ def stratified_fold_ids(labels, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _workspace(splits) -> list[tuple]:
-    """Scratch arrays for one evaluation of ``cv_objective``'s objective.
-
-    ``splits`` holds the shape (m, t) of each fold's held-out block, with m
-    held-out and t training samples. Returns per fold the t x t system and
-    the m x t held-out rows, views of one ``parallel.mapped_array``.
-    """
-    t_max = max(t for _, t in splits)
-    m_max = max(m for m, _ in splits)
-    flat = parallel.mapped_array(t_max * t_max + m_max * t_max)
-    system, held_rows = flat[: t_max * t_max], flat[t_max * t_max :]
-    return [(system[: t * t].reshape(t, t), held_rows[: m * t].reshape(m, t)) for m, t in splits]
-
-
 def cv_objective(train_x, train_labels, fold_of):
     """Cross-validated squared error of a KELM at (log10 C, log10 gamma).
 
     The objective is the mean held-out error over the folds that
     ``fold_of`` assigns the samples to, as ``stratified_fold_ids`` makes
     them; each distinct id is one fold, and fewer than two is a ConfigError.
-    Only C and gamma change between evaluations, so one squared-distance
-    matrix and the one-hot targets are computed here once, with the
-    samples in fold-major order (ascending fold id, then ascending index):
-    fold f owns the rows and columns ``[a, b)``. Its training x training block is then the matrix without
-    that range, at most four rectangular views, and its held-out x training
-    block the rows ``[a, b)`` without those columns, at most two. Nothing
-    is cut out or copied for a fold.
+    Only C and gamma change between evaluations, so the squared distances
+    and the one-hot targets are computed here once, with the samples in
+    fold-major order (ascending fold id, then ascending index): fold f owns
+    the rows and columns ``[a_f, b_f)`` of the squared-distance matrix. Of
+    its F x F fold blocks, only the F(F+1)/2 on and above the diagonal are
+    kept, fold f's side by side as its strip, the rows ``[a_f, b_f)`` and
+    columns ``[a_f, n)`` from one ``kelm.cdist`` call. A block below the
+    diagonal is its mirror's transpose, with the same bits, since ``cdist``
+    is symmetric bit for bit. Nothing else is cut out or copied for a fold.
 
-    An evaluation writes ``-gamma`` times those views straight into its
-    scratch, then ``kelm.floored_exp`` over each whole block, and makes one
-    regularized solve per fold, with the same arithmetic as ``kelm.train``
-    followed by ``kelm.predict`` on the samples in that order. The floor's
-    pass over the smallest exponent is skipped when ``-gamma`` times the
-    matrix's largest entry shows that it cannot fire. The solve factors each
-    fold's system in place in the scratch (``kelm.solve_kernel_system``),
-    where the next fold's kernel overwrites it.
+    An evaluation writes ``-gamma`` times the strips of a fold's training
+    side, without the fold's own columns, straight into its scratch, on and
+    above the diagonal of the fold's system, and mirrors that part below
+    the diagonal. It then takes ``kelm.floored_exp`` over the whole system
+    and makes one regularized solve per fold, with the same arithmetic as
+    ``kelm.train`` followed by ``kelm.predict`` on the samples in that
+    order. The floor's pass over the smallest exponent is skipped when
+    ``-gamma`` times the largest distance shows that it cannot fire. The
+    solve factors the fold's system in place in the scratch
+    (``kelm.solve_kernel_system``); once it has returned, the fold's
+    held-out x training rows overwrite the system there, and the next
+    fold's kernel overwrites them.
 
     The objective may be called from several threads at once, as
-    ``batch_fitness`` does. Each call borrows a ``_workspace`` from the
-    objective's pool (``parallel.lend``), which holds one per call that ran at
-    once. In float64 values, the matrix that all calls share holds n²; a
-    workspace holds t² + m·t for the largest fold's t training and m
-    held-out samples, 0.8·n² at 5 folds.
+    ``batch_fitness`` does. Each call borrows a scratch buffer from the
+    objective's pool (``parallel.lend``), which holds one per call that ran
+    at once. In float64 values, the strips that all calls share hold
+    (n² + sum of the squared fold sizes) / 2, 0.6·n² at 5 equal folds; a
+    scratch buffer holds t² for the largest fold's t training samples,
+    0.64·n² at 5 folds.
     """
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_labels).ravel()
@@ -380,18 +373,23 @@ def cv_objective(train_x, train_labels, fold_of):
     order = np.argsort(fold_of, kind="stable")
     x = x[order]
     targets = kelm.one_hot(y[order], np.unique(y))
-    sq_dist = kelm.cdist(x, x, "sqeuclidean")
-    d_max = float(sq_dist.max(initial=0.0))
     ends = np.cumsum(fold_sizes).tolist()
-    plan = []  # per fold: its samples [a, b), its training ranges and each side's targets
-    for a, b in zip([0] + ends[:-1], ends):
-        # the training samples [0, a) and [b, n), each with its positions in the training side
-        ranges = [(src, dst) for src, dst in ((slice(0, a), slice(0, a)),
-                                              (slice(b, n), slice(a, n - b + a)))
-                  if src.stop > src.start]
-        plan.append((a, b, ranges, np.concatenate([targets[src] for src, _ in ranges]),
+    starts = [0] + ends[:-1]
+    # fold f's blocks on and above the diagonal, side by side: columns [a_f, n)
+    strips = [kelm.cdist(x[a:b], x[a:], "sqeuclidean") for a, b in zip(starts, ends)]
+    d_max = max(float(strip.max(initial=0.0)) for strip in strips)
+    plan = []  # per fold: its samples and strip, the training folds, each side's targets
+    for f, (a, b) in enumerate(zip(starts, ends)):
+        # per training fold: its first sample, its strip and its rows in the system
+        m = b - a
+        training = [(start, strips[g], slice(start, stop) if g < f else slice(start - m, stop - m))
+                    for g, (start, stop) in enumerate(zip(starts, ends)) if g != f]
+        plan.append((a, b, strips[f], training, np.delete(targets, slice(a, b), axis=0),
                      targets[a:b]))
-    splits = [(b - a, n - b + a) for a, b, _, _, _ in plan]
+    # a fold's m x t held-out rows fit in the buffer of the largest system,
+    # t_max x t_max: m + m_min <= n for the smallest fold's m_min gives
+    # m <= n - m_min = t_max, and t <= t_max
+    t_max = n - int(fold_sizes.min())
     workspaces = []
 
     def objective(z):
@@ -399,16 +397,26 @@ def cv_objective(train_x, train_labels, fold_of):
         scale = -hyper.gamma
         lowest = d_max * scale  # no exponent lies below this
         errors = []
-        with parallel.lend(workspaces, lambda: _workspace(splits)) as scratch:
-            for (a, b, ranges, train_targets, held_targets), (system, held_rows) \
-                    in zip(plan, scratch):
-                for rows, system_rows in ranges:
-                    for cols, system_cols in ranges:
-                        np.multiply(sq_dist[rows, cols], scale, out=system[system_rows, system_cols])
+        with parallel.lend(workspaces, lambda: parallel.mapped_array(t_max * t_max)) as scratch:
+            for a, b, own_strip, training, train_targets, held_targets in plan:
+                t, m = train_targets.shape[0], held_targets.shape[0]
+                system = scratch[: t * t].reshape(t, t)
+                for start, strip, rows in training:
+                    # on and above the diagonal: the fold's strip without fold f's columns
+                    if start < a:
+                        np.multiply(strip[:, : a - start], scale, out=system[rows, rows.start : a])
+                        np.multiply(strip[:, b - start :], scale, out=system[rows, a:])
+                    else:
+                        np.multiply(strip, scale, out=system[rows, rows.start :])
+                    # below it: the transpose of the column above, the same bits
+                    system[rows, : rows.start] = system[: rows.start, rows].T
                 kelm.floored_exp(system, lowest)
                 alpha = kelm.solve_kernel_system(system, train_targets, hyper.c)
-                for cols, system_cols in ranges:
-                    np.multiply(sq_dist[a:b, cols], scale, out=held_rows[:, system_cols])
+                held_rows = scratch[: m * t].reshape(m, t)
+                for start, strip, cols in training:
+                    if start < a:  # fold f's columns of an earlier strip
+                        np.multiply(strip[:, a - start : b - start].T, scale, out=held_rows[:, cols])
+                np.multiply(own_strip[:, m:], scale, out=held_rows[:, a:])
                 scores = kelm.floored_exp(held_rows, lowest) @ alpha
                 errors.append(kelm.mse_fitness(scores, held_targets))
         return float(np.mean(errors))

@@ -446,6 +446,25 @@ def test_kpca_reduce_shapes_and_determinism():
     assert not np.array_equal(a, kpca_reduce(cube, cfg, seed=3))
 
 
+def test_kpca_reduce_makes_no_float64_copy_of_the_stack(monkeypatch):
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(size=(64, 64, 40)).astype(np.float32)
+    cfg = MstvConfig(k=8, scales=(RtvParams(lam=0.0),) * 5, n_components=5, landmark_count=100)
+    # two blocks cast at once, as on two CPUs; all of them together would be the copy
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    kpca_reduce(stack[:16, :16], cfg, seed=0)  # first-call setup outside the measurement
+    tracemalloc.start()
+    try:
+        got = kpca_reduce(stack, cfg, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    x = stack.reshape(-1, 40).astype(np.float64)
+    assert peak < x.nbytes
+    model = kpca_fit(x, 5, 1.0 / 40, 100, seed=1)
+    assert np.array_equal(got, kpca_transform(model, x))
+
+
 def test_mstv_config_validated():
     with pytest.raises(ConfigError):
         MstvConfig(k=0)

@@ -222,6 +222,56 @@ def test_build_features_frees_the_cube_before_smoothing(small_scene, tmp_path, m
     assert alive == [False] and fused.shape[0] == 32 * 32
 
 
+def test_build_features_frees_each_intermediate_in_the_stage_that_last_reads_it(
+        small_scene, tmp_path, monkeypatch):
+    from hsikelm import lbp, mstv, pipeline as pl
+
+    refs = {}
+
+    def recorded(name, fn):
+        def call(*args):
+            out = fn(*args)
+            refs[name] = weakref.ref(out)
+            return out
+        return call
+
+    for name, attr, fn in (("reduced", "group_and_average", mstv.group_and_average),
+                           ("stacked", "multiscale_stack", mstv.multiscale_stack),
+                           ("spectral", "kpca_reduce", mstv.kpca_reduce),
+                           ("spatial", "lbp_features", lbp.lbp_features)):
+        monkeypatch.setattr(pl, attr, recorded(name, fn))
+    alive_at_release, release = [], parallel.release_free_memory
+
+    def stage_end_release():
+        # only the stage-end release runs in the pipeline's own frame
+        if sys._getframe(1).f_code is pl._stage.__wrapped__.__code__:
+            alive_at_release.append({name for name, ref in refs.items() if ref() is not None})
+        release()
+
+    monkeypatch.setattr(parallel, "release_free_memory", stage_end_release)
+    config = config_from_dict(fast_config_dict(small_scene, tmp_path / "out"))
+    fused = pl.build_features(config, small_scene["labels"])
+    assert fused.shape[0] == 32 * 32
+    # stages load, group, mstv, lbp, fuse
+    assert alive_at_release == [set(), {"reduced"}, {"reduced", "spectral"},
+                                {"spectral", "spatial"}, set()]
+
+
+def test_peak_rss_is_the_process_own_not_its_launcher(tmp_path):
+    # the launcher holds 150 MB when it starts the child; Linux carries
+    # ru_maxrss over fork and exec, so the child would read at least that there
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = "from hsikelm.pipeline import peak_rss_mb; print(peak_rss_mb())"
+    launcher = ("import subprocess, sys\n"
+                "ballast = b'x' * (150 * 10**6)\n"
+                f"subprocess.run([sys.executable, '-c', {child!r}], check=True)\n")
+    run = subprocess.run([sys.executable, "-c", launcher], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert 0 < float(run.stdout) < 150
+
+
 # -- full run ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

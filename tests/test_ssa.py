@@ -353,8 +353,7 @@ def _fold_major(fold_of):
     return np.argsort(fold_of, kind="stable")
 
 
-def _cv_objective(x, y, folds, seed):
-    fold_of = stratified_fold_ids(y, folds, seed)
+def _cv_objective(x, y, fold_of):
     # the same samples in cv_objective's order, so that each fold solves the same system
     order = _fold_major(fold_of)
     x, y, fold_of = x[order], y[order], fold_of[order]
@@ -363,7 +362,7 @@ def _cv_objective(x, y, folds, seed):
     def objective(z):
         hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
         errors = []
-        for f in range(folds):
+        for f in np.unique(fold_of):
             held = fold_of == f
             model = kelm.train(x[~held], y[~held], hyper)
             fold_scores, _ = kelm.predict(model, x[held])
@@ -382,7 +381,7 @@ def test_tune_kelm_separable_blobs():
     result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 3, seed=0))
     assert result.best_fitness < 0.05
     # independent grid oracle: a sub-0.05 region exists inside the same bounds
-    objective = _cv_objective(x, y, folds=3, seed=0)
+    objective = _cv_objective(x, y, stratified_fold_ids(y, 3, seed=0))
     grid = [objective(np.array([lc, lg]))
             for lc in np.linspace(-2, 4, 7) for lg in np.linspace(-3, 3, 7)]
     assert min(grid) < 0.05
@@ -400,18 +399,61 @@ def test_cv_objective_equals_train_predict_oracle(counts, folds, monkeypatch):
     rng = np.random.default_rng(11)
     y = np.repeat([1, 2, 3], counts)
     x = rng.normal(size=(y.size, 7)) + 0.5 * y[:, None]
+    fold_of = stratified_fold_ids(y, folds, seed=4)
     mapped, mapped_array = [], parallel.mapped_array
     monkeypatch.setattr(parallel, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
-    objective = cv_objective(x, y, stratified_fold_ids(y, folds, seed=4))
-    oracle = _cv_objective(x, y, folds, seed=4)
+    objective = cv_objective(x, y, fold_of)
     grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 5) for lg in np.linspace(-3, 3, 5)]
     values = [objective(z) for z in grid]
-    # serial calls share one workspace: the system, factored in place, at the
-    # largest t, held-out rows at the largest m
-    held = np.bincount(stratified_fold_ids(y, folds, seed=4), minlength=folds)
-    train = y.size - held
-    assert mapped == [train.max() ** 2 + held.max() * train.max()]
+    # serial calls share one buffer, the system at the largest t, factored in
+    # place and then overwritten by the fold's held-out rows
+    train = y.size - np.bincount(fold_of, minlength=folds)
+    assert mapped == [train.max() ** 2]
+    oracle = _cv_objective(x, y, fold_of)
     assert values == [oracle(z) for z in grid]
+
+
+def test_cv_objective_where_the_held_out_side_outnumbers_the_training_side(monkeypatch):
+    # fold 0 holds 9 samples out against 4 training ones: its 9 x 4 held-out
+    # rows still fit in the buffer of fold 1's 9 x 9 system
+    rng = np.random.default_rng(5)
+    y = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
+    x = rng.normal(size=(y.size, 3)) + 0.5 * y[:, None]
+    fold_of = np.array([0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0])
+    mapped, mapped_array = [], parallel.mapped_array
+    monkeypatch.setattr(parallel, "mapped_array", lambda size: mapped.append(size) or mapped_array(size))
+    objective = cv_objective(x, y, fold_of)
+    grid = [np.array([lc, lg]) for lc in np.linspace(-2, 4, 4) for lg in np.linspace(-3, 3, 4)]
+    values = [objective(z) for z in grid]
+    assert mapped == [9 * 9]
+    oracle = _cv_objective(x, y, fold_of)
+    assert values == [oracle(z) for z in grid]
+
+
+@pytest.mark.parametrize("sizes", [[5, 1, 7, 3], [1, 2], [4, 4, 4, 4, 4], [3, 9, 1, 1, 6]])
+def test_cv_objective_keeps_the_distance_blocks_on_and_above_the_fold_diagonal(sizes, monkeypatch):
+    """One ``kelm.cdist`` call per fold, for its blocks on and above the
+    diagonal side by side, each block with the bits of that block of the
+    full matrix; below the diagonal each block is its mirror's transpose
+    with the same bits."""
+    rng = np.random.default_rng(sum(sizes))
+    fold_of = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    y = np.arange(fold_of.size) % 2 + 1
+    x = rng.normal(size=(fold_of.size, 7)) * rng.uniform(0.1, 10.0, size=7)
+    strips, real = [], kelm.cdist
+    monkeypatch.setattr(kelm, "cdist", lambda a, b, metric: strips.append(real(a, b, metric)) or strips[-1])
+    cv_objective(x, y, fold_of)
+    xf = x[_fold_major(fold_of)]
+    full = cdist(xf, xf, "sqeuclidean")
+    starts = np.cumsum([0] + sizes)
+    assert len(strips) == len(sizes)
+    assert sum(strip.size for strip in strips) == (full.size + sum(m * m for m in sizes)) // 2
+    for f, strip in enumerate(strips):
+        a = starts[f]
+        assert np.array_equal(strip, full[a : starts[f + 1], a:])
+        for g in range(f, len(sizes)):  # each block, and its transpose below the diagonal
+            block = strip[:, starts[g] - a : starts[g + 1] - a]
+            assert np.array_equal(block.T, full[starts[g] : starts[g + 1], a : starts[f + 1]])
 
 
 def test_cv_objective_where_the_kernel_floor_fires_equals_the_unfloored_oracle():
@@ -476,11 +518,12 @@ def test_cv_objective_depends_on_the_samples_not_their_order():
     np.testing.assert_allclose([objective(z) for z in grid], values, rtol=1e-10, atol=0)
 
 
-def test_cv_objective_holds_one_n_by_n_array():
-    # the folds' blocks are views of one distance matrix: n² doubles plus O(n·d)
-    # held and at the peak, where each fold block cut out of it would add t² + m·t.
-    # The workspace is a memory map, which tracemalloc does not see; a product of
-    # a strided view allocates one numpy buffer of at most getbufsize() elements
+def test_cv_objective_holds_the_fold_blocks_on_and_above_the_diagonal():
+    # at 5 equal folds the 15 blocks on and above the fold diagonal hold 0.6·n²
+    # doubles; the full distance matrix would hold n². Nothing else of n² size is
+    # held or allocated at the peak: the scratch is a memory map, which
+    # tracemalloc does not see; a product of a strided view allocates one numpy
+    # buffer of at most getbufsize() elements
     rng = np.random.default_rng(4)
     n, d = 600, 10
     x = rng.normal(size=(n, d))
@@ -496,7 +539,7 @@ def test_cv_objective_holds_one_n_by_n_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(held, peak) <= 8 * (n * n + 4 * n * d + 2 * np.getbufsize())
+    assert max(held, peak) <= 8 * (0.6 * n * n + 4 * n * d + 2 * np.getbufsize())
 
 
 def test_cv_objective_rejects_mismatched_counts():
