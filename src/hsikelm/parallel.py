@@ -16,6 +16,7 @@ import ctypes
 import functools
 import mmap
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,9 +45,14 @@ def loaded_openblas() -> list[ctypes.CDLL]:
     return [ctypes.CDLL(path) for path, name in named if "openblas" in name and ".so" in name]
 
 
-@functools.cache
 def openblas_thread_controls() -> tuple[tuple, ...]:
-    """(set, get) thread-count functions of every OpenBLAS loaded when this is first called."""
+    """(set, get) thread-count functions of every OpenBLAS loaded now: looked up
+    again once a module was imported since the last lookup, as an import may load one."""
+    return _thread_controls(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _thread_controls(module_count: int) -> tuple[tuple, ...]:
     controls = []
     for lib in loaded_openblas():
         for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:

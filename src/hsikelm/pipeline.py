@@ -283,9 +283,7 @@ def predict_raster(model: kelm.KelmModel, fused: np.ndarray, labels: np.ndarray)
 
 def score_test_split(truth: np.ndarray, pred: np.ndarray, split: SampleSplit, num_classes: int):
     """Confusion matrix, OA, AA and kappa of a prediction raster on the test pixels."""
-    t = truth.ravel()[split.test_idx].astype(np.int64)
-    p = pred.ravel()[split.test_idx].astype(np.int64)
-    cm = metrics.confusion(t, p, num_classes)
+    cm = metrics.confusion(truth.ravel()[split.test_idx], pred.ravel()[split.test_idx], num_classes)
     return cm, metrics.oa(cm), metrics.aa(cm), metrics.kappa(cm)
 
 

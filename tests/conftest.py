@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsikelm import datacube, metrics, parallel, pipeline
+import hsikelm
+from hsikelm import datacube, parallel, pipeline
 
 
 class ScriptedRng:
@@ -41,6 +42,13 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+def blas_env(threads: str) -> dict:
+    """This environment with ``OPENBLAS_NUM_THREADS`` set, for a subprocess that imports hsikelm."""
+    src = str(Path(hsikelm.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
 
 
 @pytest.fixture
@@ -127,9 +135,9 @@ def fast_config_dict(scene, out_dir, **extra):
     return base
 
 
-def read_confusion_csv(path) -> metrics.ConfusionMatrix:
+def read_confusion_csv(path) -> np.ndarray:
     """Parse ``metrics.write_confusion_csv`` output: a header row of class ids
     1..c, then one row of c counts per reference class."""
     header, *rows = Path(path).read_text().splitlines()
     assert header.split(",") == [str(c) for c in range(1, len(rows) + 1)]
-    return metrics.ConfusionMatrix(np.array([[int(v) for v in row.split(",")] for row in rows]))
+    return np.array([[int(v) for v in row.split(",")] for row in rows])

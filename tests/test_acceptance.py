@@ -275,9 +275,9 @@ def test_criterion_07_kpca_matches_pca_oracle():
 
 
 def test_criterion_08_metrics_hand_cases():
-    diag = metrics.ConfusionMatrix(np.diag([3, 5, 2]))
-    chance = metrics.ConfusionMatrix(np.array([[1, 1], [1, 1]]))
-    hand = metrics.ConfusionMatrix(np.array([[4, 1], [2, 3]]))
+    diag = np.diag([3, 5, 2])
+    chance = np.array([[1, 1], [1, 1]])
+    hand = np.array([[4, 1], [2, 3]])
     ok = (
         metrics.oa(diag) == 1.0 and metrics.aa(diag) == 1.0 and metrics.kappa(diag) == 1.0
         and metrics.oa(chance) == 0.5 and metrics.kappa(chance) == 0.0

@@ -206,6 +206,7 @@ def test_train_with_one_hyperparam_flag_is_config_error(flag, tmp_path, small_sc
     ({"canonical": True}, "unknown top-level config key(s): ['canonical']"),
     ({"ssa": {"log10_c_bounds": [4, -2]}},
      "log10_c_bounds must be [lower, upper] with lower <= upper, got (4.0, -2.0)"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_malformed_config_exit_2(override, message, tmp_path, small_scene, capsys):
     raw = {**fast_config_dict(small_scene, tmp_path / "o"), **override}
@@ -412,6 +413,17 @@ def test_predict_with_class_ids_beyond_num_classes_exit_3_before_features(
     _one_line_data_error_naming(model_path, err)
     assert f"class id {class_ids[-1]} exceeds num_classes=3" in err
     assert not (scene_config["tmp"] / "pred").exists()
+
+
+def test_evaluate_with_a_raster_of_another_shape_exit_3(scene_config, capsys):
+    pred_path = scene_config["tmp"] / "pred.npy"
+    save_labels(np.ones((33, 32), dtype=np.uint16), pred_path)
+    rc = main(["evaluate", "--config", str(scene_config["config"]), "--pred", str(pred_path),
+               "--out", str(scene_config["tmp"] / "eval")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "data error: prediction raster 33x32 does not match ground truth 32x32\n"
+    assert not (scene_config["tmp"] / "eval").exists()
 
 
 def test_run_out_under_a_file_exit_3(scene_config, capsys):

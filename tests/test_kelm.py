@@ -294,6 +294,17 @@ def test_spd_solve_rejects_shapes_lapack_cannot_take():
         kelm._spd_solve(readonly, np.ones(4))
 
 
+def test_train_and_predict_reject_misshapen_input(monkeypatch):
+    model = train(np.array([[0.0], [1.0]]), [1, 2], KelmHyperparams(c=1.0, gamma=1.0))
+    monkeypatch.setattr(kelm, "cdist", lambda *a, **k: pytest.fail("a kernel was built"))
+    with pytest.raises(DataError, match="3 samples but 2 labels"):
+        train(np.zeros((3, 1)), [1, 2], KelmHyperparams(c=1.0, gamma=1.0))
+    with pytest.raises(DataError, match=r"features must be 2-D, got shape \(3,\)"):
+        train(np.zeros(3), [1, 2, 2], KelmHyperparams(c=1.0, gamma=1.0))
+    with pytest.raises(DataError, match=r"features must be 2-D, got shape \(2,\)"):
+        predict(model, np.zeros(2))
+
+
 def test_train_without_samples_is_a_data_error_before_lapack(capfd):
     with pytest.raises(DataError, match="no training samples"):
         train(np.empty((0, 2)), [], KelmHyperparams(c=1.0, gamma=1.0))

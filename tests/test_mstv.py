@@ -381,6 +381,11 @@ def test_linear_full_landmark_matches_pca():
     assert np.allclose(align_signs(got, want), want, atol=1e-6)
 
 
+def test_fewer_rows_than_components_rejected():
+    with pytest.raises(ConfigError, match="landmark count 3 < n_components 4"):
+        kpca_fit(np.ones((3, 5)), n_components=4, gamma=1.0, landmark_count=10, seed=0)
+
+
 def test_identical_pixels_rejected():
     x = np.ones((12, 4))
     with pytest.raises(NumericalError, match="positive eigenvalues"):

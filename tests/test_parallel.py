@@ -1,6 +1,8 @@
 import gc
+import json
 import os
 import platform
+import subprocess
 import sys
 import threading
 import time
@@ -11,7 +13,7 @@ import pytest
 from hsikelm import mstv, parallel
 from hsikelm.errors import NumericalError
 
-from conftest import row_blocks
+from conftest import blas_env, row_blocks
 
 
 def test_run_jobs_pool_runs_each_job_once(cpus):
@@ -175,6 +177,30 @@ def test_release_without_malloc_trim_does_nothing(monkeypatch):
         assert np.all(calls == 1)
     finally:
         parallel._malloc_trim.cache_clear()
+
+
+_LATE_OPENBLAS = """
+import json
+import numpy as np
+from hsikelm import parallel
+parallel.run_jobs(lambda k: None, 2)
+from hsikelm import kelm  # loads scipy, and with it scipy's own OpenBLAS
+gets = [get for _, get in parallel._OPENBLAS_THREAD_SYMBOLS]
+def threads():
+    return [next(getattr(lib, g)() for g in gets if hasattr(lib, g)) for lib in parallel.loaded_openblas()]
+with parallel.single_threaded_blas():
+    inside = threads()
+print(json.dumps([inside, threads()]))
+"""
+
+
+@pytest.mark.skipif(not parallel.openblas_thread_controls() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a loaded OpenBLAS and at least 2 CPUs")
+def test_openblas_loaded_after_first_run_jobs_is_pinned_too():
+    run = subprocess.run([sys.executable, "-c", _LATE_OPENBLAS], env=blas_env("2"),
+                         capture_output=True, text=True, check=True, timeout=60)
+    inside, after = json.loads(run.stdout)
+    assert inside == [1] * len(inside) and after == [2] * len(after)
 
 
 def resident_mb() -> float:

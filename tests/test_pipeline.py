@@ -1,6 +1,7 @@
 import json
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 import weakref
@@ -119,6 +120,17 @@ def test_render_all_zero_black(tmp_path):
     data = path.read_bytes()
     assert data.startswith(b"P6\n3 2\n255\n")
     assert data[len(b"P6\n3 2\n255\n"):] == bytes(18)
+
+
+@pytest.mark.parametrize("raster, message", [
+    (np.zeros((2, 3, 1), dtype=int), r"prediction raster must be 2-D, got shape \(2, 3, 1\)"),
+    (np.array([[1, -1]]), "prediction raster contains negative labels"),
+], ids=["3-d", "negative"])
+def test_render_rejects_a_raster_it_cannot_draw(raster, message, tmp_path):
+    path = tmp_path / "map.ppm"
+    with pytest.raises(DataError, match=message):
+        render_map(raster, path)
+    assert not path.exists()
 
 
 def test_render_distinct_palette_colors(tmp_path):
@@ -270,6 +282,15 @@ def test_peak_rss_is_the_process_own_not_its_launcher(tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert 0 < float(run.stdout) < 150
+
+
+def test_peak_rss_without_proc_falls_back_to_ru_maxrss(monkeypatch):
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(f"no access to {path}")
+
+    monkeypatch.setattr(pipeline, "open", unreadable, raising=False)  # shadows the builtin
+    want = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    assert pipeline.peak_rss_mb() == pytest.approx(want, rel=0.05)
 
 
 # -- full run ------------------------------------------------------------------

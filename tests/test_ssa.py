@@ -7,14 +7,12 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-import hsikelm
 from hsikelm import kelm, parallel, ssa
 from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.ssa import (
@@ -33,7 +31,7 @@ from hsikelm.ssa import (
     write_trace_csv,
 )
 
-from conftest import clustered_samples, fast_config_dict
+from conftest import blas_env, clustered_samples, fast_config_dict
 
 
 def make_state(positions, fitness):
@@ -143,6 +141,10 @@ def test_config_validation():
         SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), pop_size=1)
     with pytest.raises(ConfigError):
         SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0, 2.0]))
+    with pytest.raises(ConfigError, match="max_iter must be >= 1, got 0"):
+        SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), max_iter=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        SwarmConfig(lower=np.array([0.0]), upper=np.array([1.0]), seed=-1)
     for lower, upper in [([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [np.inf]),
                          ([0.0, -np.inf], [1.0, 0.0]), ([0.0], [np.inf])]:
         with pytest.raises(ConfigError, match="bounds must be finite"):
@@ -561,6 +563,14 @@ def test_cv_objective_rejects_fewer_than_two_folds(fold_of, monkeypatch):
         cv_objective(x, y, fold_of)
 
 
+def test_tune_kelm_rejects_bounds_other_than_2d(monkeypatch):
+    x, y = _blobs(n_per_class=4)
+    cfg = SwarmConfig(lower=np.zeros(3), upper=np.ones(3), pop_size=4, max_iter=2, seed=0)
+    monkeypatch.setattr(ssa, "optimize", lambda *a: pytest.fail("the search ran"))
+    with pytest.raises(ConfigError, match="tuning expects 2-D bounds .*, got 3-D"):
+        tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
+
+
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
     x, y = _blobs(n_per_class=8, seed=3)
     cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
@@ -569,13 +579,6 @@ def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, op
     with pytest.raises(NumericalError, match="residual"):
         tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
     assert [get() for _, get in openblas_at_two_threads] == [2] * len(openblas_at_two_threads)
-
-
-def _blas_env(threads: str) -> dict:
-    """This environment with ``OPENBLAS_NUM_THREADS`` set, for a subprocess that imports hsikelm."""
-    src = str(Path(hsikelm.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
 
 
 _TUNE_HEX = """
@@ -593,7 +596,7 @@ print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 def test_tune_kelm_bits_independent_of_blas_threads():
     outputs = []
     for threads in ("1", "2"):
-        run = subprocess.run([sys.executable, "-c", _TUNE_HEX], env=_blas_env(threads),
+        run = subprocess.run([sys.executable, "-c", _TUNE_HEX], env=blas_env(threads),
                              capture_output=True, text=True, check=True, timeout=120)
         outputs.append(run.stdout)
     assert outputs[0].strip() and outputs[0] == outputs[1]
@@ -613,7 +616,7 @@ def test_run_artifacts_independent_of_blas_threads_and_cpus(small_scene, tmp_pat
         subprocess.run(
             [sys.executable, "-m", "hsikelm.cli", "run", "--config", str(config),
              "--out", str(out)],
-            env=_blas_env(threads), capture_output=True, check=True, timeout=120,
+            env=blas_env(threads), capture_output=True, check=True, timeout=120,
             preexec_fn=(lambda: os.sched_setaffinity(0, cpus)) if cpus else None,
         )
         names = ("ssa_trace.csv", "run_report.json", "confusion.csv", "classification_map.ppm")
@@ -631,7 +634,7 @@ def test_train_model_bytes_independent_of_blas_threads(small_scene, tmp_path):
         subprocess.run(
             [sys.executable, "-m", "hsikelm.cli", "train", "--config", str(config),
              "--train-fraction", "0.3", "--c", "100", "--gamma", "0.5", "--out", str(model)],
-            env=_blas_env(threads), capture_output=True, check=True, timeout=120,
+            env=blas_env(threads), capture_output=True, check=True, timeout=120,
         )
         models.append(model.read_bytes())
     assert models[0] == models[1]
@@ -654,7 +657,7 @@ def test_run_agrees_across_openblas_kernels(small_scene, tmp_path):
     # differently from the AVX ones a modern CPU gets by default
     config = tmp_path / "config.json"
     config.write_text(json.dumps(fast_config_dict(small_scene, tmp_path / "unused")))
-    env = {k: v for k, v in _blas_env("1").items() if k != "OPENBLAS_CORETYPE"}
+    env = {k: v for k, v in blas_env("1").items() if k != "OPENBLAS_CORETYPE"}
     outs = []
     for core in (None, "Prescott"):
         outs.append(tmp_path / (core or "default"))
