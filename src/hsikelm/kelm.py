@@ -25,6 +25,12 @@ from .errors import ConfigError, DataError, HsiKelmError, NumericalError
 RESIDUAL_TOL = 1e-8
 # exponents below this give kernel values under sqrt(tiny), which rbf_kernel sets to 0
 _LOG_FLOOR = 0.5 * np.log(np.finfo(np.float64).tiny)
+# sq_dist_bound's relative rounding margin. A rounded sum of d non-negative
+# terms, each a rounded square, lies within (d + 2)·2^-53 relative of the
+# exact sum, and so do the norms' sums and square roots: the computed bound
+# and distances together are off by about (2d + 6)·1.1e-16, which stays under
+# 1e-6 for any feature count below 4e9
+_BOUND_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,8 @@ class KelmModel:
             raise DataError(f"class_ids must be strictly ascending and >= 1, got {ids.tolist()}")
 
 
-def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None,
+               d_max: float = np.inf) -> np.ndarray:
     """exp(-gamma * d) elementwise, for an array d of precomputed squared distances.
 
     Where ``-gamma * d`` lies below ``_LOG_FLOOR``, that is where the value
@@ -79,9 +86,25 @@ def rbf_kernel(sq_dist: np.ndarray, gamma: float, out: np.ndarray | None = None)
 
     The kernel is written into ``out`` when given, else into a new array; the
     exp runs in place, so a call allocates at most one array of d's size,
-    plus a boolean mask of d's shape when the floor applies.
+    plus a boolean mask of d's shape when the floor applies. ``d_max``, an
+    upper bound of d that the caller knows (``sq_dist_bound``), skips the
+    floor's pass over the smallest exponent where it shows that the floor
+    cannot fire (``floored_exp``).
     """
-    return floored_exp(np.multiply(sq_dist, -gamma, out=out))
+    lowest = -np.inf if d_max == np.inf else d_max * -gamma
+    return floored_exp(np.multiply(sq_dist, -gamma, out=out), lowest)
+
+
+def sq_dist_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound of every squared distance between a row of ``a`` and a
+    row of ``b``, as ``cdist``'s "sqeuclidean" rounds it: (max ||a_i|| +
+    max ||b_j||)², the triangle inequality, raised by ``_BOUND_MARGIN``.
+
+    The norms are summed in float64 without a float64 copy of either array.
+    """
+    reach = sum(np.sqrt(np.max(np.einsum("ij,ij->i", v, v, dtype=np.float64), initial=0.0))
+                for v in (a, b))
+    return reach * reach * (1.0 + _BOUND_MARGIN)
 
 
 def floored_exp(exponents: np.ndarray, lowest: float = -np.inf) -> np.ndarray:
@@ -246,7 +269,8 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
 
     The rows are scored in blocks of ``parallel.BLOCK_ROWS`` side by side
     (``parallel.run_row_blocks``), so the bits depend on neither the CPU
-    count nor the BLAS thread setting.
+    count nor the BLAS thread setting. One bound of the squared distances
+    (``sq_dist_bound``) serves every block.
     """
     X = _features(x)
     d = model.train_x.shape[1]
@@ -254,10 +278,11 @@ def predict(model: KelmModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"feature dimension {X.shape[1]} does not match model's {d}")
     m = X.shape[0]
     scores = np.empty((m, model.class_ids.size), dtype=np.float64)
+    d_max = sq_dist_bound(X, model.train_x)
 
     def score_block(start, stop, kernel):
         cdist(X[start:stop], model.train_x, "sqeuclidean", out=kernel)
-        rbf_kernel(kernel, model.hyper.gamma, out=kernel)
+        rbf_kernel(kernel, model.hyper.gamma, out=kernel, d_max=d_max)
         np.matmul(kernel, model.alpha, out=scores[start:stop])
 
     parallel.run_row_blocks(score_block, m, model.train_x.shape[0])

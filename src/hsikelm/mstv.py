@@ -243,25 +243,35 @@ class KpcaModel:
     landmarks: np.ndarray  # (m, d)
     gamma: float  # 0.0 means linear kernel
     eigenvalues: np.ndarray  # (N,) descending, strictly positive
-    coeffs: np.ndarray  # (m, N) eigenvectors scaled by 1/sqrt(eigenvalue)
+    coeffs: np.ndarray  # (m, N) signed eigenvectors scaled by 1/sqrt(eigenvalue)
     col_mean: np.ndarray  # (m,) landmark-kernel column means
     total_mean: float
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix between the rows of a and b, written into ``out`` when given."""
+def _kernel(a: np.ndarray, b: np.ndarray, gamma: float, out: np.ndarray | None = None,
+            d_max: float = np.inf) -> np.ndarray:
+    """Kernel matrix between the rows of a and b, written into ``out`` when
+    given; ``d_max`` bounds their squared distances (``kelm.rbf_kernel``)."""
     if gamma == 0.0:
         return np.matmul(a, b.T, out=out)
     sq_dist = cdist(a, b, "sqeuclidean", out=out)
-    return kelm.rbf_kernel(sq_dist, gamma, out=sq_dist)
+    return kelm.rbf_kernel(sq_dist, gamma, out=sq_dist, d_max=d_max)
 
 
 def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int, seed: int) -> KpcaModel:
-    """Center the landmark kernel, eigendecompose, keep the top components.
+    """Center the landmark kernel and compute its top ``n_components``
+    eigenpairs only (LAPACK ``dsyevr``'s index range), never the m x m
+    eigenvector matrix.
+
+    Each component has a fixed sign: its entry of largest magnitude is
+    positive, the first such row on a tie. The features then do not depend
+    on the sign that the eigensolver's path or build chose.
 
     Raises NumericalError when fewer than ``n_components`` strictly positive
-    eigenvalues exist (the message reports the achievable count). Only the
-    landmark rows of x are cast to float64.
+    eigenvalues exist (the message reports the achievable count), or when
+    equal eigenvalues straddle the cut, so that the kept components are not
+    determined and LAPACK finds fewer than asked. Only the landmark rows of x
+    are cast to float64.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -270,7 +280,7 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
         raise ConfigError(f"landmark count {m} < n_components {n_components}")
     rng = np.random.default_rng(seed)
     landmarks = x[rng.choice(n, size=m, replace=False)].astype(np.float64, copy=False)
-    # on more BLAS threads, eigh may return a component with the opposite sign
+    # on one BLAS thread, so that the model's bits do not depend on the thread setting
     with parallel.single_threaded_blas():
         k_mm = _kernel(landmarks, landmarks, gamma)
         col_mean = k_mm.mean(axis=0)
@@ -280,17 +290,32 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
         k_mm -= col_mean[:, None]
         k_mm -= col_mean[None, :]
         k_mm += total_mean
-        eigenvalues, eigenvectors = eigh(k_mm.T, overwrite_a=True)
-    eigenvalues = eigenvalues[::-1]
+        eigenvalues, eigenvectors = eigh(k_mm.T, overwrite_a=True,
+                                         subset_by_index=[m - n_components, m - 1])
+    lam = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
-    tol = max(eigenvalues[0], 0.0) * _EIG_RTOL
-    achievable = int(np.sum(eigenvalues > tol))
+    tol = max(lam[0], 0.0) * _EIG_RTOL if lam.size else np.inf
+    # LAPACK's bisection can find fewer eigenvalues than asked where a cluster
+    # of equal ones straddles the cut (a landmark kernel close to the identity);
+    # the ones it loses are tied with the smallest it found, so they count only
+    # if that one does
+    if lam.size == 0 or (lam.size < n_components and lam[-1] > tol):
+        raise NumericalError(
+            f"only {lam.size} of the top {n_components} eigenvalues found: the landmark "
+            f"kernel's eigenvalues are tied across component {n_components}"
+        )
+    # the count is the full spectrum's: the largest eigenvalue, which sets tol,
+    # is in the subset, and when fewer than n_components eigenvalues exceed tol,
+    # every one that does is among the top n_components
+    achievable = int(np.sum(lam > tol))
     if achievable < n_components:
         raise NumericalError(
             f"fewer than {n_components} positive eigenvalues; achievable n_components={achievable}"
         )
-    lam = eigenvalues[:n_components]
-    coeffs = eigenvectors[:, :n_components] / np.sqrt(lam)[None, :]
+    # argmax takes the first row of largest magnitude; a unit vector's is nonzero
+    peak = eigenvectors[np.argmax(np.abs(eigenvectors), axis=0), np.arange(n_components)]
+    # dividing by -sqrt(lam) negates the quotient exactly
+    coeffs = eigenvectors / (np.sqrt(lam) * np.sign(peak))[None, :]
     return KpcaModel(
         landmarks=landmarks,
         gamma=gamma,
@@ -307,14 +332,16 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     The rows are projected in blocks side by side (``parallel.run_row_blocks``),
     each block's kernel centered in place in its borrowed scratch, so the
     bits depend on neither the CPU count nor the BLAS thread setting. Each
-    block casts its own rows of x to float64.
+    block casts its own rows of x to float64. One bound of the squared
+    distances (``kelm.sq_dist_bound``) serves every block.
     """
     x = np.asarray(x)
     out = np.empty((x.shape[0], model.coeffs.shape[1]), dtype=np.float64)
+    d_max = kelm.sq_dist_bound(x, model.landmarks) if model.gamma else np.inf
 
     def project_block(start, stop, kernel):
         rows = x[start:stop].astype(np.float64, copy=False)
-        _kernel(rows, model.landmarks, model.gamma, out=kernel)
+        _kernel(rows, model.landmarks, model.gamma, out=kernel, d_max=d_max)
         kernel -= kernel.mean(axis=1, keepdims=True)
         kernel -= model.col_mean
         kernel += model.total_mean

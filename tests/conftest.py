@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hsikelm
-from hsikelm import datacube, parallel, pipeline
+from hsikelm import datacube, kelm, parallel, pipeline
 
 
 class ScriptedRng:
@@ -85,6 +85,22 @@ def clustered_samples(n=300, seed=0):
     centres = rng.uniform(0.0, 2.0, size=(6, 4))
     cluster = np.arange(n) % 6
     return centres[cluster] + 0.15 * rng.normal(size=(n, 4)), cluster % 3 + 1
+
+
+@pytest.fixture
+def floor_passes(monkeypatch):
+    """Spies on ``kelm.floored_exp``: per call, whether its bound skipped the
+    floor's pass over the smallest exponent, and whether the floor fired."""
+    calls = []
+    plain = kelm.floored_exp
+
+    def spy(exponents, lowest=-np.inf):
+        fired = bool(exponents.size and exponents.min() < kelm._LOG_FLOOR)
+        calls.append((bool(lowest >= kelm._LOG_FLOOR), fired))
+        return plain(exponents, lowest)
+
+    monkeypatch.setattr(kelm, "floored_exp", spy)
+    return calls
 
 
 @pytest.fixture(params=[1, 8], ids=["1cpu", "8cpus"])

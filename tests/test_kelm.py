@@ -79,6 +79,9 @@ def test_rbf_kernel_floor():
     # min pass; a bound at or above it is trusted, so the plain exp runs
     assert np.array_equal(kelm.floored_exp(-1.0 * before, lowest=floor - 1.0), want)
     assert np.array_equal(kelm.floored_exp(-1.0 * before, lowest=floor), plain)
+    # rbf_kernel's d_max is that bound as a distance, trusted the same way
+    assert np.array_equal(rbf_kernel(before, 1.0, d_max=800.0), want)
+    assert np.array_equal(rbf_kernel(before, 1.0, d_max=-floor), plain)
     # an empty block, and a gamma broadcast against the distances
     assert rbf_kernel(np.empty((0, 3)), 500.0).shape == (0, 3)
     assert rbf_kernel(np.empty(0), 500.0, out=np.empty(0)).size == 0
@@ -123,6 +126,55 @@ def test_far_query_scores_zero_and_takes_the_lowest_class():
     assert np.all(np.abs(unfloored) > 0) and np.argmax(unfloored) == 2
     scores, labels = predict(model, query)
     assert scores.tolist() == [[0.0, 0.0, 0.0]] and labels.tolist() == [1]
+
+
+@pytest.mark.parametrize("gamma, skipped", [(0.5, True), (60.0, False)])
+def test_predict_skips_the_floor_pass_only_where_it_cannot_fire(floor_passes, monkeypatch, gamma,
+                                                                 skipped):
+    # 40 unit-range features, as the fused ones; at gamma 0.5 the distance
+    # bound shows the floor cannot fire, at 60 it fires on some entries
+    rng = np.random.default_rng(14)
+    x = rng.uniform(size=(2 * parallel.BLOCK_ROWS + 300, 40))
+    model = KelmModel(train_x=x[:300], alpha=rng.normal(size=(300, 3)),
+                      hyper=KelmHyperparams(c=1.0, gamma=gamma), class_ids=np.array([1, 2, 3]))
+    scores, labels = predict(model, x[300:])
+    assert len(floor_passes) == 2 and all(s == skipped for s, _ in floor_passes)
+    assert all(fired != skipped for _, fired in floor_passes)
+    assert np.any(scores != 0.0)
+    monkeypatch.setattr(kelm, "sq_dist_bound", lambda a, b: np.inf)  # the pass on every block
+    forced_scores, forced_labels = predict(model, x[300:])
+    assert np.array_equal(scores, forced_scores) and np.array_equal(labels, forced_labels)
+    assert len(floor_passes) == 4 and not any(s for s, _ in floor_passes[2:])
+
+
+def test_predict_floors_the_farthest_pair_at_the_edge_of_the_bound(floor_passes):
+    # the query is the training row's mirror: the pair's squared distance is
+    # exactly (||a|| + ||b||)², and gamma puts its exponent just below the floor
+    a = np.random.default_rng(15).uniform(size=(1, 40))
+    gamma = -kelm._LOG_FLOOR / cdist(-a, a, "sqeuclidean")[0, 0] * (1.0 + 1e-12)
+    model = KelmModel(train_x=a, alpha=np.ones((1, 1)), hyper=KelmHyperparams(c=1.0, gamma=gamma),
+                      class_ids=np.array([1]))
+    scores, _ = predict(model, -a)
+    assert floor_passes == [(False, True)]
+    assert scores.tolist() == [[0.0]]  # unfloored, about 1.5e-154
+
+
+def test_squared_distance_bound():
+    rng = np.random.default_rng(16)
+    for d in (1, 3, 40, 1000):
+        a = rng.normal(size=(50, d))
+        longest = a[np.argmax(np.sum(a * a, axis=1))]
+        # b's longest row points away from a's: that pair's distance is the bound
+        b = np.vstack([0.1 * rng.normal(size=(20, d)), -1.3 * longest])
+        d_max = kelm.sq_dist_bound(a, b)
+        farthest = cdist(a, b, "sqeuclidean").max()
+        assert farthest <= d_max <= (1.0 + 2 * kelm._BOUND_MARGIN) * farthest
+    # float32 rows are summed in float64, as the KPCA's stack is
+    a32 = rng.uniform(size=(30, 60)).astype(np.float32)
+    assert kelm.sq_dist_bound(a32, a32) == kelm.sq_dist_bound(a32.astype(np.float64), a32)
+    # an empty side adds no length
+    assert kelm.sq_dist_bound(np.empty((0, 3)), np.ones((2, 3))) == kelm.sq_dist_bound(
+        np.zeros((1, 3)), np.ones((2, 3)))
 
 
 def test_hyperparams_validated():

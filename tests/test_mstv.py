@@ -50,6 +50,26 @@ def pca_scores(x, n_components):
     return centered @ vectors[:, ::-1][:, :n_components]
 
 
+def signed_by_largest_entry(vectors):
+    """Each column negated where its first entry of largest magnitude is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        magnitude = np.abs(out[:, j])
+        if out[np.flatnonzero(magnitude == magnitude.max())[0], j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def centred_landmark_kernel(model):
+    """The model's centred landmark kernel, computed in a new array."""
+    if model.gamma == 0.0:
+        k_mm = model.landmarks @ model.landmarks.T
+    else:
+        k_mm = kelm.rbf_kernel(cdist(model.landmarks, model.landmarks, "sqeuclidean"), model.gamma)
+    col_mean = k_mm.mean(axis=0)
+    return k_mm - col_mean[None, :] - col_mean[:, None] + float(k_mm.mean())
+
+
 def align_signs(a, reference):
     out = a.copy()
     for j in range(a.shape[1]):
@@ -399,6 +419,28 @@ def test_rank_message_reports_achievable():
         kpca_fit(x, n_components=2, gamma=0.0, landmark_count=10, seed=0)
 
 
+@pytest.mark.parametrize("rank, n_components, m", [(3, 5, 10), (4, 6, 40), (3, 10, 10)])
+def test_kpca_fit_rank_message_counts_inside_the_top_k(rank, n_components, m):
+    # only the top n_components eigenpairs are computed, and the count among
+    # them is the full spectrum's, also when they are all m of them
+    x = np.zeros((m, 3 + rank))
+    x[:, :rank] = np.random.default_rng(rank).normal(size=(m, rank))  # rank-`rank` data
+    with pytest.raises(NumericalError, match=f"achievable n_components={rank}$"):
+        kpca_fit(x, n_components=n_components, gamma=0.0, landmark_count=m, seed=0)
+
+
+def test_kpca_fit_rank_message_when_every_component_is_asked_for():
+    # the centred kernel always has the null vector of ones: m - 1 at most
+    x = np.random.default_rng(3).normal(size=(30, 5))
+    with parallel.single_threaded_blas():
+        eigenvalues = eigh(centred_landmark_kernel(kpca_fit(x, 2, 0.5, 30, seed=0)),
+                           eigvals_only=True)
+    achievable = int(np.sum(eigenvalues > eigenvalues[-1] * mstv._EIG_RTOL))
+    assert achievable == 29
+    with pytest.raises(NumericalError, match="achievable n_components=29$"):
+        kpca_fit(x, n_components=30, gamma=0.5, landmark_count=30, seed=0)
+
+
 def test_two_cluster_separation():
     x = np.vstack([np.tile([0.0, 0.0], (5, 1)), np.tile([3.0, 1.0], (5, 1))])
     model = kpca_fit(x, n_components=1, gamma=1.0, landmark_count=10, seed=0)
@@ -415,6 +457,69 @@ def test_eigenvalues_positive_descending():
     assert np.all(np.diff(model.eigenvalues) <= 0)
 
 
+def near_equal_spectrum(m, gap, count=8):
+    """m rows whose centred linear kernel has the eigenvalues 1 + j·gap, j =
+    count - 1 .. 0, and m - count zeros: the kept components and the first
+    dropped one are all within (count - 1)·gap of each other."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(m, count)))
+    q, _ = np.linalg.qr(q - q.mean(axis=0))  # orthonormal columns orthogonal to the ones
+    return q * np.sqrt(1.0 + gap * np.arange(count)[::-1])
+
+
+# (x, n_components, gamma, landmark count, eigenvalue and eigenvector tolerance).
+# The worst differences measured, on the default OpenBLAS kernels and on
+# OPENBLAS_CORETYPE=Prescott, were 1.2e-15 relative for the eigenvalues, 7.4e-14
+# for the vectors and 8.2e-13 for the vectors at the 1e-6 gap (they grow as
+# 1 / gap: 3.1e-10 at a 1e-8 gap). Each tolerance is 80 to 135 times those.
+TOP_K_CASES = {
+    "rbf": (np.random.default_rng(9).normal(size=(2000, 6)), 20, 0.5, 400, 1e-13, 1e-11),
+    "unit-range": (np.random.default_rng(10).uniform(size=(1200, 60)), 20, 1 / 60, 1000,
+                   1e-13, 1e-11),
+    "all-but-the-null-vector": (np.random.default_rng(4).normal(size=(30, 5)), 29, 0.5, 30,
+                                1e-13, 1e-11),
+    "near-equal": (near_equal_spectrum(60, 1e-6), 5, 0.0, 60, 1e-13, 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", TOP_K_CASES)
+def test_kpca_fit_top_k_matches_the_full_spectrum(case):
+    x, n_components, gamma, m, eig_tol, vec_tol = TOP_K_CASES[case]
+    model = kpca_fit(x, n_components, gamma, m, seed=0)
+    with parallel.single_threaded_blas():
+        eigenvalues, eigenvectors = eigh(centred_landmark_kernel(model))
+    want_values = eigenvalues[::-1][:n_components]
+    want_vectors = eigenvectors[:, ::-1][:, :n_components]
+    assert np.max(np.abs(model.eigenvalues - want_values)) <= eig_tol * want_values[0]
+    vectors = model.coeffs * np.sqrt(model.eigenvalues)
+    assert np.max(np.abs(align_signs(vectors, want_vectors) - want_vectors)) <= vec_tol
+
+
+@pytest.mark.parametrize("case", TOP_K_CASES)
+def test_kpca_fit_sign_convention_holds_for_every_component(case):
+    x, n_components, gamma, m, _, _ = TOP_K_CASES[case]
+    coeffs = kpca_fit(x, n_components, gamma, m, seed=0).coeffs
+    assert np.array_equal(signed_by_largest_entry(coeffs), coeffs)
+    first_largest = np.argmax(np.abs(coeffs), axis=0)
+    assert np.all(coeffs[first_largest, np.arange(n_components)] > 0)
+
+
+def test_kpca_fit_sign_convention_breaks_a_tie_toward_the_first_row():
+    # two landmarks: the one component is ±(1, -1) / sqrt(2), entries of equal magnitude
+    model = kpca_fit(np.array([[0.0], [1.0]]), 1, 1.0, 2, seed=0)
+    column = model.coeffs[:, 0] * np.sqrt(model.eigenvalues[0])
+    assert abs(column[0]) == abs(column[1]) and column[0] > 0 > column[1]
+
+
+def test_kpca_fit_rejects_eigenvalues_tied_across_the_cut():
+    # at this gamma every off-diagonal kernel entry is below 1e-50: the centred
+    # kernel's top m - 1 eigenvalues all round to 1, the kept components are
+    # not determined, and LAPACK's bisection finds fewer than asked
+    x = np.random.default_rng(13).uniform(size=(1000, 60))
+    with pytest.raises(NumericalError, match="eigenvalues are tied across component 5$"):
+        kpca_fit(x, n_components=5, gamma=40.0, landmark_count=300, seed=0)
+
+
 def test_kpca_fit_centres_the_landmark_kernel_in_place():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2000, 6))
@@ -426,17 +531,16 @@ def test_kpca_fit_centres_the_landmark_kernel_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the kernel, factored in place, and the eigenvectors; a copy for eigh or
-    # a centred copy would make 3·m²
-    assert peak < 2.5 * 8 * m * m
-    # the same bits as centring a copy, in the same operation order
-    k_mm = kelm.rbf_kernel(cdist(model.landmarks, model.landmarks, "sqeuclidean"), 0.5)
-    col_mean = k_mm.mean(axis=0)
-    centered = k_mm - col_mean[None, :] - col_mean[:, None] + float(k_mm.mean())
+    # the kernel, factored in place, and eigh's workspace; the m x m eigenvector
+    # matrix would make about 2·m², a copy for eigh or a centred copy one more m²
+    assert peak < 1.5 * 8 * m * m
+    # the same bits as centring a copy, in the same operation order, and the same
+    # top-k call and sign convention
     with parallel.single_threaded_blas():
-        eigenvalues, eigenvectors = eigh(centered)
-    assert np.array_equal(model.eigenvalues, eigenvalues[::-1][:4])
-    assert np.array_equal(model.coeffs, eigenvectors[:, ::-1][:, :4] / np.sqrt(model.eigenvalues))
+        eigenvalues, eigenvectors = eigh(centred_landmark_kernel(model), subset_by_index=[m - 4, m - 1])
+    assert np.array_equal(model.eigenvalues, eigenvalues[::-1])
+    want = signed_by_largest_entry(eigenvectors[:, ::-1]) / np.sqrt(model.eigenvalues)
+    assert np.array_equal(model.coeffs, want)
 
 
 def test_kpca_reduce_shapes_and_determinism():
@@ -504,6 +608,25 @@ def test_kpca_transform_blocks_bit_equal_to_serial_blocks(cpus, gamma, m):
     x = rng.normal(size=(m, 6))
     got = kpca_transform(model, x)
     assert got.shape == (m, 4) and np.array_equal(got, _serial_block_transform(model, x))
+
+
+@pytest.mark.parametrize("gamma, skipped", [(1 / 60, True), (20.0, False)])
+def test_kpca_transform_skips_the_floor_pass_only_where_it_cannot_fire(floor_passes, monkeypatch,
+                                                                        gamma, skipped):
+    # 60 unit-range bands, as the smoothing stack, spread along one line so
+    # that the kernel has entries at every scale; at gamma 1 / 60, as
+    # kpca_reduce sets it, the distance bound shows that the floor cannot
+    # fire, at 20 it fires on the farthest pairs
+    rng = np.random.default_rng(13)
+    x = rng.uniform(size=(2 * parallel.BLOCK_ROWS + 7, 1)) * rng.uniform(size=60)
+    model = kpca_fit(x, n_components=5, gamma=gamma, landmark_count=300, seed=0)
+    floor_passes.clear()
+    got = kpca_transform(model, x)
+    assert len(floor_passes) == 3 and all(s == skipped for s, _ in floor_passes)
+    assert all(fired != skipped for _, fired in floor_passes)
+    monkeypatch.setattr(kelm, "sq_dist_bound", lambda a, b: np.inf)  # the pass on every block
+    assert np.array_equal(got, kpca_transform(model, x))
+    assert len(floor_passes) == 6 and not any(s for s, _ in floor_passes[3:])
 
 
 def test_kpca_transform_linear_blocks_match_one_product():
