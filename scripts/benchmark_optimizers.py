@@ -1,7 +1,10 @@
 """Compare the sparrow-style optimizer with the plain PSO baseline on
 box-constrained benchmarks under an equal population/iteration budget.
 The sphere and rastrigin also run shifted (``+2.5``), with the optimum away
-from the origin at 2.5 in every coordinate.
+from the origin at 2.5 in every coordinate. The rows marked ``@shift<k>``
+move the optimum by a seeded random vector instead, and ``@rot<k>`` also
+rotates the rastrigin about it, so that no row rewards a pull toward the
+origin or along the diagonal.
 
     python scripts/benchmark_optimizers.py [--dim 10] [--iters 200] [--seeds 20]
 """
@@ -25,26 +28,52 @@ def rastrigin(x):
     return float(10.0 * x.size + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x)))
 
 
-def shifted(fn):
-    """``fn`` with its optimum moved from the origin to 2.5 in every coordinate.
-
-    An optimizer drawn toward the origin gains nothing from it, but the
-    point lies on the diagonal that SSA's better-half joiner step moves
-    along (it adds one scalar to every coordinate), so SSA still gains from
-    that. Under a seeded random shift in [-2.5, 2.5]^10 the sphere medians
-    (10-D, 30x200, 20 seeds, two shift seeds) were SSA 1.7e-3 and 2.0e-3
-    against PSO 1.3e-5 and 2.6e-5.
-    """
-    return lambda x: fn(x - 2.5)
+BOX, RASTRIGIN_BOX = (-5.0, 5.0), (-5.12, 5.12)
+SHIFT_SEEDS = (0, 1)
+ROTATION_SEEDS = (0,)
 
 
-BENCHMARKS = {
-    "sphere": (sphere, (-5.0, 5.0)),
-    "sphere+2.5": (shifted(sphere), (-5.0, 5.0)),
-    "rosenbrock": (rosenbrock, (-5.0, 5.0)),
-    "rastrigin": (rastrigin, (-5.12, 5.12)),
-    "rastrigin+2.5": (shifted(rastrigin), (-5.12, 5.12)),
-}
+def random_shift(dim: int, seed: int) -> np.ndarray:
+    """A seeded offset, uniform in [-2.5, 2.5]^dim: its coordinates differ, so
+    the moved optimum lies neither at the origin nor on the diagonal."""
+    return np.random.default_rng(seed).uniform(-2.5, 2.5, size=dim)
+
+
+def random_rotation(dim: int, seed: int) -> np.ndarray:
+    """A seeded orthogonal matrix: Q of the QR factors of a seeded standard
+    normal matrix, each column's sign fixed so that R's diagonal is positive,
+    which makes Q the one factor of that matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def moved(fn, shift, rotation: np.ndarray | None = None):
+    """``fn`` at ``rotation @ (x - shift)``: its optimum moves by ``shift``."""
+    if rotation is None:
+        return lambda x: fn(x - shift)
+    return lambda x: fn(rotation @ (x - shift))
+
+
+def benchmarks(dim: int) -> dict:
+    """Name -> (function, (lower, upper)) for every row of the table."""
+    # +2.5 takes away the origin's pull, but (2.5, ..., 2.5) lies on the
+    # diagonal that SSA's better-half joiner step moves along (it adds one
+    # scalar to every coordinate); the seeded shifts below take away both
+    rows = {
+        "sphere": (sphere, BOX),
+        "sphere+2.5": (moved(sphere, 2.5), BOX),
+        "rosenbrock": (rosenbrock, BOX),
+        "rastrigin": (rastrigin, RASTRIGIN_BOX),
+        "rastrigin+2.5": (moved(rastrigin, 2.5), RASTRIGIN_BOX),
+    }
+    for name, fn, box in (("sphere", sphere, BOX), ("rosenbrock", rosenbrock, BOX),
+                          ("rastrigin", rastrigin, RASTRIGIN_BOX)):
+        for k in SHIFT_SEEDS:
+            rows[f"{name}@shift{k}"] = (moved(fn, random_shift(dim, k)), box)
+    for k in ROTATION_SEEDS:
+        rows[f"rastrigin@rot{k}"] = (moved(rastrigin, random_shift(dim, k), random_rotation(dim, k)),
+                                     RASTRIGIN_BOX)
+    return rows
 
 
 def main():
@@ -57,14 +86,14 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'benchmark':<14} {'optimizer':<6} {'median':>12} {'best':>12} {'worst':>12}")
-    for name, (fn, (lo, hi)) in BENCHMARKS.items():
+    print(f"{'benchmark':<18} {'optimizer':<6} {'median':>12} {'best':>12} {'worst':>12}")
+    for name, (fn, (lo, hi)) in benchmarks(args.dim).items():
         configs = [ssa.SwarmConfig(lower=np.full(args.dim, lo), upper=np.full(args.dim, hi),
                                    pop_size=args.pop, max_iter=args.iters, seed=seed)
                    for seed in range(args.seeds)]
         for label, minimize in (("ssa", ssa.optimize), ("pso", pso.pso_minimize)):
-            finals = [minimize(fn, cfg).best_fit for cfg in configs]
-            print(f"{name:<14} {label:<6} {np.median(finals):>12.3e} "
+            finals = [minimize(fn, cfg).best_fitness for cfg in configs]
+            print(f"{name:<18} {label:<6} {np.median(finals):>12.3e} "
                   f"{min(finals):>12.3e} {max(finals):>12.3e}")
             rows.extend((name, label, seed, value) for seed, value in enumerate(finals))
     if args.csv:

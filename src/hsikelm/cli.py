@@ -86,14 +86,15 @@ def _cmd_tune(args) -> int:
     config = _config_from_args(args)
     labels, split, train_y, fold_of = load_and_split(config, tune=True)
     train_x = build_features(config, labels)[split.train_idx]
-    result = ssa.tune_kelm(train_x, train_y, config.ssa.swarm(config.seed), fold_of)
+    result = ssa.tune_kelm(train_x, train_y, config.ssa, config.seed, fold_of)
+    chosen = ssa.hyperparams(result.best_pos)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "chosen_hyperparams.json").write_text(
-        json.dumps({"c": result.hyper.c, "gamma": result.hyper.gamma}, sort_keys=True) + "\n"
+        json.dumps({"c": chosen.c, "gamma": chosen.gamma}, sort_keys=True) + "\n"
     )
-    ssa.write_trace_csv(out_dir / TRACE_NAME, result.trace_best, result.trace_mean)
-    print(f"chosen c={result.hyper.c:.6g} gamma={result.hyper.gamma:.6g} "
+    ssa.write_trace_csv(out_dir / TRACE_NAME, result)
+    print(f"chosen c={chosen.c:.6g} gamma={chosen.gamma:.6g} "
           f"fitness={result.best_fitness:.6g} folds={config.folds}")
     return 0
 

@@ -16,21 +16,12 @@ NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1),
 MAX_CODE = 255
 
 
-def _band_codes(band: np.ndarray) -> np.ndarray:
-    padded = np.pad(band, 1, mode="edge")
-    h, w = band.shape
-    codes = np.zeros((h, w), dtype=np.uint8)
-    for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-        codes |= (neighbor >= band).astype(np.uint8) << bit
-    return codes
-
-
 def lbp_features(cube: np.ndarray) -> np.ndarray:
     """Pixels-by-bands float64 matrix of codes scaled to [0, 1] by MAX_CODE."""
     h, w, b = cube.shape
-    out = np.empty((h * w, b), dtype=np.float64)
-    for band in range(b):
-        out[:, band] = _band_codes(cube[:, :, band]).ravel()
-    out /= MAX_CODE
-    return out
+    padded = np.pad(cube, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    codes = np.zeros((h, w, b), dtype=np.uint8)
+    for bit, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+        codes |= (neighbor >= cube).astype(np.uint8) << bit
+    return codes.reshape(h * w, b) / MAX_CODE

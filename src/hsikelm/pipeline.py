@@ -365,8 +365,8 @@ def run_full(config: PipelineConfig) -> RunReport:
         chosen = config.fixed_hyperparams
     else:
         with _stage("tune", timings):
-            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa.swarm(config.seed), fold_of)
-            chosen = tune_result.hyper
+            tune_result = ssa.tune_kelm(train_x, train_y, config.ssa, config.seed, fold_of)
+            chosen = ssa.hyperparams(tune_result.best_pos)
 
     with _stage("train", timings):
         model = kelm.train(train_x, train_y, chosen)
@@ -382,7 +382,7 @@ def run_full(config: PipelineConfig) -> RunReport:
         render_map(pred_map, out_dir / MAP_NAME)
         trace_path = None
         if tune_result is not None:
-            ssa.write_trace_csv(out_dir / TRACE_NAME, tune_result.trace_best, tune_result.trace_mean)
+            ssa.write_trace_csv(out_dir / TRACE_NAME, tune_result)
             trace_path = TRACE_NAME
 
     stage_s = timings[TIMES_KEY]

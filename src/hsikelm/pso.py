@@ -7,24 +7,16 @@ box bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ssa import SwarmConfig, batch_fitness
+from .ssa import SearchResult, SwarmConfig, batch_fitness
 
 INERTIA_START, INERTIA_END = 0.9, 0.4
 COGNITIVE = SOCIAL = 2.0
 
 
-@dataclass(frozen=True)
-class PsoResult:
-    best_pos: np.ndarray
-    best_fit: float
-    trace_best: list[float]
-
-
-def pso_minimize(obj, cfg: SwarmConfig) -> PsoResult:
+def pso_minimize(obj, cfg: SwarmConfig) -> SearchResult:
+    """The trace's mean is that of the personal-best fitness, PSO's retained population."""
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.pop_size, cfg.dim
     span = cfg.upper - cfg.lower
@@ -36,7 +28,7 @@ def pso_minimize(obj, cfg: SwarmConfig) -> PsoResult:
     g = int(np.argmin(fit))
     gbest = pos[g].copy()
     gbest_fit = float(fit[g])
-    trace = []
+    trace_best, trace_mean = [], []
     for t in range(cfg.max_iter):
         w = INERTIA_START + (INERTIA_END - INERTIA_START) * t / max(cfg.max_iter - 1, 1)
         r1 = rng.uniform(size=(n, d))
@@ -52,5 +44,6 @@ def pso_minimize(obj, cfg: SwarmConfig) -> PsoResult:
         if pbest_fit[g] < gbest_fit:
             gbest_fit = float(pbest_fit[g])
             gbest = pbest[g].copy()
-        trace.append(gbest_fit)
-    return PsoResult(best_pos=gbest, best_fit=gbest_fit, trace_best=trace)
+        trace_best.append(gbest_fit)
+        trace_mean.append(float(pbest_fit.mean()))
+    return SearchResult(gbest, gbest_fit, trace_best, trace_mean)

@@ -124,10 +124,25 @@ class SsaState:
     fitness: np.ndarray  # (n,)
     candidates: np.ndarray  # (n, d) proposals for the running iteration
     cand_fitness: np.ndarray  # (n,)
-    best_pos: np.ndarray
+    best_pos: np.ndarray  # the earliest retained row that reached best_fit
     best_fit: float
-    worst_pos: np.ndarray
-    worst_fit: float
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """What an SSA or PSO search (and so a tune) returns: the best position
+    and its fitness, and per iteration the best fitness so far and the mean
+    fitness of the retained population (PSO's personal bests)."""
+
+    best_pos: np.ndarray
+    best_fitness: float
+    trace_best: list[float]
+    trace_mean: list[float]
+
+
+def hyperparams(z) -> kelm.KelmHyperparams:
+    """The KELM's (C, gamma) at the position z = (log10 C, log10 gamma)."""
+    return kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
 
 
 def _phase_rng(seed: int, iteration: int, phase: int) -> np.random.Generator:
@@ -147,7 +162,6 @@ def init_state(obj, cfg: SwarmConfig) -> SsaState:
     pos = cfg.lower + (cfg.upper - cfg.lower) * rng.uniform(size=(cfg.pop_size, cfg.dim))
     fit = batch_fitness(obj, pos)
     best = int(np.argmin(fit))
-    worst = int(np.argmax(fit))
     return SsaState(
         positions=pos,
         fitness=fit,
@@ -155,8 +169,6 @@ def init_state(obj, cfg: SwarmConfig) -> SsaState:
         cand_fitness=fit.copy(),
         best_pos=pos[best].copy(),
         best_fit=float(fit[best]),
-        worst_pos=pos[worst].copy(),
-        worst_fit=float(fit[worst]),
     )
 
 
@@ -188,11 +200,12 @@ def update_joiners(state: SsaState, cfg: SwarmConfig, rng) -> np.ndarray:
     producers, joiners = order[:n_producers], order[n_producers:]
     best_producer = producers[int(np.argmin(state.cand_fitness[producers]))]
     d_f = state.candidates[best_producer]
+    worst = int(np.argmax(state.fitness))
     for rank0, i in enumerate(joiners, start=n_producers):
         c = rank0 + 1
         if c > n / 2:
             q = rng.standard_normal()
-            cand = q * np.exp((state.worst_pos - state.positions[i]) / (c * c))
+            cand = q * np.exp((state.positions[worst] - state.positions[i]) / (c * c))
         else:
             signs = rng.integers(0, 2, size=d) * 2 - 1
             step = float(np.abs(state.positions[i] - d_f) @ signs) / d
@@ -207,21 +220,22 @@ def update_scouts(state: SsaState, cfg: SwarmConfig, rng) -> np.ndarray:
     moved rows."""
     n, d = state.positions.shape
     rows = rng.permutation(n)[: scout_count(cfg.pop_size)]
+    worst = int(np.argmax(state.fitness))
     for i in rows:
         if state.fitness[i] > state.best_fit:
             v = rng.standard_normal(d)
             cand = state.best_pos + v * np.abs(state.positions[i] - state.best_pos)
         else:
             o = rng.uniform(-1.0, 1.0)
-            gap = np.abs(state.positions[i] - state.worst_pos)
-            cand = state.positions[i] + o * (gap / ((state.fitness[i] - state.worst_fit) + DELTA))
+            gap = np.abs(state.positions[i] - state.positions[worst])
+            cand = state.positions[i] + o * (gap / ((state.fitness[i] - state.fitness[worst]) + DELTA))
         state.candidates[i] = _clip(cand, cfg)
     return rows
 
 
 def greedy_replace(state: SsaState) -> None:
     """Keep each candidate only if it strictly improves, then refresh the
-    best-so-far and current-worst trackers."""
+    best-so-far."""
     improved = state.cand_fitness < state.fitness
     state.positions[improved] = state.candidates[improved]
     state.fitness[improved] = state.cand_fitness[improved]
@@ -229,9 +243,6 @@ def greedy_replace(state: SsaState) -> None:
     if state.fitness[b] < state.best_fit:
         state.best_fit = float(state.fitness[b])
         state.best_pos = state.positions[b].copy()
-    w = int(np.argmax(state.fitness))
-    state.worst_fit = float(state.fitness[w])
-    state.worst_pos = state.positions[w].copy()
 
 
 def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
@@ -258,15 +269,7 @@ def batch_fitness(obj, positions: np.ndarray) -> np.ndarray:
     return fit
 
 
-@dataclass(frozen=True)
-class SsaResult:
-    best_pos: np.ndarray
-    best_fit: float
-    trace_best: list[float]
-    trace_mean: list[float]
-
-
-def optimize(obj, cfg: SwarmConfig) -> SsaResult:
+def optimize(obj, cfg: SwarmConfig) -> SearchResult:
     """Run the full loop: init, role updates, greedy replacement.
 
     Deterministic for a fixed config seed.
@@ -284,18 +287,13 @@ def optimize(obj, cfg: SwarmConfig) -> SsaResult:
         greedy_replace(state)
         trace_best.append(state.best_fit)
         trace_mean.append(float(state.fitness.mean()))
-    return SsaResult(
-        best_pos=state.best_pos.copy(),
-        best_fit=state.best_fit,
-        trace_best=trace_best,
-        trace_mean=trace_mean,
-    )
+    return SearchResult(state.best_pos.copy(), state.best_fit, trace_best, trace_mean)
 
 
-def write_trace_csv(path, trace_best, trace_mean) -> None:
+def write_trace_csv(path, result: SearchResult) -> None:
     """CSV convergence trace: iteration, best fitness, population mean."""
     lines = ["iteration,best_fit,mean_fit"]
-    for i, (b, m) in enumerate(zip(trace_best, trace_mean), start=1):
+    for i, (b, m) in enumerate(zip(result.trace_best, result.trace_mean), start=1):
         lines.append(f"{i},{b!r},{m!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -393,7 +391,7 @@ def cv_objective(train_x, train_labels, fold_of):
     workspaces = []
 
     def objective(z):
-        hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
+        hyper = hyperparams(z)
         scale = -hyper.gamma
         lowest = d_max * scale  # no exponent lies below this
         errors = []
@@ -424,23 +422,8 @@ def cv_objective(train_x, train_labels, fold_of):
     return objective
 
 
-@dataclass(frozen=True)
-class TuneResult:
-    hyper: kelm.KelmHyperparams
-    best_fitness: float
-    trace_best: list[float]
-    trace_mean: list[float]
-
-
-def tune_kelm(train_x, train_labels, cfg: SwarmConfig, fold_of) -> TuneResult:
-    """Search (log10 C, log10 gamma) minimizing ``cv_objective`` on the folds ``fold_of``."""
-    if cfg.dim != 2:
-        raise ConfigError(f"tuning expects 2-D bounds (log10 C, log10 gamma), got {cfg.dim}-D")
-    result = optimize(cv_objective(train_x, train_labels, fold_of), cfg)
-    hyper = kelm.KelmHyperparams(c=10.0 ** result.best_pos[0], gamma=10.0 ** result.best_pos[1])
-    return TuneResult(
-        hyper=hyper,
-        best_fitness=result.best_fit,
-        trace_best=result.trace_best,
-        trace_mean=result.trace_mean,
-    )
+def tune_kelm(train_x, train_labels, tuning: TuningConfig, seed: int, fold_of) -> SearchResult:
+    """Search (log10 C, log10 gamma) in the box ``tuning`` gives, minimizing
+    ``cv_objective`` on the folds ``fold_of``; ``hyperparams(result.best_pos)``
+    is the chosen (C, gamma)."""
+    return optimize(cv_objective(train_x, train_labels, fold_of), tuning.swarm(seed))

@@ -107,7 +107,7 @@ def sphere_benchmark():
         for seed in range(20):
             cfg = ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30, max_iter=200, seed=seed)
             result = ssa.optimize(sphere, cfg)
-            finals.append(result.best_fit)
+            finals.append(result.best_fitness)
             traces.append(result.trace_best)
     elapsed = time.perf_counter() - start
     violations = worst_violation[0]
@@ -215,17 +215,17 @@ def test_criterion_05_ssa_beats_pso_fixture(sphere_benchmark):
     ssa_sphere = float(np.median(sphere_benchmark["finals"]))
     ssa_rosen = float(np.median([
         ssa.optimize(rosenbrock, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
-                                                 max_iter=200, seed=seed)).best_fit
+                                                 max_iter=200, seed=seed)).best_fitness
         for seed in range(20)
     ]))
     pso_sphere = float(np.median([
         pso.pso_minimize(sphere, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
-                                                 max_iter=200, seed=seed)).best_fit
+                                                 max_iter=200, seed=seed)).best_fitness
         for seed in range(20)
     ]))
     pso_rosen = float(np.median([
         pso.pso_minimize(rosenbrock, ssa.SwarmConfig(lower=lo, upper=hi, pop_size=30,
-                                                     max_iter=200, seed=seed)).best_fit
+                                                     max_iter=200, seed=seed)).best_fitness
         for seed in range(20)
     ]))
     ok = ssa_sphere <= pso_sphere and ssa_rosen <= pso_rosen

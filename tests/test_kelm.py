@@ -470,6 +470,52 @@ def test_permutation_equivariance():
     assert np.allclose(base, permuted, atol=1e-10)
 
 
+def _five_class_clusters(seed, n=400, m=300, d=6):
+    """n training samples of 5 classes, two clusters each, and m queries near the clusters."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 2.0, size=(10, d))
+    cluster = np.arange(n) % 10
+    x = centres[cluster] + 0.3 * rng.normal(size=(n, d))
+    q = centres[np.arange(m) % 10] + 0.4 * rng.normal(size=(m, d))
+    return x, cluster % 5 + 1, q
+
+
+# Over 40 permutations on each of fixture seeds 0-3 the scores moved by at
+# most 2.6e-14 at (log10 C, log10 gamma) = (1, 0) and 4.4e-12 at the box's
+# largest C, (4, 0), where Omega + I/C is worst conditioned: the order of the
+# samples changes the rounding of the Cholesky factor, not the system. The
+# tolerances are about 10 times those.
+@pytest.mark.parametrize("log10_c, log10_gamma, tol", [(1.0, 0.0, 3e-13), (4.0, 0.0, 5e-11)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scores_invariant_to_the_order_of_the_training_samples(seed, log10_c, log10_gamma, tol):
+    x, y, q = _five_class_clusters(seed)
+    hyper = KelmHyperparams(c=10.0 ** log10_c, gamma=10.0 ** log10_gamma)
+    scores, labels = predict(train(x, y, hyper), q)
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(5):
+        p = rng.permutation(y.size)
+        permuted, permuted_labels = predict(train(x[p], y[p], hyper), q)
+        np.testing.assert_allclose(permuted, scores, rtol=0, atol=tol)
+        assert np.array_equal(permuted_labels, labels)
+
+
+@pytest.mark.parametrize("log10_c, log10_gamma", [(1.0, 0.0), (4.0, 0.0), (-2.0, -1.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relabeling_the_classes_permutes_the_score_columns_exactly(seed, log10_c, log10_gamma):
+    """Class k renamed sigma(k): the one-hot column of sigma(k) is the old column
+    of k, so its scores are that column's, bit for bit, and each predicted label
+    is renamed the same way."""
+    x, y, q = _five_class_clusters(seed)
+    hyper = KelmHyperparams(c=10.0 ** log10_c, gamma=10.0 ** log10_gamma)
+    scores, labels = predict(train(x, y, hyper), q)
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(3):
+        sigma = rng.permutation(5) + 1  # class k becomes sigma[k - 1]
+        renamed, renamed_labels = predict(train(x, sigma[y - 1], hyper), q)
+        assert np.array_equal(renamed[:, sigma - 1], scores)
+        assert np.array_equal(renamed_labels, sigma[labels - 1])
+
+
 def test_omega_symmetry_and_regularized_spectrum():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(20, 3))

@@ -14,7 +14,7 @@ def test_sphere_convergence():
     cfg = SwarmConfig(lower=np.full(5, -5.0), upper=np.full(5, 5.0),
                       pop_size=20, max_iter=100, seed=0)
     result = pso_minimize(sphere, cfg)
-    assert result.best_fit < 1e-2
+    assert result.best_fitness < 1e-2
     assert all(a >= b for a, b in zip(result.trace_best, result.trace_best[1:]))
 
 
@@ -47,7 +47,8 @@ def test_nan_objective_aborts():
 def textbook_pso(obj, lower, upper, pop_size, max_iter, seed):
     """Global-best PSO written particle by particle: inertia 0.9 -> 0.4, both
     acceleration coefficients 2.0, velocity clamped to the box span, positions
-    clipped to the box; the same generator draws as ``pso_minimize``."""
+    clipped to the box; the same generator draws as ``pso_minimize``. Per
+    iteration it traces the best fitness and the mean personal-best fitness."""
     rng = np.random.default_rng(seed)
     span = upper - lower
     x = lower + span * rng.uniform(size=(pop_size, lower.size))
@@ -55,7 +56,7 @@ def textbook_pso(obj, lower, upper, pop_size, max_iter, seed):
     pbest, pbest_fit = x.copy(), [obj(p) for p in x]
     g = int(np.argmin(pbest_fit))
     gbest, gbest_fit = x[g].copy(), pbest_fit[g]
-    trace = []
+    trace, means = [], []
     for t in range(max_iter):
         w = 0.9 + (0.4 - 0.9) * t / (max_iter - 1)
         r1 = rng.uniform(size=x.shape)
@@ -71,12 +72,14 @@ def textbook_pso(obj, lower, upper, pop_size, max_iter, seed):
         if pbest_fit[g] < gbest_fit:
             gbest, gbest_fit = pbest[g].copy(), pbest_fit[g]
         trace.append(gbest_fit)
-    return gbest, trace
+        means.append(float(np.mean(pbest_fit)))
+    return gbest, trace, means
 
 
 def test_update_rule_matches_textbook_oracle():
     lo, hi = np.full(3, -5.0), np.full(3, 5.0)
     result = pso_minimize(sphere, SwarmConfig(lower=lo, upper=hi, pop_size=6, max_iter=5, seed=1))
-    best_pos, trace = textbook_pso(sphere, lo, hi, pop_size=6, max_iter=5, seed=1)
-    assert result.trace_best == trace
+    best_pos, trace, means = textbook_pso(sphere, lo, hi, pop_size=6, max_iter=5, seed=1)
+    assert result.trace_best == trace and result.best_fitness == trace[-1]
+    assert result.trace_mean == means
     assert np.array_equal(result.best_pos, best_pos)

@@ -37,7 +37,7 @@ from conftest import blas_env, clustered_samples, fast_config_dict
 def make_state(positions, fitness):
     pos = np.asarray(positions, dtype=float)
     fit = np.asarray(fitness, dtype=float)
-    b, w = int(np.argmin(fit)), int(np.argmax(fit))
+    b = int(np.argmin(fit))
     return SsaState(
         positions=pos,
         fitness=fit,
@@ -45,8 +45,6 @@ def make_state(positions, fitness):
         cand_fitness=fit.copy(),
         best_pos=pos[b].copy(),
         best_fit=float(fit[b]),
-        worst_pos=pos[w].copy(),
-        worst_fit=float(fit[w]),
     )
 
 
@@ -154,7 +152,7 @@ def test_config_validation():
 def test_constant_objective():
     cfg = SwarmConfig(lower=np.array([-1.0]), upper=np.array([1.0]), pop_size=5, max_iter=6, seed=0)
     result = optimize(lambda x: 7.0, cfg)
-    assert result.best_fit == 7.0
+    assert result.best_fitness == 7.0
     assert result.trace_best == [7.0] * 6
 
 
@@ -163,7 +161,7 @@ def test_quadratic_1d_statistics():
     for seed in range(10):
         cfg = SwarmConfig(lower=np.array([0.0]), upper=np.array([10.0]),
                           pop_size=30, max_iter=50, seed=seed)
-        finals.append(optimize(lambda x: float((x[0] - 3.0) ** 2), cfg).best_fit)
+        finals.append(optimize(lambda x: float((x[0] - 3.0) ** 2), cfg).best_fitness)
     assert np.median(finals) < 1e-4
 
 
@@ -293,7 +291,7 @@ def _three_loop_optimize(obj, cfg):
         ssa.greedy_replace(state)
         trace_best.append(state.best_fit)
         trace_mean.append(float(state.fitness.mean()))
-    return ssa.SsaResult(state.best_pos.copy(), state.best_fit, trace_best, trace_mean), replaced
+    return ssa.SearchResult(state.best_pos.copy(), state.best_fit, trace_best, trace_mean), replaced
 
 
 def _clipped_rastrigin(x):
@@ -318,7 +316,7 @@ def test_optimize_matches_three_loop_oracle(obj, seed):
     want, replaced = _three_loop_optimize(counted("oracle"), cfg)
     assert got.trace_best == want.trace_best
     assert got.trace_mean == want.trace_mean
-    assert np.array_equal(got.best_pos, want.best_pos) and got.best_fit == want.best_fit
+    assert np.array_equal(got.best_pos, want.best_pos) and got.best_fitness == want.best_fitness
     assert replaced > 0
     assert calls["new"] == calls["oracle"] - replaced
 
@@ -332,7 +330,7 @@ def test_degenerate_bounds_return_the_point():
 
 def test_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, [3.0, 1.0], [5.0, 2.5])
+    write_trace_csv(path, ssa.SearchResult(np.zeros(2), 1.0, [3.0, 1.0], [5.0, 2.5]))
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,best_fit,mean_fit"
     assert lines[1].startswith("1,3.0")
@@ -362,7 +360,7 @@ def _cv_objective(x, y, fold_of):
     class_ids = np.unique(y)
 
     def objective(z):
-        hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])
+        hyper = kelm.KelmHyperparams(c=10.0 ** z[0], gamma=10.0 ** z[1])  # not ssa.hyperparams: an oracle
         errors = []
         for f in np.unique(fold_of):
             held = fold_of == f
@@ -379,8 +377,7 @@ def _cv_objective(x, y, fold_of):
 
 def test_tune_kelm_separable_blobs():
     x, y = _blobs()
-    cfg = TuningConfig(pop_size=10, max_iter=8).swarm(0)
-    result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 3, seed=0))
+    result = tune_kelm(x, y, TuningConfig(pop_size=10, max_iter=8), 0, stratified_fold_ids(y, 3, seed=0))
     assert result.best_fitness < 0.05
     # independent grid oracle: a sub-0.05 region exists inside the same bounds
     objective = _cv_objective(x, y, stratified_fold_ids(y, 3, seed=0))
@@ -563,21 +560,15 @@ def test_cv_objective_rejects_fewer_than_two_folds(fold_of, monkeypatch):
         cv_objective(x, y, fold_of)
 
 
-def test_tune_kelm_rejects_bounds_other_than_2d(monkeypatch):
-    x, y = _blobs(n_per_class=4)
-    cfg = SwarmConfig(lower=np.zeros(3), upper=np.ones(3), pop_size=4, max_iter=2, seed=0)
-    monkeypatch.setattr(ssa, "optimize", lambda *a: pytest.fail("the search ran"))
-    with pytest.raises(ConfigError, match="tuning expects 2-D bounds .*, got 3-D"):
-        tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
+# the box of one point, (log10 C, log10 gamma) = (1, 0)
+_POINT_BOX = TuningConfig(pop_size=4, max_iter=2, log10_c_bounds=(1.0, 1.0), log10_gamma_bounds=(0.0, 0.0))
 
 
 def test_tune_kelm_residual_gate_fires_and_blas_threads_restored(monkeypatch, openblas_at_two_threads):
     x, y = _blobs(n_per_class=8, seed=3)
-    cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
-                      pop_size=4, max_iter=2, seed=0)
     monkeypatch.setattr(kelm, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="residual"):
-        tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
+        tune_kelm(x, y, _POINT_BOX, 0, stratified_fold_ids(y, 2, seed=0))
     assert [get() for _, get in openblas_at_two_threads] == [2] * len(openblas_at_two_threads)
 
 
@@ -587,7 +578,7 @@ from hsikelm.ssa import TuningConfig, stratified_fold_ids, tune_kelm
 rng = np.random.default_rng(5)
 y = np.repeat([1, 2, 3], 100)
 x = rng.normal(size=(y.size, 8)) + 0.4 * y[:, None]
-r = tune_kelm(x, y, TuningConfig(pop_size=4, max_iter=2).swarm(0), stratified_fold_ids(y, 2, 0))
+r = tune_kelm(x, y, TuningConfig(pop_size=4, max_iter=2), 0, stratified_fold_ids(y, 2, 0))
 print(" ".join(v.hex() for v in r.trace_best + r.trace_mean))
 """
 
@@ -679,11 +670,9 @@ def test_run_agrees_across_openblas_kernels(small_scene, tmp_path):
 
 def test_tune_kelm_degenerate_bounds():
     x, y = _blobs(n_per_class=6, seed=2)
-    cfg = SwarmConfig(lower=np.array([1.0, 0.0]), upper=np.array([1.0, 0.0]),
-                      pop_size=4, max_iter=2, seed=0)
-    result = tune_kelm(x, y, cfg, stratified_fold_ids(y, 2, seed=0))
-    assert result.hyper.c == 10.0
-    assert result.hyper.gamma == 1.0
+    result = tune_kelm(x, y, _POINT_BOX, 0, stratified_fold_ids(y, 2, seed=0))
+    assert np.array_equal(result.best_pos, [1.0, 0.0])
+    assert ssa.hyperparams(result.best_pos) == kelm.KelmHyperparams(c=10.0, gamma=1.0)
 
 
 def test_fold_ids_keep_the_configured_folds():
