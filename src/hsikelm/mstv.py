@@ -11,8 +11,10 @@ per-edge weights from the current estimate, then solves
 (I + lambda * L_w) s = g where L_w is the weighted 4-neighbor graph
 Laplacian. The window scale is halved each round (floored at 0.5), matching
 the standard solver for this objective. The system's pattern depends only on
-the image shape, so its fill-reducing elimination order is computed once per
-shape and every solve factors in that order.
+the image shape, so its fill-reducing elimination order and the pattern
+permuted into it are computed once per shape (``_rtv_plan``); a round
+computes the weights, gathers their values into that pattern and factors it
+as it stands.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.ndimage import gaussian_filter
-from scipy.sparse import diags
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spilu, splu
 from scipy.spatial.distance import cdist
 
@@ -123,11 +124,42 @@ def scale_bands_unit(cube: np.ndarray) -> np.ndarray:
     return min_max_scale(cube, axis=(0, 1)).astype(np.float32)
 
 
+def _correlate_columns(s, weights):
+    """Each column of s correlated with the symmetric ``weights`` of radius r,
+    the edge pixel repeated past the border, as ``scipy.ndimage.correlate1d``
+    forms each output: x * w0, then += (x[-j] + x[+j]) * wj for j = r .. 1."""
+    radius = weights.size // 2
+    n = s.shape[0]
+    padded = np.pad(s, ((radius, radius), (0, 0)), mode="edge")
+    out = s * weights[radius]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n], out=pair)
+        pair *= weights[radius - j]
+        out += pair
+    return out
+
+
+def _gaussian_window(s, sigma):
+    """``scipy.ndimage.gaussian_filter(s, sigma, mode="nearest", truncate=2.5)``
+    of the 2-D float64 array s, with the same bits: the same normalized
+    kernel of radius int(2.5 sigma + 0.5), axis 0 and then axis 1, each as
+    ``_correlate_columns``. At radius 0 the kernel is [1.0], and s itself is
+    returned."""
+    radius = int(2.5 * sigma + 0.5)
+    if radius == 0:
+        return s
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = phi / phi.sum()
+    return _correlate_columns(_correlate_columns(s, weights).T, weights).T
+
+
 def _texture_weights(s, sigma):
     fx = np.diff(s, axis=1, append=s[:, -1:])
     fy = np.diff(s, axis=0, append=s[-1:, :])
     point = 1.0 / np.maximum(np.sqrt(fx**2 + fy**2), EPSILON_S)
-    blurred = gaussian_filter(s, sigma, mode="nearest", truncate=2.5)
+    blurred = _gaussian_window(s, sigma)
     gfx = np.diff(blurred, axis=1, append=blurred[:, -1:])
     gfy = np.diff(blurred, axis=0, append=blurred[-1:, :])
     wx = point / np.maximum(np.abs(gfx), EPSILON_L)
@@ -137,54 +169,116 @@ def _texture_weights(s, sigma):
     return wx, wy
 
 
-def _rtv_system(wx, wy, lam):
-    """``I + lam * L_w`` in CSR, for the 4-neighbour Laplacian L_w whose edges
-    (p, p+1) and (p, p+w) weigh ``wx[p]`` and ``wy[p]`` (a zero weight leaves no
-    entry). A diagonal entry adds the pixel's weights right, left, down, up, then 1."""
-    h, w = wx.shape
-    right, down = lam * wx.ravel(), lam * wy.ravel()
-    diagonal = right.copy()
+def _rtv_values(wx, wy, lam):
+    """The entries of ``I + lam * L_w`` as one vector ``[diagonal, -right,
+    -down]`` of 3 h·w values, for the 4-neighbour Laplacian L_w whose edges
+    (p, p+1) and (p, p+w) weigh ``wx[p]`` and ``wy[p]``: -right[p] is the
+    entry of edge (p, p+1) and -down[p] that of edge (p, p+w), both ways. A
+    diagonal entry adds the pixel's weights right, left, down, up, then 1."""
+    w = wx.shape[1]
+    n = wx.size
+    values = np.empty(3 * n)
+    diagonal, right, down = values[:n], values[n : 2 * n], values[2 * n :]
+    np.multiply(lam, wx.ravel(), out=right)
+    np.multiply(lam, wy.ravel(), out=down)
+    diagonal[:] = right
     diagonal[1:] += right[:-1]  # left: right is 0 in the last column
     diagonal += down
     diagonal[w:] += down[:-w]  # up
     diagonal += 1.0
-    bands, offsets = [diagonal, -down[:-w], -down[:-w]], [0, w, -w]
-    if w > 1:  # at width 1 the offsets 1 and w coincide, and right is all 0
-        bands += [-right[:-1]] * 2
-        offsets += [1, -1]
-    return diags(bands, offsets, shape=(h * w, h * w), format="csr")
+    np.negative(right, out=right)
+    np.negative(down, out=down)
+    return values
 
 
-@functools.cache
+def _csc_pattern(h, w, order):
+    """The h x w RTV system permuted by ``order`` (its row and column i are
+    pixel ``order[i]``'s) as a sorted CSC pattern ``(indptr, indices)``, and
+    ``gather``, the index of each stored entry in ``_rtv_values``' vector.
+    An entry is stored for the diagonal and for each edge of the grid, also
+    where its weight is 0."""
+    n = h * w
+    pixel = np.arange(n)
+    right = pixel.reshape(h, w)[:, :-1].ravel()  # edges (p, p+1) inside a row
+    down = pixel[: n - w]  # edges (p, p+w)
+    rows = np.concatenate([pixel, right, right + 1, down, down + w])
+    cols = np.concatenate([pixel, right + 1, right, down + w, down])
+    gather = np.concatenate([pixel, n + right, n + right, 2 * n + down, 2 * n + down])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = pixel
+    i, j = rank[rows], rank[cols]
+    by_column = np.argsort(j * n + i)  # column-major, each column's rows ascending
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(j, minlength=n), out=indptr[1:])
+    return indptr, i[by_column].astype(np.int32), gather[by_column]
+
+
 def _rtv_order(h: int, w: int) -> np.ndarray:
     """The fill-reducing elimination order of the h x w RTV system: entry j is
     the pixel eliminated j-th. It is SuperLU's own minimum-degree order on
     A^T + A with its elimination-tree postorder, which roughly halves the fill
     against the default COLAMD. It depends only on the pattern, so one
     unit-weight system with ``_texture_weights``' zero last column and row
-    serves every solve of that shape. SuperLU computes the order before it
-    factors, so an incomplete LU that drops every entry it can gives the same
-    order as ``splu`` at a fraction of the time and memory. Read-only."""
+    stands for every system of that shape. SuperLU computes the order before
+    it factors, so an incomplete LU that drops every entry it can gives the
+    same order as ``splu`` at a fraction of the time and memory."""
     wx, wy = np.ones((h, w)), np.ones((h, w))
     wx[:, -1] = 0.0
     wy[-1, :] = 0.0
-    ilu = spilu(_rtv_system(wx, wy, 1.0).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                drop_tol=1.0, fill_factor=1.0)
-    order = np.argsort(ilu.perm_c)
-    order.setflags(write=False)
-    return order
+    indptr, indices, gather = _csc_pattern(h, w, np.arange(h * w))
+    unit = csc_matrix((_rtv_values(wx, wy, 1.0)[gather], indices, indptr), shape=(h * w, h * w))
+    ilu = spilu(unit, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0, fill_factor=1.0)
+    return np.argsort(ilu.perm_c)
 
 
-def spsolve(system, g: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Solve ``system @ x = g`` through the symmetric permutation
-    ``system[order][:, order]``, factored in that order as it stands. Any
-    permutation gives the same x; ``order`` decides only the fill."""
-    permuted = system[order][:, order]
-    # the CSR arrays read as CSC hold the transpose: factor it, solve transposed
-    lu = splu(permuted.T, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
-    x = np.empty_like(g)
-    x[order] = lu.solve(g[order], trans="T")
-    return x
+@dataclass(frozen=True)
+class RtvPlan:
+    """What every RTV solve of one image shape shares: the elimination order
+    (``_rtv_order``) and the system permuted into it as a sorted CSC pattern,
+    with the index of each stored entry in ``_rtv_values``' vector
+    (``_csc_pattern``). Every array is read-only."""
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+    def system(self):
+        """A CSC matrix of the permuted pattern, for ``spsolve`` to fill."""
+        n = self.order.size
+        return csc_matrix((np.empty(self.gather.size), self.indices, self.indptr), shape=(n, n))
+
+
+@functools.cache
+def _rtv_plan(h: int, w: int) -> RtvPlan:
+    """The plan of the h x w RTV system, computed once per shape."""
+    order = _rtv_order(h, w)
+    plan = RtvPlan(order, *_csc_pattern(h, w, order))
+    for array in (plan.order, plan.indptr, plan.indices, plan.gather):
+        array.setflags(write=False)
+    return plan
+
+
+def spsolve(system, values: np.ndarray, g: np.ndarray, plan: RtvPlan) -> np.ndarray:
+    """Solve the RTV system whose entries are ``values`` (``_rtv_values``) for
+    the right-hand side g, in the plan's order, and check the residual.
+    ``system`` is the plan's CSC matrix, whose data this overwrites: the
+    system permuted into the elimination order, factored in that order as it
+    stands. The order decides only the fill.
+
+    Raises NumericalError when the residual exceeds ``_SOLVE_TOL``."""
+    np.take(values, plan.gather, out=system.data)
+    lu = splu(system, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
+    rhs = g[plan.order]
+    # the pattern and the values are symmetric, so the CSC arrays are those of
+    # the permuted CSR system that SuperLU has always factored: solve transposed
+    x = lu.solve(rhs, trans="T")
+    residual = np.max(np.abs(system @ x - rhs))
+    if not np.isfinite(residual) or residual > _SOLVE_TOL * (1.0 + np.max(np.abs(g))):
+        raise NumericalError(f"smoothing solve failed, residual {residual:.3e}")
+    out = np.empty_like(g)
+    out[plan.order] = x
+    return out
 
 
 def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
@@ -199,15 +293,12 @@ def rtv_smooth(image: np.ndarray, params: RtvParams) -> np.ndarray:
     g = img.ravel()
     out = img.copy()
     sigma = params.sigma
-    order = _rtv_order(*img.shape)
+    plan = _rtv_plan(*img.shape)
+    system = plan.system()
     for _ in range(RTV_ROUNDS):
-        wx, wy = _texture_weights(out, sigma)
-        system = _rtv_system(wx, wy, params.lam)
-        sol = spsolve(system, g, order)
-        residual = np.max(np.abs(system @ sol - g))
-        if not np.isfinite(residual) or residual > _SOLVE_TOL * (1.0 + np.max(np.abs(g))):
-            raise NumericalError(f"smoothing solve failed, residual {residual:.3e}")
-        out = sol.reshape(img.shape)
+        # the weights die here, before the factor holds its fill
+        values = _rtv_values(*_texture_weights(out, sigma), params.lam)
+        out = spsolve(system, values, g, plan).reshape(img.shape)
         sigma = max(sigma / 2.0, 0.5)
     return out
 
@@ -219,15 +310,15 @@ def multiscale_stack(cube: np.ndarray, scales) -> np.ndarray:
     ``parallel.run_jobs`` (the sparse solver releases the GIL), with BLAS on one
     thread. Each pair writes only its own output band, so the result does
     not depend on the thread count. After a failure no further pair starts,
-    and the first failure in pair order is raised. The elimination order is
-    computed here, once, so that no two workers compute it.
+    and the first failure in pair order is raised. The plan of the shape
+    (``_rtv_plan``) is computed here, once, so that no two workers compute it.
     """
     scales = tuple(scales)
     if not scales:
         raise ConfigError("at least one smoothing scale is required")
     h, w, k = cube.shape
     out = np.empty((h, w, k * len(scales)), dtype=np.float32)
-    _rtv_order(h, w)
+    _rtv_plan(h, w)
 
     def smooth(j: int) -> None:
         out[:, :, j] = rtv_smooth(cube[:, :, j % k], scales[j // k])
@@ -271,7 +362,7 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
     eigenvalues exist (the message reports the achievable count), or when
     equal eigenvalues straddle the cut, so that the kept components are not
     determined and LAPACK finds fewer than asked. Only the landmark rows of x
-    are cast to float64.
+    are cast to float64, and a non-finite value in them is a DataError.
     """
     x = np.asarray(x)
     n = x.shape[0]
@@ -280,17 +371,22 @@ def kpca_fit(x: np.ndarray, n_components: int, gamma: float, landmark_count: int
         raise ConfigError(f"landmark count {m} < n_components {n_components}")
     rng = np.random.default_rng(seed)
     landmarks = x[rng.choice(n, size=m, replace=False)].astype(np.float64, copy=False)
+    if not np.all(np.isfinite(landmarks)):
+        raise DataError("non-finite value in KPCA input")
     # on one BLAS thread, so that the model's bits do not depend on the thread setting
     with parallel.single_threaded_blas():
         k_mm = _kernel(landmarks, landmarks, gamma)
         col_mean = k_mm.mean(axis=0)
         total_mean = float(k_mm.mean())
+        if not np.isfinite(total_mean):  # finite rows whose kernel overflowed
+            raise NumericalError("the landmark kernel overflows float64")
         # rows first, so that the F-order view k_mm.T, which eigh factors in place,
         # holds the bits of k - col_mean[None, :] - col_mean[:, None] + total_mean
         k_mm -= col_mean[:, None]
         k_mm -= col_mean[None, :]
         k_mm += total_mean
-        eigenvalues, eigenvectors = eigh(k_mm.T, overwrite_a=True,
+        # finite, as its mean is: no scan of it for eigh
+        eigenvalues, eigenvectors = eigh(k_mm.T, overwrite_a=True, check_finite=False,
                                          subset_by_index=[m - n_components, m - 1])
     lam = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
@@ -332,7 +428,8 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
     The rows are projected in blocks side by side (``parallel.run_row_blocks``),
     each block's kernel centered in place in its borrowed scratch, so the
     bits depend on neither the CPU count nor the BLAS thread setting. Each
-    block casts its own rows of x to float64. One bound of the squared
+    block casts its own rows of x to float64 and raises DataError on a
+    non-finite value among them. One bound of the squared
     distances (``kelm.sq_dist_bound``) serves every block.
     """
     x = np.asarray(x)
@@ -341,6 +438,8 @@ def kpca_transform(model: KpcaModel, x: np.ndarray) -> np.ndarray:
 
     def project_block(start, stop, kernel):
         rows = x[start:stop].astype(np.float64, copy=False)
+        if not np.all(np.isfinite(rows)):
+            raise DataError("non-finite value in KPCA input")
         _kernel(rows, model.landmarks, model.gamma, out=kernel, d_max=d_max)
         kernel -= kernel.mean(axis=1, keepdims=True)
         kernel -= model.col_mean

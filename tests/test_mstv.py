@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh
+from scipy.ndimage import gaussian_filter
 from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu, spsolve
 from scipy.spatial.distance import cdist
 
 from hsikelm import kelm, mstv, parallel
-from hsikelm.errors import ConfigError, NumericalError
+from hsikelm.errors import ConfigError, DataError, NumericalError
 from hsikelm.mstv import (
     MstvConfig,
     RtvParams,
@@ -28,7 +31,7 @@ from hsikelm.mstv import (
 )
 from hsikelm.pipeline import make_synthetic_cube
 
-from conftest import BLOCK_SIZES, row_blocks
+from conftest import BLOCK_SIZES, blas_env, row_blocks
 
 
 def tv_oracle(img):
@@ -227,14 +230,95 @@ def edge_list_system(wx, wy, lam):
     return identity(n, format="csr") + coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def permuted_edge_list_system(wx, wy, lam, order):
+    """``edge_list_system`` permuted by ``order`` in rows and columns, in
+    sorted CSC; a zero entry is not stored."""
+    system = edge_list_system(wx, wy, lam)[order][:, order].tocsc()
+    system.sort_indices()
+    return system
+
+
+def gathered_system(wx, wy, lam, plan):
+    """The plan's system as ``spsolve`` fills it with the values of (wx, wy, lam)."""
+    system = plan.system()
+    mstv.spsolve(system, mstv._rtv_values(wx, wy, lam), np.zeros(plan.order.size), plan)
+    return system
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (40, 56), (61, 34)])
-def test_rtv_system_bit_equal_to_edge_list_oracle(shape):
+def test_gathered_system_bit_equal_to_permuted_edge_list_oracle(shape):
     img = np.random.default_rng(shape[0] * shape[1]).uniform(size=shape)
     wx, wy = mstv._texture_weights(img, 2.0)
-    got = mstv._rtv_system(wx, wy, 0.005)
-    want = edge_list_system(wx, wy, 0.005)
+    plan = mstv._rtv_plan(*shape)
+    got = gathered_system(wx, wy, 0.005, plan)
+    want = permuted_edge_list_system(wx, wy, 0.005, plan.order)
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_rtv_plan_arrays_are_read_only():
+    plan = mstv._rtv_plan(7, 5)
+    for name in ("order", "indptr", "indices", "gather"):
+        array = getattr(plan, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def ndimage_window(s, sigma):
+    return gaussian_filter(s, sigma, mode="nearest", truncate=2.5)
+
+
+def assembled_rtv_smooth(img, params, monkeypatch):
+    """``rtv_smooth`` as it was before the plan: each round's system assembled
+    anew from the edge list with no zero entry stored (bit-equal to the
+    former ``diags`` assembly), permuted by two fancy-index passes, its CSR
+    arrays factored as CSC and solved transposed; the window from
+    ``scipy.ndimage``."""
+    g, out, sigma = img.ravel(), img.copy(), params.sigma
+    order = mstv._rtv_plan(*img.shape).order
+    with monkeypatch.context() as m:
+        m.setattr(mstv, "_gaussian_window", ndimage_window)
+        for _ in range(mstv.RTV_ROUNDS):
+            wx, wy = mstv._texture_weights(out, sigma)
+            permuted = edge_list_system(wx, wy, params.lam)[order][:, order]
+            lu = splu(permuted.T, permc_spec="NATURAL", panel_size=mstv.SUPERLU_PANEL_SIZE)
+            x = np.empty_like(g)
+            x[order] = lu.solve(g[order], trans="T")
+            out = x.reshape(img.shape)
+            sigma = max(sigma / 2.0, 0.5)
+    return out
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-323, 1e-310])
+def test_explicit_zero_entries_leave_the_bits_unchanged(lam, monkeypatch):
+    # where lam * w underflows, the plan stores an explicit zero that the
+    # assembled system did not store; the smoothing keeps its bits. On a
+    # [0, 10] image the weights reach below 0.25, where lam * w underflows
+    # at the two smallest lam
+    img = 10.0 * np.random.default_rng(11).uniform(size=(40, 56))
+    params = RtvParams(lam=lam, sigma=2.0)
+    wx, wy = mstv._texture_weights(img, params.sigma)
+    plan = mstv._rtv_plan(*img.shape)
+    zeros = np.count_nonzero(gathered_system(wx, wy, lam, plan).data == 0)
+    assert zeros == plan.gather.size - permuted_edge_list_system(wx, wy, lam, plan.order).nnz
+    if lam < 1e-310:
+        assert zeros > 0
+    assert rtv_smooth(img, params).tobytes() == assembled_rtv_smooth(img, params, monkeypatch).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (3, 40), (64, 64), (145, 145)])
+def test_gaussian_window_bit_equal_to_ndimage(shape):
+    s = np.random.default_rng(shape[0] + 7 * shape[1]).uniform(size=shape)
+    for sigma in (0.01, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 20.0):
+        assert mstv._gaussian_window(s, sigma).tobytes() == ndimage_window(s, sigma).tobytes(), sigma
+
+
+def test_cli_import_loads_no_ndimage():
+    probe = "import sys, hsikelm.cli; print([m for m in sys.modules if m.startswith('scipy.ndimage')])"
+    run = subprocess.run([sys.executable, "-c", probe], env=blas_env("1"), capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "[]"
 
 
 def test_one_round_matches_default_ordering_oracle(monkeypatch):
@@ -298,18 +382,18 @@ def test_elimination_order_computed_once_per_shape(workers, monkeypatch):
         return original_spilu(*args, **kwargs)
 
     monkeypatch.setattr(mstv, "spilu", slow_spilu)
-    mstv._rtv_order.cache_clear()
+    mstv._rtv_plan.cache_clear()
     scales = [RtvParams(lam=0.01, sigma=1.0), RtvParams(lam=0.005, sigma=2.0)]
     rng = np.random.default_rng(9)
     multiscale_stack(rng.uniform(size=(12, 9, 3)).astype(np.float32), scales)
-    assert mstv._rtv_order.cache_info().misses == 1
+    assert mstv._rtv_plan.cache_info().misses == 1
     multiscale_stack(rng.uniform(size=(9, 12, 3)).astype(np.float32), scales)
-    assert mstv._rtv_order.cache_info().misses == 2
+    assert mstv._rtv_plan.cache_info().misses == 2
     for h, w in [(12, 9), (9, 12)]:
-        order = mstv._rtv_order(h, w)
+        order = mstv._rtv_plan(h, w).order
         assert np.array_equal(np.sort(order), np.arange(h * w))
         assert not order.flags.writeable
-    assert mstv._rtv_order.cache_info().misses == 2
+    assert mstv._rtv_plan.cache_info().misses == 2
 
 
 def test_rtv_rejects_non_finite():
@@ -439,6 +523,32 @@ def test_kpca_fit_rank_message_when_every_component_is_asked_for():
     assert achievable == 29
     with pytest.raises(NumericalError, match="achievable n_components=29$"):
         kpca_fit(x, n_components=30, gamma=0.5, landmark_count=30, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kpca_fit_rejects_non_finite_landmarks(bad):
+    x = np.random.default_rng(14).normal(size=(12, 3))
+    x[5, 1] = bad
+    with pytest.raises(DataError, match="non-finite value in KPCA input"):
+        kpca_fit(x, n_components=2, gamma=0.5, landmark_count=12, seed=0)
+
+
+def test_kpca_fit_rejects_an_overflowing_landmark_kernel():
+    x = 1e160 * np.random.default_rng(14).normal(size=(12, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="landmark kernel overflows"):
+            kpca_fit(x, n_components=2, gamma=0.0, landmark_count=12, seed=0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.0], ids=["rbf", "linear"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kpca_transform_rejects_non_finite_rows(bad, gamma):
+    rng = np.random.default_rng(15)
+    model = kpca_fit(rng.normal(size=(50, 3)), n_components=2, gamma=gamma, landmark_count=20, seed=0)
+    x = rng.normal(size=(2 * parallel.BLOCK_ROWS + 3, 3))
+    x[-1, 2] = bad  # in the last block
+    with pytest.raises(DataError, match="non-finite value in KPCA input"):
+        kpca_transform(model, x)
 
 
 def test_two_cluster_separation():

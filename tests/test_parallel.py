@@ -216,7 +216,7 @@ def test_smoothing_on_helper_threads_leaves_no_freed_memory_resident():
     # (about 15 MB at this shape on 2 CPUs)
     cube = np.random.default_rng(0).uniform(size=(145, 145, 2)).astype(np.float32)
     scales = [mstv.RtvParams()]
-    mstv._rtv_order(145, 145)  # cached for the process
+    mstv._rtv_plan(145, 145)  # cached for the process
     mstv.multiscale_stack(cube[:16, :16], scales)  # the helpers and first-call allocations
     gc.collect()
     before = resident_mb()
